@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.hybrid import HybridAutomaton, formula_margin
+from repro.hybrid.simulate import _crossing_stop, _guard_time
 from repro.intervals import Box, Interval
 from repro.logic import Formula, TrueFormula
 from repro.odes import EnclosureError, ReachTube, flow_enclosure, rk45
@@ -442,20 +443,26 @@ class BMCChecker:
         t_accum = 0.0
         for i, mode_name in enumerate(path.modes):
             system = self.automaton.mode_system(mode_name)
-            try:
-                traj = rk45(
-                    system, state, (0.0, spec.time_bound), params=params,
-                    rtol=1e-7, max_step=opt.enclosure_step,
-                )
-            except Exception:
-                return None
-            if i < len(path.jumps):
-                jump = path.jumps[i]
+            jump = path.jumps[i] if i < len(path.jumps) else None
+            stop = None
+            if jump is not None:
 
                 def margin(s: dict[str, float]) -> float:
                     return formula_margin(jump.guard, {**params, **s})
 
-                t_cross = _first_rising(traj, margin)
+                # stop at the guard's crossing; the last mode runs to the
+                # bound because its goal scan needs the whole horizon
+                names = system.state_names
+                stop = _crossing_stop(names, [state[n] for n in names], rising=[margin])
+            try:
+                traj = rk45(
+                    system, state, (0.0, spec.time_bound), params=params,
+                    rtol=1e-7, max_step=opt.enclosure_step, stop=stop,
+                )
+            except Exception:
+                return None
+            if jump is not None:
+                t_cross = _guard_time(traj, margin)
                 if t_cross is None or t_cross < spec.min_dwell:
                     return None
                 dwells.append(t_cross)
@@ -504,25 +511,3 @@ class BMCChecker:
             witness_x0={v: mid[v] for v in self.automaton.variables},
             witness_dwells=[mid[_dwell_name(i)] for i in range(len(path.modes))],
         )
-
-
-def _first_rising(traj, fn, tol: float = 1e-10) -> float | None:
-    """First rising zero-crossing of ``fn`` along ``traj`` (or t0 if
-    already nonnegative)."""
-    first = fn(traj.at(traj.t0))
-    if first >= 0.0:
-        return traj.t0
-    values = [fn(dict(zip(traj.names, row))) for row in traj.states]
-    for i in range(1, len(values)):
-        if values[i - 1] < 0.0 <= values[i]:
-            lo, hi = float(traj.times[i - 1]), float(traj.times[i])
-            flo = values[i - 1]
-            while hi - lo > tol * max(1.0, abs(hi)):
-                m = 0.5 * (lo + hi)
-                fm = fn(traj.at(m))
-                if (flo < 0.0) == (fm < 0.0):
-                    lo, flo = m, fm
-                else:
-                    hi = m
-            return hi
-    return None

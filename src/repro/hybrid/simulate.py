@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from repro.odes import Trajectory, rk45
 from .automaton import HybridAutomaton, Jump
 
 __all__ = ["HybridSegment", "HybridTrajectory", "simulate_hybrid", "formula_margin"]
+
+#: A formula's satisfaction margin as a function of the named state.
+Margin = Callable[[dict[str, float]], float]
 
 
 def formula_margin(phi: Formula, env: Mapping[str, float]) -> float:
@@ -140,6 +143,10 @@ def simulate_hybrid(
 ) -> HybridTrajectory:
     """Simulate ``automaton`` from ``x0`` for ``t_final`` time units.
 
+    Each mode segment is integrated only up to the first step that
+    brackets an event; the result is bit-identical to integrating every
+    segment to ``t_final`` and clipping it at its first event.
+
     Parameters
     ----------
     x0:
@@ -153,6 +160,8 @@ def simulate_hybrid(
         Zeno guard -- a fired jump must be preceded by at least this
         much dwell, except immediately after a reset.
     """
+    if jump_policy not in ("urgent", "boundary"):
+        raise ValueError(f"unknown jump policy {jump_policy!r}")
     p = {**automaton.params, **(params or {})}
     if x0 is None:
         x0 = automaton.initial_box().midpoint()
@@ -168,6 +177,17 @@ def simulate_hybrid(
         if t >= t_final - 1e-12:
             break
         system = automaton.mode_system(mode_name)
+        invariant = automaton.mode(mode_name).invariant
+        inv = None if isinstance(invariant, TrueFormula) else _margin_fn(invariant, p)
+        guards = [(j, _margin_fn(j.guard, p)) for j in automaton.jumps_from(mode_name)]
+        names = system.state_names
+        stop = _crossing_stop(
+            names,
+            [state[n] for n in names],
+            # under "boundary" only an invariant exit is an event
+            rising=[g for _, g in guards] if jump_policy == "urgent" else [],
+            falling=[inv] if inv is not None else [],
+        )
         seg_traj = rk45(
             system,
             state,
@@ -175,13 +195,10 @@ def simulate_hybrid(
             params=p,
             rtol=rtol,
             max_step=max_step if max_step is not None else (t_final - t) / 50.0,
+            stop=stop,
         )
-        mode = automaton.mode(mode_name)
-        outgoing = automaton.jumps_from(mode_name)
 
-        event_t, fired = _first_event(
-            seg_traj, mode.invariant, outgoing, p, jump_policy
-        )
+        event_t, fired = _first_event(seg_traj, inv, guards, jump_policy)
 
         if event_t is None:
             segments.append(HybridSegment(mode_name, seg_traj))
@@ -224,53 +241,47 @@ def simulate_hybrid(
     return HybridTrajectory(segments, jumps_taken, reason)
 
 
+def _margin_fn(phi: Formula, params: Mapping[str, float]) -> Margin:
+    def fn(state: dict[str, float]) -> float:
+        return formula_margin(phi, {**params, **state})
+
+    return fn
+
+
 def _first_event(
     traj: Trajectory,
-    invariant: Formula,
-    outgoing: list[Jump],
-    params: Mapping[str, float],
+    inv: Margin | None,
+    guards: list[tuple[Jump, Margin]],
     jump_policy: str,
 ) -> tuple[float | None, Jump | None]:
     """Earliest invariant exit or guard activation along ``traj``.
 
+    ``inv`` is the invariant's margin (None when the mode has none) and
+    ``guards`` pairs each outgoing jump with its guard's margin.
     Returns ``(event_time, jump)``; ``jump`` is None for a pure
     invariant violation.  ``(None, None)`` means no event.
     """
-
-    def margin_fn(phi: Formula) -> Callable[[dict[str, float]], float]:
-        def fn(state: dict[str, float]) -> float:
-            return formula_margin(phi, {**params, **state})
-
-        return fn
-
     candidates: list[tuple[float, Jump | None]] = []
 
-    if not isinstance(invariant, TrueFormula):
-        t_inv = _first_crossing(traj, margin_fn(invariant), falling=True)
+    if inv is not None:
+        t_inv = _first_crossing(traj, inv, falling=True)
         if t_inv is not None:
             candidates.append((t_inv, None))
 
     if jump_policy == "urgent":
-        for j in outgoing:
-            g = margin_fn(j.guard)
-            # already enabled at segment start?
-            if g(traj.at(traj.t0)) >= 0.0:
-                candidates.append((traj.t0, j))
-                continue
-            t_g = _first_crossing(traj, g, falling=False)
+        for j, g in guards:
+            t_g = _guard_time(traj, g)
             if t_g is not None:
                 candidates.append((t_g, j))
-    elif jump_policy == "boundary":
-        # jumps fire only at invariant exit; choose the first enabled one
-        if candidates:
-            t_exit = candidates[0][0]
-            st = traj.at(t_exit)
-            for j in outgoing:
-                if margin_fn(j.guard)(st) >= 0.0:
-                    candidates = [(t_exit, j)]
-                    break
-    else:
-        raise ValueError(f"unknown jump policy {jump_policy!r}")
+    elif candidates:
+        # "boundary": jumps fire only at invariant exit; choose the first
+        # enabled one
+        t_exit = candidates[0][0]
+        st = traj.at(t_exit)
+        for j, g in guards:
+            if g(st) >= 0.0:
+                candidates = [(t_exit, j)]
+                break
 
     if not candidates:
         return None, None
@@ -278,13 +289,67 @@ def _first_event(
     return candidates[0]
 
 
+def _guard_time(traj: Trajectory, fn: Margin) -> float | None:
+    """When an urgent guard ``fn >= 0`` first holds along ``traj``: its
+    start if already enabled in the first sample, else its first rising
+    zero-crossing."""
+    if fn(dict(zip(traj.names, traj.states[0]))) >= 0.0:
+        return traj.t0
+    return _first_crossing(traj, fn, falling=False)
+
+
+def _crossing_stop(
+    names: Sequence[str],
+    y0: Sequence[float],
+    rising: Sequence[Margin] = (),
+    falling: Sequence[Margin] = (),
+) -> Callable[[float, np.ndarray], bool] | None:
+    """``rk45`` stop hook for the events the locators here return.
+
+    True at the first accepted step whose end sample and the sample
+    before it bracket a crossing -- a ``rising`` margin going from
+    ``< 0`` to ``>= 0`` or a ``falling`` one from ``> 0`` to ``<= 0``,
+    the test of :func:`_first_crossing` -- and at the first step already
+    when a ``rising`` margin holds at ``y0`` (the start check of
+    :func:`_guard_time`).  No earlier bracket shows a crossing, and the
+    locators read nothing past the first crossing bracket, so they find
+    the same event on the stopped run as on a run to the end of the
+    span.  None when nothing is watched.
+    """
+    signed = [(-1.0, fn) for fn in falling] + [(1.0, fn) for fn in rising]
+    if not signed:
+        return None
+
+    def values(y) -> list[float]:
+        state = dict(zip(names, y))
+        return [sign * fn(state) for sign, fn in signed]
+
+    prev = values(y0)
+    if any(v >= 0.0 for v in prev[len(falling):]):
+        return lambda t, y: True
+
+    def stop(t: float, y: np.ndarray) -> bool:
+        nonlocal prev
+        cur = values(y)
+        crossed = any(a < 0.0 <= b for a, b in zip(prev, cur))
+        prev = cur
+        return crossed
+
+    return stop
+
+
 def _first_crossing(
     traj: Trajectory,
-    fn: Callable[[dict[str, float]], float],
+    fn: Margin,
     falling: bool,
     tol: float = 1e-10,
 ) -> float | None:
-    """First time ``fn`` crosses zero (rising by default)."""
+    """First time ``fn`` crosses zero (rising by default).
+
+    The first pair of consecutive samples whose signed values go from
+    ``< 0`` to ``>= 0`` brackets the crossing, and bisection
+    interpolates inside that pair only.
+    """
     sign = -1.0 if falling else 1.0
     values = [sign * fn(dict(zip(traj.names, row))) for row in traj.states]
     for i in range(1, len(values)):

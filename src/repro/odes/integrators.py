@@ -173,7 +173,7 @@ def rk4(
     t = t0
     while t < t1 - 1e-12:
         h = min(dt, t1 - t)
-        k1 = f(t, y, p)
+        k1 = derivs[-1]  # f at (t, y), stored by the previous step
         k2 = f(t + 0.5 * h, y + 0.5 * h * k1, p)
         k3 = f(t + 0.5 * h, y + 0.5 * h * k2, p)
         k4 = f(t + h, y + h * k3, p)
@@ -285,21 +285,27 @@ def rk4_batch(
 # Adaptive Dormand-Prince RK45
 # ----------------------------------------------------------------------
 
-# Butcher tableau of Dormand-Prince 5(4)
+# Butcher tableau of Dormand-Prince 5(4).  The last row of ``_DP_A``
+# equals the 5th-order weights, so the seventh stage is evaluated at the
+# accepted state itself: its derivative is the next step's first stage
+# (first-same-as-last, FSAL).
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+_DP_E = _DP_B5 - _DP_B4
+# (stage index, node c_i, row _DP_A[i, :i]) for stages 2..7
+_DP_STAGES = tuple((i, float(_DP_C[i]), _DP_A[i, :i]) for i in range(1, 7))
 
 
 def rk45(
@@ -312,8 +318,22 @@ def rk45(
     max_step: float | None = None,
     first_step: float | None = None,
     max_steps: int = 1_000_000,
+    *,
+    stop: Callable[[float, np.ndarray], bool] | None = None,
 ) -> Trajectory:
-    """Adaptive Dormand-Prince 5(4) integration with PI step control."""
+    """Adaptive Dormand-Prince 5(4) integration with PI step control.
+
+    Each attempted step costs six vector-field calls: the first stage is
+    the previous accepted step's last one (FSAL), and it survives
+    rejected steps.  Every stored ``derivs[i]`` is exactly
+    ``f(times[i], states[i])``.  ``max_steps`` bounds the attempted
+    (accepted plus rejected) steps.
+
+    ``stop(t, y)`` is an internal terminal-event hook: it is called after
+    each accepted step and integration ends at the first step for which
+    it returns true.  The steps before that one are the same as without
+    the hook, so the result is a prefix of the full run.
+    """
     f = system.rhs()
     p = {**system.params, **(params or {})}
     names = system.state_names
@@ -323,37 +343,43 @@ def rk45(
     span = t1 - t0
     hmax = max_step if max_step is not None else span / 10.0
     y = np.array([float(x0[n]) for n in names])
+    if not np.all(np.isfinite(y)):
+        bad = ", ".join(f"{n}={v}" for n, v in zip(names, y) if not np.isfinite(v))
+        raise IntegrationError(f"non-finite initial state: {bad}")
     h = first_step if first_step is not None else min(hmax, span / 100.0)
+    k_first = f(t0, y, p)
     times = [t0]
-    rows = [y.copy()]
-    derivs = [f(t0, y, p)]
+    rows = [y]
+    derivs = [k_first]
     t = t0
     steps = 0
     while t < t1 - 1e-12:
-        if steps > max_steps:
-            raise IntegrationError("max step count exceeded")
+        if steps >= max_steps:
+            raise IntegrationError(f"max step count ({max_steps}) exceeded at t={t:.6g}")
         steps += 1
         h = min(h, t1 - t, hmax)
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t:.6g}")
         ks = np.empty((7, len(y)))
-        ks[0] = f(t, y, p)
-        for i in range(1, 7):
-            yi = y + h * sum(a * ks[j] for j, a in enumerate(_DP_A[i]))
-            ks[i] = f(t + _DP_C[i] * h, yi, p)
-        y5 = y + h * (_DP_B5 @ ks)
-        y4 = y + h * (_DP_B4 @ ks)
+        ks[0] = k_first
+        for i, c, a in _DP_STAGES:
+            yi = y + h * (a @ ks[:i])
+            ks[i] = f(t + c * h, yi, p)
+        y5 = yi  # the stage-7 argument is the 5th-order solution
         if not np.all(np.isfinite(y5)):
             h *= 0.25
             continue
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+        err = float(np.sqrt(np.mean((h * (_DP_E @ ks) / scale) ** 2)))
         if err <= 1.0:
             t += h
             y = y5
+            k_first = ks[6]
             times.append(t)
-            rows.append(y.copy())
-            derivs.append(ks[6])  # FSAL: k7 = f(t+h, y5)
+            rows.append(y)
+            derivs.append(k_first)
+            if stop is not None and stop(t, y):
+                break
         # PI controller
         factor = 0.9 * (err + 1e-16) ** (-0.2)
         h *= min(5.0, max(0.2, factor))

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import repro.hybrid.simulate as hybrid_simulate
 from repro.expr import var
 from repro.hybrid import (
     HybridAutomaton,
@@ -15,6 +16,7 @@ from repro.hybrid import (
 )
 from repro.intervals import Box
 from repro.logic import And, Atom, Or, in_range
+from repro.models.prostate import ias_model
 
 x = var("x")
 v = var("v")
@@ -289,3 +291,78 @@ class TestDefaultsAndEdgeCases:
         assert traj.segments[0].t_end == pytest.approx(math.log(2.0), abs=1e-4)
         traj2 = simulate_hybrid(h, {"x": 1.0}, t_final=5.0, params={"theta": 0.25})
         assert traj2.segments[0].t_end == pytest.approx(math.log(4.0), abs=1e-4)
+
+    def test_unknown_jump_policy_rejected(self):
+        with pytest.raises(ValueError, match="unknown jump policy"):
+            simulate_hybrid(thermostat(), {"x": 21.0}, jump_policy="eager")
+
+
+def invariant_exit() -> HybridAutomaton:
+    """x decays through its invariant x >= 0.5 with no jump to take."""
+    return HybridAutomaton(
+        ["x"], [Mode("a", {"x": -x}, invariant=(x >= 0.5))], [], "a",
+        Box.from_bounds({"x": (1, 1)}),
+    )
+
+
+def enabled_at_start() -> HybridAutomaton:
+    """The only guard already holds at x(0) = 1."""
+    return HybridAutomaton(
+        ["x"],
+        [Mode("a", {"x": -x}), Mode("b", {"x": 0.0 * x})],
+        [Jump("a", "b", guard=(x >= 0.5))],
+        "a",
+        Box.from_bounds({"x": (1, 1)}),
+    )
+
+
+#: case -> (automaton factory, x0, simulate_hybrid keyword arguments)
+EVENT_CASES = {
+    "thermostat": (thermostat, {"x": 21.0}, {"t_final": 20.0}),
+    "bouncing-ball": (bouncing_ball, None, {"t_final": 3.0, "max_jumps": 20}),
+    "invariant-only": (invariant_exit, None, {"t_final": 5.0}),
+    "guard-at-t0": (enabled_at_start, {"x": 1.0}, {"t_final": 2.0}),
+    "boundary-policy": (
+        thermostat, {"x": 21.0}, {"t_final": 20.0, "jump_policy": "boundary"}
+    ),
+    "ias-patient_A": (lambda: ias_model("patient_A"), None, {"t_final": 610.0}),
+    "ias-patient_C": (lambda: ias_model("patient_C"), None, {"t_final": 610.0}),
+}
+
+
+class TestEventStoppedSegments:
+    """A segment's integration ends at the step bracketing its first
+    event, bit-identically to integrating it to t_final and clipping."""
+
+    @pytest.mark.parametrize("case", sorted(EVENT_CASES))
+    def test_matches_integrate_then_clip(self, monkeypatch, case):
+        make, x0, kwargs = EVENT_CASES[case]
+        automaton = make()
+        rk45 = hybrid_simulate.rk45
+        steps = {"stopped": 0, "full": 0}
+
+        def counted(key, honour_stop):
+            def run(*args, stop=None, **kw):
+                traj = rk45(*args, stop=stop if honour_stop else None, **kw)
+                steps[key] += len(traj) - 1
+                return traj
+
+            return run
+
+        monkeypatch.setattr(hybrid_simulate, "rk45", counted("stopped", True))
+        stopped = simulate_hybrid(automaton, x0, **kwargs)
+        monkeypatch.setattr(hybrid_simulate, "rk45", counted("full", False))
+        full = simulate_hybrid(automaton, x0, **kwargs)
+
+        assert stopped.stopped_reason == full.stopped_reason
+        assert stopped.mode_path() == full.mode_path()
+        assert len(stopped.jumps_taken) == len(full.jumps_taken)
+        assert all(a is b for a, b in zip(stopped.jumps_taken, full.jumps_taken))
+        for a, b in zip(stopped.segments, full.segments):
+            for attr in ("times", "states", "derivs"):
+                assert (
+                    getattr(a.trajectory, attr).tobytes()
+                    == getattr(b.trajectory, attr).tobytes()
+                ), attr
+        # every case has an event before t_final, so the tail is skipped
+        assert steps["stopped"] < steps["full"]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.expr import var, variables
+from repro.expr import sin, var, variables
 from repro.odes import (
     IntegrationError,
     ODESystem,
@@ -201,3 +201,87 @@ class TestEventLocation:
     def test_no_event(self, decay):
         traj = rk45(decay, {"x": 1.0}, (0.0, 1.0))
         assert find_event(traj, lambda s: s["x"] - 100.0) is None
+
+
+def _count_field_calls(system):
+    """Swap ``system``'s compiled vector field for a counting wrapper;
+    returns the list of call times and the unwrapped field."""
+    field = system.rhs()
+    calls = []
+
+    def counted(t, y, p):
+        calls.append(t)
+        return field(t, y, p)
+
+    system._compiled = counted
+    return calls, field
+
+
+def _stage_system(case):
+    """A forced oscillator (time- and parameter-dependent) or a stiff
+    decay (many rejected steps): system, x0, parameter overrides."""
+    if case == "stiff":
+        return ODESystem({"x": -50.0 * var("x")}), {"x": 1.0}, {}
+    forced = ODESystem(
+        {"x": var("v"), "v": -var("k") * var("x") + sin(var("t"))}, {"k": 2.0}
+    )
+    return forced, {"x": 1.0, "v": 0.0}, {"k": 3.0}
+
+
+class TestStageReuse:
+    def test_rk4_reuses_stored_derivative(self, decay):
+        """Four field calls per step, bit-identical to recomputing k1."""
+        calls, field = _count_field_calls(decay)
+        traj = rk4(decay, {"x": 1.0}, (0.0, 1.0), dt=0.1)
+        assert len(calls) == 1 + 4 * (len(traj) - 1)
+        p, t, y = decay.params, 0.0, np.array([1.0])
+        rows = [y]
+        while t < 1.0 - 1e-12:
+            h = min(0.1, 1.0 - t)
+            k1 = field(t, y, p)
+            k2 = field(t + 0.5 * h, y + 0.5 * h * k1, p)
+            k3 = field(t + 0.5 * h, y + 0.5 * h * k2, p)
+            k4 = field(t + h, y + h * k3, p)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+            rows.append(y)
+        assert np.array(rows).tobytes() == traj.states.tobytes()
+
+    @pytest.mark.parametrize("case", ["forced", "stiff"])
+    def test_rk45_six_calls_per_attempt(self, case):
+        """1 + 6 x attempts field calls (the first stage is the previous
+        step's last, also after a rejected step); ``max_steps`` caps the
+        attempts exactly."""
+        system, x0, params = _stage_system(case)
+        calls, _ = _count_field_calls(system)
+        traj = rk45(system, x0, (0.0, 5.0), params=params)
+        attempts, rest = divmod(len(calls) - 1, 6)
+        assert rest == 0 and attempts >= len(traj) - 1
+        if case == "stiff":
+            assert attempts > len(traj) - 1
+        again = rk45(system, x0, (0.0, 5.0), params=params, max_steps=attempts)
+        assert again.states.tobytes() == traj.states.tobytes()
+        with pytest.raises(IntegrationError, match="max step count"):
+            rk45(system, x0, (0.0, 5.0), params=params, max_steps=attempts - 1)
+
+    @pytest.mark.parametrize("case", ["forced", "stiff"])
+    def test_rk45_stored_derivs_are_exact(self, case):
+        system, x0, params = _stage_system(case)
+        traj = rk45(system, x0, (0.0, 5.0), params=params)
+        field, p = system.rhs(), {**system.params, **params}
+        for t, row, d in zip(traj.times, traj.states, traj.derivs):
+            assert field(t, row, p).tobytes() == d.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rk45_rejects_non_finite_initial_state(self, oscillator, bad):
+        with pytest.raises(IntegrationError, match="non-finite initial state: v="):
+            rk45(oscillator, {"x": 1.0, "v": bad}, (0.0, 1.0))
+
+    def test_rk45_stop_hook_returns_a_prefix(self, decay):
+        full = rk45(decay, {"x": 1.0}, (0.0, 3.0))
+        cut = rk45(decay, {"x": 1.0}, (0.0, 3.0), stop=lambda t, y: y[0] < 0.5)
+        n = len(cut)
+        assert 1 < n < len(full)
+        assert cut.states[-1, 0] < 0.5 <= cut.states[-2, 0]
+        for attr in ("times", "states", "derivs"):
+            assert getattr(cut, attr).tobytes() == getattr(full, attr)[:n].tobytes()
