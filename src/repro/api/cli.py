@@ -94,11 +94,9 @@ def _apply_solver_overrides(
     shard_backend: str | None = None,
     paving_store: str | None = None,
     cold: bool = False,
-    kernel: str | None = None,
 ) -> list[TaskSpec]:
     """Override solver options of every spec from CLI flags
-    (``--shards``/``--shard-backend``/``--paving-store``/``--cold``/
-    ``--kernel``)."""
+    (``--shards``/``--shard-backend``/``--paving-store``/``--cold``)."""
     overrides: dict[str, Any] = {}
     if shards is not None:
         overrides["shards"] = int(shards)
@@ -108,8 +106,6 @@ def _apply_solver_overrides(
         overrides["paving_store"] = paving_store
     if cold:
         overrides["warm_start"] = False
-    if kernel is not None:
-        overrides["kernel"] = kernel
     if not overrides:
         return specs
     from dataclasses import replace as _replace
@@ -209,12 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bypass warm-starting (still records artifacts when "
              "--paving-store is set)",
     )
-    p_run.add_argument(
-        "--kernel", choices=("numpy", "numba"), default=None,
-        help="tape execution backend of the batched ICP paths "
-             "(overrides the spec's solver.kernel; numba falls back to "
-             "numpy with a warning when unavailable)",
-    )
     p_run.add_argument("--json", action="store_true", help="print the raw report JSON")
 
     p_batch = sub.add_parser("batch", help="execute a scenario sweep")
@@ -249,10 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "--cold", action="store_true",
         help="bypass warm-starting (see `repro run --help`)",
-    )
-    p_batch.add_argument(
-        "--kernel", choices=("numpy", "numba"), default=None,
-        help="tape execution backend (see `repro run --help`)",
     )
     p_batch.add_argument("--json", action="store_true", help="print raw report JSON")
     p_batch.add_argument("--out", default=None, help="write reports to a JSON file")
@@ -386,10 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sc_run.add_argument(
         "--cold", action="store_true",
         help="bypass warm-starting (see `repro run --help`)",
-    )
-    sc_run.add_argument(
-        "--kernel", choices=("numpy", "numba"), default=None,
-        help="tape execution backend (see `repro run --help`)",
     )
     sc_run.add_argument(
         "--check", action="store_true",
@@ -648,7 +630,7 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
         )
     spec = _apply_solver_overrides(
         [s.spec(seed=args.seed, **overrides)], args.shards, args.shard_backend,
-        args.paving_store, args.cold, args.kernel,
+        args.paving_store, args.cold,
     )[0]
     report = Engine(seed=0).run(spec)
     _emit([report], args.json, None)
@@ -1132,8 +1114,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("error: no scenarios to run", file=sys.stderr)
         return 2
     specs = _apply_solver_overrides(
-        specs, args.shards, args.shard_backend, args.paving_store, args.cold,
-        getattr(args, "kernel", None),
+        specs, args.shards, args.shard_backend, args.paving_store, args.cold
     )
 
     if args.command == "run":

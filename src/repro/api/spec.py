@@ -15,8 +15,6 @@ from dataclasses import asdict, dataclass, field, fields
 from dataclasses import replace as _dataclass_replace
 from typing import Any, Mapping
 
-from repro.solver.lower import validate_kernel
-
 from .model import Model
 
 __all__ = ["SolverOptions", "SimOptions", "TaskSpec"]
@@ -68,11 +66,6 @@ class SolverOptions:
     # hookpoint (stage "anytime"): first answer in milliseconds,
     # monotone refinements after.
     anytime: bool = False
-    # Tape execution backend of the batched ICP paths: "numpy" (the
-    # default interpreter) or "numba" (fused JIT kernels; falls back to
-    # numpy with a one-time RuntimeWarning when numba is missing).
-    # Verdicts and pavings are byte-identical across kernels.
-    kernel: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.frontier_size < 1:
@@ -81,7 +74,6 @@ class SolverOptions:
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        validate_kernel(self.kernel)
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any] | None) -> "SolverOptions":

@@ -274,7 +274,6 @@ class FalsifyTask(Task):
                 paving_store=o.paving_store,
                 warm_start=o.warm_start,
                 anytime=o.anytime,
-                kernel=o.kernel,
             )
         else:
             raise ValueError(f"unknown falsify method {method!r}")
@@ -391,7 +390,6 @@ class SMCTask(Task):
             seed=self._seed(spec),
             rtol=spec.sim.rtol,
             max_step=spec.sim.max_step,
-            kernel=spec.solver.kernel,
         )
         method = str(q.get("method", "probability"))
         if method == "probability":
@@ -478,7 +476,6 @@ class LyapunovTask(Task):
             shard_backend=spec.solver.shard_backend,
             paving_store=spec.solver.paving_store,
             warm_start=spec.solver.warm_start,
-            kernel=spec.solver.kernel,
         )
         mode = str(q.get("mode", "synthesize"))
         if mode == "synthesize":

@@ -230,7 +230,6 @@ def _falsify_ascent_impl(
     paving_store: object = None,
     warm_start: bool = True,
     anytime: bool = False,
-    kernel: str = "numpy",
 ) -> FalsificationVerdict:
     if variable not in system.state_names:
         raise ValueError(f"unknown state variable {variable!r}")
@@ -261,7 +260,6 @@ def _falsify_ascent_impl(
         delta=delta, max_boxes=max_boxes, frontier_size=frontier_size,
         shards=shards, shard_backend=shard_backend,
         paving_store=paving_store, warm_start=warm_start, anytime=anytime,
-        kernel=kernel,
     )._solve_impl(query, box)
     direction = "ascent" if to_level >= from_level else "descent"
     if result.status is Status.UNSAT:

@@ -101,10 +101,7 @@ def compile_vector_field(
 
 
 def compile_vector_field_batch(
-    exprs: Sequence[Expr],
-    state_names: Sequence[str],
-    param_names: Sequence[str] = (),
-    kernel: str = "numpy",
+    exprs: Sequence[Expr], state_names: Sequence[str], param_names: Sequence[str] = ()
 ) -> Callable[..., np.ndarray]:
     """Compile a vector field over a whole *batch* of states at once.
 
@@ -114,20 +111,7 @@ def compile_vector_field_batch(
     ``(n,)`` arrays (per-particle parameters); both broadcast.  Each
     component is assigned into a preallocated output row, so constant
     derivatives broadcast instead of producing ragged arrays.
-
-    ``kernel="numba"`` fuses the per-column evaluation into one jitted
-    loop (see :mod:`repro.solver.lower` for the knob's fallback rules);
-    any lowering failure silently keeps the numpy closure, so the
-    returned callable always works.
     """
-    if kernel != "numpy":
-        from repro.solver.lower import resolve_kernel
-
-        kernel = resolve_kernel(kernel)
-    if kernel == "numba":
-        fn = _compile_vector_field_jit(exprs, state_names, param_names)
-        if fn is not None:
-            return fn
     names = {n: f"_Y[{i}]" for i, n in enumerate(state_names)}
     names["t"] = "_t"
     for p in param_names:
@@ -140,98 +124,3 @@ def compile_vector_field_batch(
     scope: dict = {"np": np, "_sigmoid": _sigmoid}
     exec(src, scope)  # noqa: S102
     return scope["_field"]
-
-
-def _emit_jit(e: Expr, names: dict[str, str]) -> str:
-    """Scalar (per-column) emitter of the jitted vector field.
-
-    ``pow`` routes through ``_pwf`` so the jitted loop reproduces
-    npy_pow's fast paths (``x**2.0 -> x*x``, ``x**0.5 -> sqrt``) and
-    stays bit-compatible with the vectorized numpy closure.
-    """
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        try:
-            return names[e.name]
-        except KeyError:
-            raise KeyError(f"unbound variable {e.name!r} in compiled expression") from None
-    if isinstance(e, Unary):
-        return _UNARY_NP[e.op].format(_emit_jit(e.arg, names))
-    if isinstance(e, Binary):
-        if e.op == "pow":
-            return "_pwf({0}, {1})".format(
-                _emit_jit(e.left, names), _emit_jit(e.right, names)
-            )
-        return _BINARY_NP[e.op].format(
-            _emit_jit(e.left, names), _emit_jit(e.right, names)
-        )
-    raise TypeError(f"cannot compile node {type(e).__name__}")
-
-
-def _compile_vector_field_jit(
-    exprs: Sequence[Expr],
-    state_names: Sequence[str],
-    param_names: Sequence[str] = (),
-) -> Callable[..., np.ndarray] | None:
-    """Jitted column-loop variant of :func:`compile_vector_field_batch`.
-
-    Returns ``None`` when numba is unavailable or the field fails to
-    compile/run on a probe column -- callers keep the numpy closure.
-    """
-    try:
-        import numba
-    except Exception:  # pragma: no cover - exercised via the [jit] extra
-        return None
-    params = list(param_names)
-    names = {n: f"_Y[{i}, _j]" for i, n in enumerate(state_names)}
-    names["t"] = "_t"
-    for k, p in enumerate(params):
-        names.setdefault(p, f"_P[{k}, _j]")
-    try:
-        bodies = [_emit_jit(e, names) for e in exprs]
-    except (KeyError, TypeError):
-        return None
-    lines = ["def _field_cols(_t, _Y, _out, _P):", "    for _j in range(_Y.shape[1]):"]
-    for i, body in enumerate(bodies):
-        lines.append(f"        _out[{i}, _j] = {body}")
-    src = "\n".join(lines) + "\n"
-
-    def _pwf(x, y):
-        if y == 2.0:
-            return x * x
-        if y == 0.5:
-            return np.sqrt(x)
-        return np.power(x, y)
-
-    def _sigmoid_s(x):
-        return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-    scope: dict = {
-        "np": np,
-        "_pwf": numba.njit(cache=False)(_pwf),
-        "_sigmoid": numba.njit(cache=False)(_sigmoid_s),
-    }
-    try:
-        exec(src, scope)  # noqa: S102 -- code is generated from our own AST only
-        jit_fn = numba.njit(cache=False)(scope["_field_cols"])
-        # probe-compile on a 1-column batch so failures fall back here,
-        # not at the first integrator step
-        dim = len(state_names)
-        probe = np.full((dim, 1), 0.5)
-        jit_fn(0.0, probe, np.empty_like(probe), np.full((len(params), 1), 0.5))
-    except Exception:
-        return None
-
-    def _field(_t, _Y, _p):
-        Y = np.ascontiguousarray(_Y, dtype=float)
-        n = Y.shape[1]
-        P = np.empty((len(params), n))
-        for k, name in enumerate(params):
-            P[k, :] = _p[name]
-        out = np.empty_like(Y)
-        jit_fn(float(_t), Y, out, P)
-        return out
-
-    _field.kernel = "numba"
-    return _field

@@ -94,7 +94,6 @@ class LyapunovAnalyzer:
         shard_backend: object = "process",
         paving_store: object = None,
         warm_start: bool = True,
-        kernel: str = "numpy",
     ):
         # inline default parameter values: the exists-forall conditions
         # must mention only states and template coefficients
@@ -110,7 +109,6 @@ class LyapunovAnalyzer:
         self.shard_backend = shard_backend
         self.paving_store = paving_store
         self.warm_start = warm_start
-        self.kernel = kernel
 
         residual = system.eval_field(self.equilibrium)
         worst = max(abs(v) for v in residual.values())
@@ -160,7 +158,6 @@ class LyapunovAnalyzer:
             frontier_size=self.frontier_size,
             shards=self.shards, shard_backend=self.shard_backend,
             paving_store=self.paving_store, warm_start=self.warm_start,
-            kernel=self.kernel,
         )
         res = ef.solve(phi, param_box, self.region)
         if res.status is Status.DELTA_SAT:
@@ -185,7 +182,6 @@ class LyapunovAnalyzer:
             frontier_size=self.frontier_size,
             shards=self.shards, shard_backend=self.shard_backend,
             paving_store=self.paving_store, warm_start=self.warm_start,
-            kernel=self.kernel,
         )
         res = solver._solve_impl(self.violation(V), self.region)
         if res.status is Status.UNSAT:
@@ -229,7 +225,6 @@ class LyapunovAnalyzer:
             frontier_size=self.frontier_size,
             shards=self.shards, shard_backend=backend,
             paving_store=self.paving_store, warm_start=self.warm_start,
-            kernel=self.kernel,
         )
 
         def boundary_touch(c: float) -> Formula:

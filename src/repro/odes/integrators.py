@@ -198,7 +198,6 @@ def rk4_batch(
     t_span: tuple[float, float],
     dt: float,
     params: "list[Mapping[str, float]] | Mapping[str, float] | None" = None,
-    kernel: str = "numpy",
 ) -> "list[Trajectory | None]":
     """Classic RK4 over a whole batch of initial conditions at once.
 
@@ -215,11 +214,8 @@ def rk4_batch(
     Particles whose state leaves the finite range are frozen and
     reported as ``None`` (the batch keeps going for the others), so the
     caller decides whether a blow-up is an error or a failed sample.
-
-    ``kernel`` selects the vector-field execution backend (``"numpy"``
-    or ``"numba"``; see :meth:`ODESystem.rhs_batch`).
     """
-    f = system.rhs_batch(kernel)
+    f = system.rhs_batch()
     names = system.state_names
     t0, t1 = map(float, t_span)
     if t1 <= t0:

@@ -56,7 +56,7 @@ class ODESystem:
                 "add them to params or states"
             )
         self._compiled: Callable | None = None
-        self._compiled_batch: dict[str, Callable] = {}
+        self._compiled_batch: Callable | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -89,25 +89,19 @@ class ODESystem:
             )
         return self._compiled
 
-    def rhs_batch(
-        self, kernel: str = "numpy"
-    ) -> Callable[[float, np.ndarray, Mapping], np.ndarray]:
+    def rhs_batch(self) -> Callable[[float, np.ndarray, Mapping], np.ndarray]:
         """Compiled batched vector field ``f(t, Y, params) -> ndarray``.
 
         ``Y`` has shape ``(dim, n)`` -- one column per particle; params
-        may be scalars or per-particle ``(n,)`` arrays.  ``kernel``
-        selects the execution backend (``"numpy"`` or ``"numba"``; the
-        jitted field falls back to numpy when unavailable); one compiled
-        field is cached per kernel.
+        may be scalars or per-particle ``(n,)`` arrays.
         """
-        if kernel not in self._compiled_batch:
-            self._compiled_batch[kernel] = compile_vector_field_batch(
+        if self._compiled_batch is None:
+            self._compiled_batch = compile_vector_field_batch(
                 list(self.derivatives.values()),
                 self.state_names,
                 self.param_names,
-                kernel=kernel,
             )
-        return self._compiled_batch[kernel]
+        return self._compiled_batch
 
     def eval_field(
         self, state: Mapping[str, float], params: Mapping[str, float] | None = None,

@@ -99,7 +99,6 @@ class StatisticalModelChecker:
         rtol: float = 1e-6,
         max_step: float | None = None,
         batch_size: int = 64,
-        kernel: str = "numpy",
     ):
         self.model = model
         self.init = (
@@ -110,9 +109,6 @@ class StatisticalModelChecker:
         self.rtol = rtol
         self.max_step = max_step
         self.batch_size = max(1, int(batch_size))
-        # vector-field execution backend of the batched RK4 pass
-        # ("numpy" or "numba"; see repro.odes.integrators.rk4_batch)
-        self.kernel = kernel
         if isinstance(model, HybridAutomaton):
             self._states = list(model.variables)
             self._params = set(model.params)
@@ -161,7 +157,6 @@ class StatisticalModelChecker:
             (0.0, self.horizon),
             dt=dt,
             params=[p for _, p in splits],
-            kernel=self.kernel,
         )
         for i, traj in enumerate(trajs):
             if traj is None:

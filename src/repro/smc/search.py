@@ -55,7 +55,6 @@ def smc_objective(
     n_samples: int = 4,
     seed: int = 0,
     rtol: float = 1e-6,
-    kernel: str = "numpy",
 ) -> Callable[[Mapping[str, float]], float]:
     """Fitness: mean BLTL robustness over sampled initial conditions.
 
@@ -94,8 +93,7 @@ def smc_objective(
         x0s = [{k: d[k] for k in states} for d in draws]
         try:
             trajs = rk4_batch(
-                model, x0s, (0.0, horizon), dt=horizon / 400.0,
-                params=dict(params), kernel=kernel,
+                model, x0s, (0.0, horizon), dt=horizon / 400.0, params=dict(params)
             )
             for x0, traj in zip(x0s, trajs):
                 if traj is None:

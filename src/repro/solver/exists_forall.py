@@ -73,9 +73,6 @@ class ExistsForallSolver:
     # whole propose/verify solves.
     paving_store: object = None
     warm_start: bool = True
-    # Tape execution kernel of the inner propose/verify solvers
-    # ("numpy" or "numba"; see repro.solver.lower).
-    kernel: str = "numpy"
 
     def solve(self, phi: Formula, param_box: Box, state_box: Box) -> EFResult:
         """Solve ``exists param_box . forall state_box . phi``.
@@ -110,14 +107,12 @@ class ExistsForallSolver:
             frontier_size=self.frontier_size,
             shards=self.shards, shard_backend=backend,
             paving_store=self.paving_store, warm_start=self.warm_start,
-            kernel=self.kernel,
         )
         verifier = DeltaSolver(
             delta=self.delta, max_boxes=self.verify_budget,
             frontier_size=self.frontier_size,
             shards=self.shards, shard_backend=backend,
             paving_store=self.paving_store, warm_start=self.warm_start,
-            kernel=self.kernel,
         )
         try:
             return self._cegis(

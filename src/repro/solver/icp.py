@@ -51,7 +51,6 @@ from .incremental import (
     try_warm_pave,
     try_warm_solve,
 )
-from .lower import validate_kernel
 from .shard import box_sort_key, lex_key, pave_sharded, solve_sharded
 from .tape import CERTAIN_FALSE, CERTAIN_TRUE, compile_formula
 
@@ -196,14 +195,6 @@ class DeltaSolver:
         event carrying the terminal verdict.  Snapshots are monotone --
         settled-box counters never decrease and the verdict only moves
         from ``unknown`` to a terminal answer.
-    kernel:
-        Tape execution backend for the batched paths: ``"numpy"`` (the
-        default interpreter) or ``"numba"`` (fused JIT-compiled
-        contract/judge kernels via :mod:`repro.solver.lower`; falls back
-        to ``"numpy"`` with a one-time :class:`RuntimeWarning` when
-        numba is unavailable).  Verdicts and pavings are byte-identical
-        across kernels.  Ignored by the scalar loop
-        (``frontier_size=1``).
     """
 
     delta: float = 1e-3
@@ -217,7 +208,6 @@ class DeltaSolver:
     paving_store: object = None
     warm_start: bool = True
     anytime: bool = False
-    kernel: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.frontier_size < 1:
@@ -226,7 +216,6 @@ class DeltaSolver:
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        validate_kernel(self.kernel, internal=True)
 
     def solve(self, phi: Formula, box: Box) -> Result:
         """Decide ``exists box. phi`` in the delta-relaxed sense.
@@ -304,7 +293,6 @@ class DeltaSolver:
                 frontier_size=self.frontier_size, shards=self.shards,
                 backend=self.shard_backend, workers=self.shard_workers,
                 recorder=recorder, anytime=self.anytime,
-                kernel=self.kernel,
             )
         if self.frontier_size <= 1:
             return self._solve_scalar(phi, box, recorder)
@@ -394,7 +382,6 @@ class DeltaSolver:
                 frontier_size=self.frontier_size, shards=self.shards,
                 backend=self.shard_backend, workers=self.shard_workers,
                 seeds=seeds, anytime=self.anytime,
-                kernel=self.kernel,
             )
         if self.frontier_size <= 1:
             return self._pave_scalar(phi, box, min_width, seeds)
@@ -409,7 +396,7 @@ class DeltaSolver:
         t0 = time.perf_counter()
         stats = SolverStats()
         names = tuple(box.names)
-        compiled = compile_formula(phi, kernel=self.kernel, names=names)
+        compiled = compile_formula(phi)
         root = BoxArray.from_box(box, names)
 
         # Priority queue: explore widest boxes first (fair coverage).
@@ -520,7 +507,7 @@ class DeltaSolver:
         seeds: list[Box] | None = None,
     ) -> tuple[list[Box], list[Box], list[Box], int, bool]:
         names = tuple(box.names)
-        compiled = compile_formula(phi, kernel=self.kernel, names=names)
+        compiled = compile_formula(phi)
         sat_boxes: list[Box] = []
         unsat_boxes: list[Box] = []
         undecided: list[Box] = []

@@ -124,24 +124,18 @@ def split_into_shards(box: Box, shards: int) -> list[Box]:
 # Worker side: one vectorized epoch pass per chunk
 # ----------------------------------------------------------------------
 
-#: Per-process compiled-tape cache, keyed on the pickled formula plus
-#: the execution kernel and variable order, so one worker process
-#: compiles each (formula, kernel) pair exactly once across epochs.
-_TAPE_CACHE: dict[tuple, CompiledFormula] = {}
+#: Per-process compiled-tape cache, keyed on the pickled formula so one
+#: worker process compiles each formula exactly once across epochs.
+_TAPE_CACHE: dict[bytes, CompiledFormula] = {}
 
 
-def _compiled(
-    phi_blob: bytes,
-    kernel: str = "numpy",
-    names: tuple[str, ...] | None = None,
-) -> CompiledFormula:
-    key = (phi_blob, kernel, names)
-    tape = _TAPE_CACHE.get(key)
+def _compiled(phi_blob: bytes) -> CompiledFormula:
+    tape = _TAPE_CACHE.get(phi_blob)
     if tape is None:
         if len(_TAPE_CACHE) >= 32:
             _TAPE_CACHE.clear()
-        tape = compile_formula(pickle.loads(phi_blob), kernel=kernel, names=names)
-        _TAPE_CACHE[key] = tape
+        tape = compile_formula(pickle.loads(phi_blob))
+        _TAPE_CACHE[phi_blob] = tape
     return tape
 
 
@@ -155,7 +149,6 @@ def _solve_epoch(
     contract_tol: float,
     min_width: float,
     record_cover: bool = False,
-    kernel: str = "numpy",
 ) -> dict:
     """One branch-and-prune pass over a chunk of a shard's frontier.
 
@@ -168,7 +161,7 @@ def _solve_epoch(
     (:mod:`repro.solver.incremental`) ships back too: pruned boxes plus
     the shells contraction peeled off pruned and split nodes.
     """
-    compiled = _compiled(phi_blob, kernel, names)
+    compiled = _compiled(phi_blob)
     frontier = BoxArray(names, lo, hi)
     contracted = compiled.fixpoint_contract(frontier, tol=contract_tol)
     judgment = compiled.judge(contracted, 0.0)
@@ -232,10 +225,9 @@ def _pave_epoch(
     delta: float,
     contract_tol: float,
     min_width: float,
-    kernel: str = "numpy",
 ) -> dict:
     """One paving pass over a chunk: classify rows or split them."""
-    compiled = _compiled(phi_blob, kernel, names)
+    compiled = _compiled(phi_blob)
     frontier = BoxArray(names, lo, hi)
     contracted = compiled.fixpoint_contract(frontier, tol=contract_tol)
     judgment = compiled.judge(contracted, 0.0)
@@ -430,7 +422,6 @@ def solve_sharded(
     workers: int | None = None,
     recorder=None,
     anytime: bool = False,
-    kernel: str = "numpy",
 ):
     """Decide ``exists box . phi`` across ``shards`` parallel pavers.
 
@@ -498,7 +489,7 @@ def solve_sharded(
                 phi_blob, names,
                 np.array([e[3] for e in chunk]), np.array([e[4] for e in chunk]),
                 np.array([e[5] for e in chunk], dtype=int),
-                delta, contract_tol, min_width, record_cover, kernel,
+                delta, contract_tol, min_width, record_cover,
             ),
             boot,
         )
@@ -551,7 +542,7 @@ def solve_sharded(
                     np.array([e[3] for e in chunk]),
                     np.array([e[4] for e in chunk]),
                     np.array([e[5] for e in chunk], dtype=int),
-                    delta, contract_tol, min_width, record_cover, kernel,
+                    delta, contract_tol, min_width, record_cover,
                 )
                 for i, chunk in chunks
             ]
@@ -591,7 +582,6 @@ def pave_sharded(
     workers: int | None = None,
     seeds: list[Box] | None = None,
     anytime: bool = False,
-    kernel: str = "numpy",
 ) -> tuple[list[Box], list[Box], list[Box], int, bool]:
     """Partition ``box`` into (delta-sat, unsat, undecided) sub-boxes
     across ``shards`` parallel pavers.
@@ -651,7 +641,7 @@ def pave_sharded(
             _pave_epoch(
                 phi_blob, names,
                 np.array([e[3] for e in chunk]), np.array([e[4] for e in chunk]),
-                delta, contract_tol, min_width, kernel,
+                delta, contract_tol, min_width,
             ),
             boot,
         )
@@ -697,7 +687,7 @@ def pave_sharded(
                     _pave_epoch, phi_blob, names,
                     np.array([e[3] for e in chunk]),
                     np.array([e[4] for e in chunk]),
-                    delta, contract_tol, min_width, kernel,
+                    delta, contract_tol, min_width,
                 )
                 for i, chunk in chunks
             ]

@@ -49,7 +49,6 @@ from repro.logic import (
     Or,
     TrueFormula,
 )
-from repro.solver.lower import lower_tape, resolve_kernel
 
 __all__ = ["ExprTape", "CompiledFormula", "compile_formula", "judge_batch"]
 
@@ -404,31 +403,15 @@ class _CFalse(_CNode):
         return BoxArray(boxes.names, lo, hi)
 
 
-def _tape_eval(tape: ExprTape, boxes: BoxArray, kernel: str) -> IntervalArray:
-    """Forward-evaluate ``tape`` with the selected kernel.
-
-    Non-numpy kernels use the fused per-row lowering when the tape
-    admits one; otherwise (oversized tape, exotic op) the numpy
-    interpreter is the transparent fallback -- results are identical
-    either way, by the lowering's bit-identity contract.
-    """
-    if kernel != "numpy":
-        lowered = lower_tape(tape, boxes.names, kernel)
-        if lowered is not None:
-            return lowered.eval(boxes)
-    return tape.eval(boxes)
-
-
 class _CAtom(_CNode):
-    __slots__ = ("tape", "strict", "kernel")
+    __slots__ = ("tape", "strict")
 
-    def __init__(self, atom: Atom, kernel: str = "numpy"):
+    def __init__(self, atom: Atom):
         self.tape = ExprTape(atom.term)
         self.strict = atom.strict
-        self.kernel = kernel
 
     def judge(self, boxes, delta):
-        iv = _tape_eval(self.tape, boxes, self.kernel)
+        iv = self.tape.eval(boxes)
         threshold = -delta
         out = np.zeros(len(boxes), dtype=np.int8)
         if self.strict:
@@ -441,10 +424,6 @@ class _CAtom(_CNode):
         return out
 
     def contract(self, boxes):
-        if self.kernel != "numpy":
-            lowered = lower_tape(self.tape, boxes.names, self.kernel)
-            if lowered is not None:
-                return lowered.hc4(boxes)
         return self.tape.hc4(boxes, self.strict)
 
 
@@ -497,19 +476,18 @@ class _COr(_CNode):
 
 
 class _CQuant(_CNode):
-    __slots__ = ("is_forall", "name", "lo_tape", "hi_tape", "body", "kernel")
+    __slots__ = ("is_forall", "name", "lo_tape", "hi_tape", "body")
 
-    def __init__(self, phi: Exists | Forall, body: _CNode, kernel: str = "numpy"):
+    def __init__(self, phi: Exists | Forall, body: _CNode):
         self.is_forall = isinstance(phi, Forall)
         self.name = phi.name
         self.lo_tape = ExprTape(phi.lo)
         self.hi_tape = ExprTape(phi.hi)
         self.body = body
-        self.kernel = kernel
 
     def judge(self, boxes, delta):
-        lo_iv = _tape_eval(self.lo_tape, boxes, self.kernel)
-        hi_iv = _tape_eval(self.hi_tape, boxes, self.kernel)
+        lo_iv = self.lo_tape.eval(boxes)
+        hi_iv = self.hi_tape.eval(boxes)
         bad = lo_iv.is_empty | hi_iv.is_empty
         domain = IntervalArray(lo_iv.lo, hi_iv.hi)
         vacuous = ~bad & domain.is_empty
@@ -529,61 +507,30 @@ class _CQuant(_CNode):
         return boxes  # handled by hoisting / verification, identity is sound
 
 
-def _compile_node(phi: Formula, kernel: str = "numpy") -> _CNode:
+def _compile_node(phi: Formula) -> _CNode:
     if isinstance(phi, TrueFormula):
         return _CTrue()
     if isinstance(phi, FalseFormula):
         return _CFalse()
     if isinstance(phi, Atom):
-        return _CAtom(phi, kernel)
+        return _CAtom(phi)
     if isinstance(phi, And):
-        return _CAnd([_compile_node(p, kernel) for p in phi.parts])
+        return _CAnd([_compile_node(p) for p in phi.parts])
     if isinstance(phi, Or):
-        return _COr([_compile_node(p, kernel) for p in phi.parts])
+        return _COr([_compile_node(p) for p in phi.parts])
     if isinstance(phi, (Exists, Forall)):
-        return _CQuant(phi, _compile_node(phi.body, kernel), kernel)
+        return _CQuant(phi, _compile_node(phi.body))
     raise TypeError(f"cannot compile {type(phi).__name__}")
 
 
-def _prewarm_node(node: _CNode, names: tuple[str, ...]) -> None:
-    """Pay lowering/jit cost for every tape upfront (shard workers do
-    this once per formula so the first epoch is not the slow one)."""
-    if isinstance(node, _CAtom):
-        lower_tape(node.tape, names, node.kernel)
-    elif isinstance(node, (_CAnd, _COr)):
-        for p in node.parts:
-            _prewarm_node(p, names)
-    elif isinstance(node, _CQuant):
-        lower_tape(node.lo_tape, names, node.kernel)
-        lower_tape(node.hi_tape, names, node.kernel)
-        inner = names if node.name in names else names + (node.name,)
-        _prewarm_node(node.body, inner)
-
-
 class CompiledFormula:
-    """A formula compiled for batch judgment and contraction.
+    """A formula compiled for batch judgment and contraction."""
 
-    ``kernel`` selects the tape execution backend (see
-    :mod:`repro.solver.lower`): ``"numpy"`` interprets instruction by
-    instruction over the whole batch, ``"numba"`` runs the fused
-    per-row jitted lowering (resolved with a one-time warning to
-    ``"numpy"`` when unavailable).  ``names`` optionally pre-lowers
-    every tape for boxes over that variable tuple.
-    """
+    __slots__ = ("formula", "root")
 
-    __slots__ = ("formula", "root", "kernel")
-
-    def __init__(
-        self,
-        phi: Formula,
-        kernel: str = "numpy",
-        names: Sequence[str] | None = None,
-    ):
+    def __init__(self, phi: Formula):
         self.formula = phi
-        self.kernel = resolve_kernel(kernel)
-        self.root = _compile_node(phi, self.kernel)
-        if names is not None and self.kernel != "numpy":
-            _prewarm_node(self.root, tuple(names))
+        self.root = _compile_node(phi)
 
     # ------------------------------------------------------------------
     def judge(self, boxes: BoxArray, delta: float = 0.0) -> np.ndarray:
@@ -621,22 +568,13 @@ class CompiledFormula:
         return out
 
 
-def compile_formula(
-    phi: Formula,
-    kernel: str = "numpy",
-    names: Sequence[str] | None = None,
-) -> CompiledFormula:
-    """Compile ``phi`` into its batched tape form under ``kernel``."""
-    return CompiledFormula(phi, kernel=kernel, names=names)
+def compile_formula(phi: Formula) -> CompiledFormula:
+    """Compile ``phi`` into its batched tape form."""
+    return CompiledFormula(phi)
 
 
-def judge_batch(
-    phi: Formula,
-    boxes: Sequence[Box] | BoxArray,
-    delta: float = 0.0,
-    kernel: str = "numpy",
-) -> np.ndarray:
+def judge_batch(phi: Formula, boxes: Sequence[Box] | BoxArray, delta: float = 0.0) -> np.ndarray:
     """One-shot convenience: compile ``phi`` and judge a batch of boxes."""
     if not isinstance(boxes, BoxArray):
         boxes = BoxArray.from_boxes(list(boxes))
-    return compile_formula(phi, kernel=kernel).judge(boxes, delta)
+    return compile_formula(phi).judge(boxes, delta)

@@ -59,11 +59,21 @@ class TestTaskSpecRoundTrip:
         assert back.model.system.state_names == ["x"]
 
     def test_unknown_solver_option_rejected(self):
-        with pytest.raises(ValueError, match="unknown solver options"):
-            TaskSpec.from_dict(
-                {"task": "calibrate", "model": {"builtin": "logistic"},
-                 "solver": {"typo": 1}}
-            )
+        for solver in ({"typo": 1}, {"kernel": "numpy"}):
+            with pytest.raises(ValueError, match="unknown solver options"):
+                TaskSpec.from_dict(
+                    {"task": "calibrate", "model": {"builtin": "logistic"},
+                     "solver": solver}
+                )
+
+    def test_solver_options_reject_bad_knobs(self):
+        with pytest.raises(ValueError, match="frontier_size must be >= 1, got 0"):
+            SolverOptions(frontier_size=0)
+        with pytest.raises(ValueError, match="shards must be >= 1, got -2"):
+            SolverOptions(shards=-2)
+        # the serve/CLI door builds options through from_dict: same message
+        with pytest.raises(ValueError, match="frontier_size must be >= 1"):
+            SolverOptions.from_dict({"frontier_size": 0})
 
     def test_missing_fields_rejected(self):
         with pytest.raises(ValueError, match="task"):

@@ -75,21 +75,6 @@ def test_modes_agree_and_match_triage(name):
     )
 
 
-@pytest.mark.parametrize("name", [pytest.param(n, id=n) for n in _fast_names()])
-def test_kernel_axis_agrees(name):
-    """The compiled tape kernel reproduces the numpy projection.
-
-    Runs on the fast subset only: with the [jit] extra installed this
-    compares real jitted solves, without it the fallback must leave the
-    projection untouched.
-    """
-    base = scenario_projection(name, "vectorized")
-    jit = scenario_projection(name, "vectorized", overrides={"kernel": "numba"})
-    assert jit == base, (
-        f"{name}: kernel='numba' diverges from the numpy interpreter"
-    )
-
-
 @pytest.mark.parametrize("name", _corpus_params())
 def test_warm_resolve_matches_cold(name, tmp_path):
     """A paving-store warm re-solve projects exactly like a cold solve."""

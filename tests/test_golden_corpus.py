@@ -61,64 +61,41 @@ def test_corpus_is_complete():
     )
 
 
-def _kernels_for(mode: str):
-    """The kernel axis of one mode.
-
-    The scalar loop (``serial``) ignores the knob, so only the batched
-    paths multiply across kernels.  ``"numba"`` always appears: with
-    the [jit] extra installed it exercises the compiled kernels for
-    real, without it the one-time-warn fallback must reproduce the
-    corpus unchanged (the acceptance contract for numba-less installs).
-    """
-    return ("numpy",) if mode == "serial" else ("numpy", "numba")
+# Test ids keep the "-numpy" suffix they carried while a second tape
+# kernel existed, so per-test history stays continuous across that change.
 
 
 def _scenario_params():
     for name in golden_scenario_names():
         for mode in MODES:
             marks = [pytest.mark.slow] if name in SLOW_SCENARIOS else []
-            for kernel in _kernels_for(mode):
-                yield pytest.param(
-                    name, mode, kernel, marks=marks, id=f"{name}-{mode}-{kernel}"
-                )
+            yield pytest.param(name, mode, marks=marks, id=f"{name}-{mode}-numpy")
 
 
-@pytest.mark.parametrize("name,mode,kernel", _scenario_params())
-def test_scenario_verdict_conformance(name, mode, kernel):
+@pytest.mark.parametrize("name,mode", _scenario_params())
+def test_scenario_verdict_conformance(name, mode):
     golden = _load(name)
-    overrides = None if kernel == "numpy" else {"kernel": kernel}
-    projection = scenario_projection(name, mode, overrides)
+    projection = scenario_projection(name, mode)
     assert projection == golden["projection"], (
-        f"{name} via the {mode} solver path (kernel={kernel}) diverges "
-        f"from the golden verdict {golden['status']!r}"
+        f"{name} via the {mode} solver path diverges from the golden "
+        f"verdict {golden['status']!r}"
     )
     assert projection_digest(projection) == golden["digest"]
-
-
-def _paving_kernels_for(mode: str):
-    # pyexec runs the generated per-row kernels in the plain interpreter:
-    # genuine lowering coverage even without numba installed (it enters
-    # through the internal DeltaSolver surface, not SolverOptions)
-    return ("numpy",) if mode == "serial" else ("numpy", "numba", "pyexec")
 
 
 def _paving_params():
     for problem in sorted(PAVING_PROBLEMS):
         for mode in sorted(MODES):
-            for kernel in _paving_kernels_for(mode):
-                yield pytest.param(
-                    problem, mode, kernel, id=f"{problem}-{mode}-{kernel}"
-                )
+            yield pytest.param(problem, mode, id=f"{problem}-{mode}-numpy")
 
 
-@pytest.mark.parametrize("problem,mode,kernel", _paving_params())
-def test_paving_conformance(problem, mode, kernel):
-    """Every solver path x kernel classifies byte-identical boxes."""
+@pytest.mark.parametrize("problem,mode", _paving_params())
+def test_paving_conformance(problem, mode):
+    """Every solver path classifies byte-identical boxes."""
     golden = _load(f"paving-{problem}")
-    overrides = None if kernel == "numpy" else {"kernel": kernel}
-    result = paving_digest(problem, mode, overrides)
+    result = paving_digest(problem, mode)
     assert result["counts"] == golden["counts"]
     assert result["digest"] == golden["digest"], (
-        f"paving of {problem!r} via the {mode} path (kernel={kernel}) "
-        "classified different boxes than the golden partition"
+        f"paving of {problem!r} via the {mode} path classified different "
+        "boxes than the golden partition"
     )

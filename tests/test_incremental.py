@@ -274,7 +274,7 @@ class TestWarmPave:
         )
         assert paving_key(warm) == paving_key(cold)
 
-    def test_cross_kernel_artifact_reuse(self, tmp_path):
+    def test_sharded_artifact_warms_scalar_solver(self, tmp_path):
         """A sharded run's artifact warm-starts a scalar solver."""
         store = PavingStore(tmp_path)
         phi, box = annulus()

@@ -84,23 +84,9 @@ class TestServe:
         assert "listed" in names
         assert payload["cache"] is not None
 
-    def test_cancel_endpoint(self, server):
-        slow = {
-            "task": "calibrate",
-            "name": "http-slow",
-            "model": {"builtin": "logistic"},
-            "query": {
-                "data": {"samples": [[2.0, {"x": 1.45}]], "tolerance": 1e-6},
-                "param_ranges": {"r": [0.1, 2.0]},
-                "x0": {"x": 0.5},
-            },
-            "solver": {
-                "delta": 1e-9,
-                "max_boxes": 200_000,
-                "use_simulation_guidance": False,
-            },
-        }
-        _, sub = _post(f"{server.url}/run", slow)
+    def test_cancel_endpoint(self, server, running_execute):
+        _, sub = _post(f"{server.url}/run", smc_spec("http-gated"))
+        assert running_execute.started.wait(timeout=30.0)
         status, cancelled = _post(f"{server.url}/jobs/{sub['job']}/cancel", {})
         assert status == 200
         _, job = _get(f"{server.url}/jobs/{sub['job']}?wait=30")

@@ -68,6 +68,12 @@ class TestDeltaSat:
         r = solve(x - 10 >= 0, box(x=(0, 2)))
         assert r.status is Status.UNSAT
 
+    def test_delta_solver_rejects_bad_knobs(self):
+        with pytest.raises(ValueError, match="frontier_size must be >= 1, got 0"):
+            DeltaSolver(frontier_size=0)
+        with pytest.raises(ValueError, match="shards must be >= 1, got 0"):
+            DeltaSolver(shards=0)
+
     def test_circle_intersection_sat(self):
         phi = And(
             equals_within(x ** 2 + y ** 2, 1.0, 1e-3),
