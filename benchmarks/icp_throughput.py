@@ -1,11 +1,11 @@
-"""Scalar vs. vectorized ICP throughput on a fixed synthesis problem.
+"""One-box vs. wide-frontier ICP throughput on a fixed synthesis problem.
 
 Runs the same BioPSy-style parameter-set paving twice through one
-:class:`~repro.solver.DeltaSolver` -- once with the legacy scalar loop
-(``frontier_size=1``) and once with the batch-of-boxes frontier loop --
-and reports boxes/sec for each, plus the speedup and a partition
-identity check proving the vectorized kernel classified the exact same
-sub-boxes.
+:class:`~repro.solver.DeltaSolver` -- once as the ``baseline`` row, one
+box per tape pass (``frontier_size=1``), and once as the ``vectorized``
+row, ``--frontier`` boxes per pass -- and reports boxes/sec for each,
+plus the speedup and a partition identity check proving both frontier
+widths classified the exact same sub-boxes.
 
 CI runs this in ``--quick`` mode and uploads the JSON as the
 ``BENCH_icp_throughput.json`` artifact::
@@ -77,9 +77,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     min_width = args.min_width or (0.01 if args.quick else 0.005)
-    scalar = run_paving(frontier_size=1, min_width=min_width)
+    baseline = run_paving(frontier_size=1, min_width=min_width)
     vectorized = run_paving(frontier_size=args.frontier, min_width=min_width)
-    ps, pv = scalar.pop("_partition"), vectorized.pop("_partition")
+    ps, pv = baseline.pop("_partition"), vectorized.pop("_partition")
     # bound-for-bound agreement up to single-ulp contraction differences
     same_partition = len(ps) == len(pv) and all(
         a[0] == b[0] and abs(a[1] - b[1]) <= 1e-9 and abs(a[2] - b[2]) <= 1e-9
@@ -90,9 +90,9 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": "icp_throughput",
         "mode": "quick" if args.quick else "full",
         "min_width": min_width,
-        "scalar": scalar,
+        "baseline": baseline,
         "vectorized": vectorized,
-        "speedup": round(vectorized["boxes_per_s"] / scalar["boxes_per_s"], 2),
+        "speedup": round(vectorized["boxes_per_s"] / baseline["boxes_per_s"], 2),
         "partitions_identical": same_partition,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -3,8 +3,8 @@
 Runs the ``cardiac-fk-dome`` barrier falsification at benchmark
 resolution -- the dome window widened to the hard edge of the
 excitable regime, where the paving must grind through the full box
-budget -- once on one core (``shards=1``, the vectorized frontier
-loop) and once sharded across worker processes, and reports boxes/sec
+budget -- once on one core (``shards=1``, every epoch in-process) and
+once sharded across worker processes, and reports boxes/sec
 for each plus the parallel speedup.  Both runs must return identical
 verdicts (the sharded driver's conformance contract).
 

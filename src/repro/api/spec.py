@@ -40,7 +40,7 @@ class SolverOptions:
     contract_tol: float = 1e-2
     use_simulation_guidance: bool = True
     # Width K of the breadth-wise ICP frontier: how many boxes each
-    # vectorized tape pass contracts/judges at once (1 = scalar loop).
+    # vectorized tape pass contracts/judges at once (1 = one box per pass).
     frontier_size: int = 64
     # Number of parallel paving shards (1 = in-process search): the
     # initial box splits into this many disjoint sub-boxes paved in

@@ -4,10 +4,10 @@ A pure-Python delta-complete decision procedure for bounded L_RF
 sentences (paper Section III, Theorem 1): breadth-wise ICP
 branch-and-prune over batches of boxes (formulas compile once into flat
 evaluation tapes judged/contracted with the vectorized interval
-kernel), a sharded work-stealing driver paving disjoint sub-boxes in
-parallel worker processes with a deterministic merge
-(:mod:`repro.solver.shard`), plus a CEGIS exists-forall solver used for
-Lyapunov synthesis (Section IV-C).
+kernel), run by one epoch driver (:mod:`repro.solver.shard`) that is
+in-process for one shard and otherwise paves disjoint sub-boxes in
+parallel workers with work stealing and a deterministic merge, plus a
+CEGIS exists-forall solver used for Lyapunov synthesis (Section IV-C).
 """
 
 from .contractor import contract_formula, fixpoint_contract, hc4_revise

@@ -93,9 +93,10 @@ def _eval_atom(atom: Atom, box: Box, delta: float) -> Certainty:
 def _eval_formula_impl(phi: Formula, box: Box, delta: float = 0.0) -> Certainty:
     """Scalar three-valued judgment of ``phi^delta`` over ``box``.
 
-    Kept as the single-box reference implementation (the BMC layer's
-    per-box guard checks and the ``frontier_size=1`` solver path use it;
-    the public :func:`eval_formula` shim routes through the tape).
+    Kept as the single-box AST reference: the BMC layer's per-box guard
+    checks use it, and ``tests/test_tape_frontier.py`` compares the
+    tape's judgments against it row by row.  The public
+    :func:`eval_formula` shim routes through the tape.
 
     ``delta=0`` judges the formula itself.  Quantified subformulas are
     judged by extending the box with the quantifier's full domain

@@ -14,34 +14,28 @@ delta-complete procedure [52].  Soundness of UNSAT follows from
 contractor soundness; soundness of DELTA_SAT from the certain-truth
 verification of the weakened formula over the candidate box.
 
-Since the batch-of-boxes rework the search is *breadth-wise*: the
-formula is compiled once into a flat evaluation tape
-(:mod:`repro.solver.tape`) and each iteration pops a frontier of up to
-``frontier_size`` of the widest pending boxes, contracting, judging,
-certifying and splitting all of them in vectorized array passes.  With
-``frontier_size=1`` the legacy scalar loop is used instead (same
-verdicts, one box at a time) -- that path is kept as the reference
-baseline for ``benchmarks/icp_throughput.py``.
+The search is *breadth-wise*: the formula is compiled once into a flat
+evaluation tape (:mod:`repro.solver.tape`) and each iteration pops a
+frontier of up to ``frontier_size`` of the widest pending boxes,
+contracting, judging, certifying and splitting all of them in
+vectorized array passes.  That loop lives in :mod:`repro.solver.shard`;
+an unsharded search is its one-shard case, run in-process.  This module
+adds the entry points around it: existential hoisting, warm starts from
+the paving store, and anytime snapshots.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
-import time
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.expr import var as _var
-from repro.intervals import Box, BoxArray
+from repro.intervals import Box
 from repro.logic import And, Exists, Formula, Or
 from repro.progress import emit as _progress
 
-from .contractor import fixpoint_contract
-from .eval3 import Certainty, _certainly_delta_sat_impl, _eval_formula_impl
 from .incremental import (
     CoverRecorder,
     formula_fingerprint,
@@ -51,8 +45,7 @@ from .incremental import (
     try_warm_pave,
     try_warm_solve,
 )
-from .shard import box_sort_key, lex_key, pave_sharded, solve_sharded
-from .tape import CERTAIN_FALSE, CERTAIN_TRUE, compile_formula
+from .shard import box_sort_key, pave_sharded, solve_sharded
 
 __all__ = ["Status", "Result", "SolverStats", "DeltaSolver", "solve"]
 
@@ -161,15 +154,15 @@ class DeltaSolver:
     frontier_size:
         Width ``K`` of the breadth-wise search frontier: how many boxes
         are popped, contracted and judged per vectorized tape pass.
-        ``1`` selects the legacy scalar loop.
     shards:
         Number of parallel paving shards (:mod:`repro.solver.shard`).
-        ``1`` (the default) keeps the search in-process; ``> 1`` splits
+        ``1`` (the default) runs every pass in-process; ``> 1`` splits
         the initial box into that many disjoint sub-boxes and paves them
         in lock-step epochs on ``shard_backend`` workers, with
         work-stealing rebalancing and a deterministic merge.
     shard_backend:
-        Executor backend of the sharded driver: a backend name
+        Executor backend of the sharded driver (unused at
+        ``shards=1``): a backend name
         (``"process"``, ``"thread"``, ``"inline"``) or a live
         :class:`~repro.service.backends.ExecutorBackend` instance.
         Named backends are instantiated per call and shut down on exit
@@ -285,18 +278,14 @@ class DeltaSolver:
     def _dispatch_solve(
         self, phi: Formula, box: Box, recorder: CoverRecorder | None
     ) -> Result:
-        if self.shards > 1:
-            return solve_sharded(
-                phi, box,
-                delta=self.delta, max_boxes=self.max_boxes,
-                contract_tol=self.contract_tol, min_width=self.min_width,
-                frontier_size=self.frontier_size, shards=self.shards,
-                backend=self.shard_backend, workers=self.shard_workers,
-                recorder=recorder, anytime=self.anytime,
-            )
-        if self.frontier_size <= 1:
-            return self._solve_scalar(phi, box, recorder)
-        return self._solve_batched(phi, box, recorder)
+        return solve_sharded(
+            phi, box,
+            delta=self.delta, max_boxes=self.max_boxes,
+            contract_tol=self.contract_tol, min_width=self.min_width,
+            frontier_size=self.frontier_size, shards=self.shards,
+            backend=self.shard_backend, workers=self.shard_workers,
+            recorder=recorder, anytime=self.anytime,
+        )
 
     def pave(
         self, phi: Formula, box: Box, min_width: float = 1e-2
@@ -374,330 +363,14 @@ class DeltaSolver:
         min_width: float,
         seeds: list[Box] | None,
     ) -> tuple[list[Box], list[Box], list[Box], int, bool]:
-        if self.shards > 1:
-            return pave_sharded(
-                phi, box,
-                delta=self.delta, max_boxes=self.max_boxes,
-                contract_tol=self.contract_tol, min_width=min_width,
-                frontier_size=self.frontier_size, shards=self.shards,
-                backend=self.shard_backend, workers=self.shard_workers,
-                seeds=seeds, anytime=self.anytime,
-            )
-        if self.frontier_size <= 1:
-            return self._pave_scalar(phi, box, min_width, seeds)
-        return self._pave_batched(phi, box, min_width, seeds)
-
-    # ------------------------------------------------------------------
-    # Batched frontier search
-    # ------------------------------------------------------------------
-    def _solve_batched(
-        self, phi: Formula, box: Box, recorder: CoverRecorder | None = None
-    ) -> Result:
-        t0 = time.perf_counter()
-        stats = SolverStats()
-        names = tuple(box.names)
-        compiled = compile_formula(phi)
-        root = BoxArray.from_box(box, names)
-
-        # Priority queue: explore widest boxes first (fair coverage).
-        # Equal-width ties break on the total lexicographic box order,
-        # not insertion order, so pop order (and hence the witness and
-        # serialized Result) is the same for equivalent runs; the
-        # counter only shields the ndarray payload from comparison.
-        tie = itertools.count()
-        heap: list[tuple[float, tuple, int, int, np.ndarray, np.ndarray]] = []
-
-        def push_rows(boxes: BoxArray, depths: np.ndarray) -> None:
-            for w, d, lo, hi in zip(boxes.max_width(), depths, boxes.lo, boxes.hi):
-                heapq.heappush(
-                    heap, (-float(w), lex_key(lo, hi), next(tie), int(d), lo, hi)
-                )
-
-        push_rows(root, np.zeros(1, dtype=int))
-        unresolved: Box | None = None
-
-        while heap:
-            budget = self.max_boxes - stats.boxes_processed
-            if budget <= 0:
-                stats.wall_time = time.perf_counter() - t0
-                fallback = unresolved if unresolved is not None else _rebox(names, heap[0])
-                return Result(Status.UNKNOWN, fallback, self.delta, stats)
-            k = min(self.frontier_size, budget, len(heap))
-            popped = [heapq.heappop(heap) for _ in range(k)]
-            depths = np.array([p[3] for p in popped])
-            frontier = BoxArray(
-                names,
-                np.array([p[4] for p in popped]),
-                np.array([p[5] for p in popped]),
-            )
-            stats.boxes_processed += k
-            stats.max_depth = max(stats.max_depth, int(depths.max()))
-            _progress(
-                "icp", "branch-and-prune",
-                boxes=stats.boxes_processed, queue=len(heap),
-                depth=int(depths.max()), splits=stats.splits,
-                frontier=k,
-            )
-            if self.anytime:
-                _progress(
-                    "icp", "anytime", message=Status.UNKNOWN.value,
-                    settled=stats.boxes_processed, pruned=stats.boxes_pruned,
-                    final=0,
-                )
-
-            contracted = compiled.fixpoint_contract(frontier, tol=self.contract_tol)
-            judgment = compiled.judge(contracted, 0.0)
-            dead = contracted.is_empty | (judgment == CERTAIN_FALSE)
-            stats.boxes_pruned += int(dead.sum())
-            if recorder is not None:
-                for i in np.flatnonzero(dead):
-                    recorder.add_pruned(
-                        frontier.lo[i], frontier.hi[i],
-                        contracted.lo[i], contracted.hi[i],
-                        bool(contracted.is_empty[i]),
-                    )
-            if dead.all():
-                continue
-            live_idx = np.flatnonzero(~dead)
-            live = contracted.take(live_idx)
-
-            # Try to certify delta-sat on the surviving boxes directly.
-            certified = compiled.judge(live, self.delta) == CERTAIN_TRUE
-            if certified.any():
-                stats.wall_time = time.perf_counter() - t0
-                # lex-least certified row: the winner must not depend on
-                # which equal-priority box happened to be popped first
-                win = min(
-                    (int(i) for i in np.flatnonzero(certified)),
-                    key=lambda i: lex_key(live.lo[i], live.hi[i]),
-                )
-                return Result(Status.DELTA_SAT, live.row(win), self.delta, stats)
-
-            narrow = live.max_width() <= self.min_width
-            if narrow.any() and unresolved is None:
-                # Cannot split further; remember as unresolved.
-                unresolved = live.row(int(np.flatnonzero(narrow)[0]))
-            splittable = np.flatnonzero(~narrow)
-            if splittable.size:
-                if recorder is not None:
-                    # shells contracted away at split nodes belong to the
-                    # UNSAT cover too (their children only tile the
-                    # contracted box)
-                    for j in splittable:
-                        g = int(live_idx[j])
-                        recorder.add_shells(
-                            frontier.lo[g], frontier.hi[g],
-                            contracted.lo[g], contracted.hi[g],
-                        )
-                parents = live.take(splittable)
-                children = parents.split_widest()
-                stats.splits += int(splittable.size)
-                push_rows(children, np.repeat(depths[live_idx[splittable]] + 1, 2))
-
-        stats.wall_time = time.perf_counter() - t0
-        if unresolved is not None:
-            return Result(Status.UNKNOWN, unresolved, self.delta, stats)
-        return Result(Status.UNSAT, None, self.delta, stats)
-
-    def _pave_batched(
-        self,
-        phi: Formula,
-        box: Box,
-        min_width: float,
-        seeds: list[Box] | None = None,
-    ) -> tuple[list[Box], list[Box], list[Box], int, bool]:
-        names = tuple(box.names)
-        compiled = compile_formula(phi)
-        sat_boxes: list[Box] = []
-        unsat_boxes: list[Box] = []
-        undecided: list[Box] = []
-        work: list[Box] = list(seeds) if seeds is not None else [box]
-        processed = 0
-        truncated = False
-        while work:
-            remaining = self.max_boxes - processed
-            if remaining <= 0:
-                undecided.extend(work)
-                truncated = True
-                break
-            k = min(self.frontier_size, remaining, len(work))
-            frontier_boxes = [work.pop() for _ in range(k)]
-            processed += k
-            _progress(
-                "icp", "paving",
-                boxes=processed, queue=len(work),
-                sat=len(sat_boxes), unsat=len(unsat_boxes),
-            )
-            if self.anytime:
-                _progress(
-                    "icp", "anytime", message="paving",
-                    sat=len(sat_boxes), unsat=len(unsat_boxes),
-                    undecided=len(undecided), final=0,
-                )
-            frontier = BoxArray.from_boxes(frontier_boxes, names)
-            contracted = compiled.fixpoint_contract(frontier, tol=self.contract_tol)
-            judgment = compiled.judge(contracted, 0.0)
-            certified = compiled.judge(contracted, self.delta) == CERTAIN_TRUE
-            widths = contracted.max_width()
-            empty = contracted.is_empty
-            for i, original in enumerate(frontier_boxes):
-                if empty[i] or judgment[i] == CERTAIN_FALSE:
-                    unsat_boxes.append(original)
-                elif certified[i]:
-                    # the pruned-away shell contains no solutions
-                    sat_boxes.append(contracted.row(i))
-                elif widths[i] <= min_width:
-                    undecided.append(contracted.row(i))
-                else:
-                    left, right = contracted.row(i).split()
-                    work.append(left)
-                    work.append(right)
-        sat_boxes, unsat_boxes, undecided = _sorted_paving(
-            sat_boxes, unsat_boxes, undecided
+        return pave_sharded(
+            phi, box,
+            delta=self.delta, max_boxes=self.max_boxes,
+            contract_tol=self.contract_tol, min_width=min_width,
+            frontier_size=self.frontier_size, shards=self.shards,
+            backend=self.shard_backend, workers=self.shard_workers,
+            seeds=seeds, anytime=self.anytime,
         )
-        return sat_boxes, unsat_boxes, undecided, processed, truncated
-
-    # ------------------------------------------------------------------
-    # Legacy scalar loop (frontier_size=1; benchmark baseline)
-    # ------------------------------------------------------------------
-    def _solve_scalar(
-        self, phi: Formula, box: Box, recorder: CoverRecorder | None = None
-    ) -> Result:
-        t0 = time.perf_counter()
-        names = tuple(box.names)
-
-        def bounds(b: Box) -> tuple[np.ndarray, np.ndarray]:
-            return (
-                np.array([b[k].lo for k in names], dtype=float),
-                np.array([b[k].hi for k in names], dtype=float),
-            )
-        stats = SolverStats()
-
-        # Priority queue: explore widest boxes first (fair coverage),
-        # equal widths in total lexicographic box order (see the batched
-        # loop: pop order must not depend on insertion order).
-        tie = itertools.count()
-        heap: list[tuple[float, tuple, int, int, Box]] = []
-
-        def push(b: Box, depth: int) -> None:
-            heapq.heappush(
-                heap, (-b.max_width(), box_sort_key(b), next(tie), depth, b)
-            )
-
-        push(box, 0)
-        unresolved: Box | None = None
-
-        while heap:
-            if stats.boxes_processed >= self.max_boxes:
-                stats.wall_time = time.perf_counter() - t0
-                return Result(Status.UNKNOWN, unresolved or heap[0][4], self.delta, stats)
-            __, __, __, depth, current = heapq.heappop(heap)
-            stats.boxes_processed += 1
-            stats.max_depth = max(stats.max_depth, depth)
-            _progress(
-                "icp", "branch-and-prune",
-                boxes=stats.boxes_processed, queue=len(heap),
-                depth=depth, splits=stats.splits,
-            )
-            if self.anytime:
-                _progress(
-                    "icp", "anytime", message=Status.UNKNOWN.value,
-                    settled=stats.boxes_processed, pruned=stats.boxes_pruned,
-                    final=0,
-                )
-
-            contracted = fixpoint_contract(phi, current, tol=self.contract_tol)
-            if contracted.is_empty:
-                stats.boxes_pruned += 1
-                if recorder is not None:
-                    recorder.add(*bounds(current))
-                continue
-
-            judgment = _eval_formula_impl(phi, contracted, delta=0.0)
-            if judgment is Certainty.CERTAIN_FALSE:
-                stats.boxes_pruned += 1
-                if recorder is not None:
-                    recorder.add(*bounds(contracted))
-                    recorder.add_shells(*bounds(current), *bounds(contracted))
-                continue
-
-            # Try to certify delta-sat on this box directly.
-            if _certainly_delta_sat_impl(phi, contracted, self.delta):
-                stats.wall_time = time.perf_counter() - t0
-                return Result(Status.DELTA_SAT, contracted, self.delta, stats)
-
-            if contracted.max_width() <= self.min_width:
-                # Cannot split further; remember as unresolved.
-                if unresolved is None:
-                    unresolved = contracted
-                continue
-
-            if recorder is not None:
-                recorder.add_shells(*bounds(current), *bounds(contracted))
-            left, right = contracted.split()
-            stats.splits += 1
-            push(left, depth + 1)
-            push(right, depth + 1)
-
-        stats.wall_time = time.perf_counter() - t0
-        if unresolved is not None:
-            return Result(Status.UNKNOWN, unresolved, self.delta, stats)
-        return Result(Status.UNSAT, None, self.delta, stats)
-
-    def _pave_scalar(
-        self,
-        phi: Formula,
-        box: Box,
-        min_width: float,
-        seeds: list[Box] | None = None,
-    ) -> tuple[list[Box], list[Box], list[Box], int, bool]:
-        sat_boxes: list[Box] = []
-        unsat_boxes: list[Box] = []
-        undecided: list[Box] = []
-        work = list(seeds) if seeds is not None else [box]
-        processed = 0
-        truncated = False
-        while work:
-            processed += 1
-            if processed > self.max_boxes:
-                processed -= 1
-                undecided.extend(work)
-                truncated = True
-                break
-            current = work.pop()
-            _progress(
-                "icp", "paving",
-                boxes=processed, queue=len(work),
-                sat=len(sat_boxes), unsat=len(unsat_boxes),
-            )
-            if self.anytime:
-                _progress(
-                    "icp", "anytime", message="paving",
-                    sat=len(sat_boxes), unsat=len(unsat_boxes),
-                    undecided=len(undecided), final=0,
-                )
-            contracted = fixpoint_contract(phi, current, tol=self.contract_tol)
-            if contracted.is_empty:
-                unsat_boxes.append(current)
-                continue
-            judgment = _eval_formula_impl(phi, contracted, delta=0.0)
-            if judgment is Certainty.CERTAIN_FALSE:
-                unsat_boxes.append(current)
-                continue
-            if _certainly_delta_sat_impl(phi, contracted, self.delta):
-                sat_boxes.append(contracted)
-                # the pruned-away shell contains no solutions
-                continue
-            if contracted.max_width() <= min_width:
-                undecided.append(contracted)
-                continue
-            left, right = contracted.split()
-            work.append(left)
-            work.append(right)
-        sat_boxes, unsat_boxes, undecided = _sorted_paving(
-            sat_boxes, unsat_boxes, undecided
-        )
-        return sat_boxes, unsat_boxes, undecided, processed, truncated
 
 
 def _sorted_paving(
@@ -705,22 +378,15 @@ def _sorted_paving(
 ) -> tuple[list[Box], list[Box], list[Box]]:
     """Deterministic paving order: box lists sorted lexicographically.
 
-    The classification order of the work loop depends on pop order
-    (stack depth, frontier width, shard scheduling); sorting makes the
-    serialized result a pure function of the classification itself.
+    The warm-resume merge concatenates stored leaves with freshly paved
+    ones; sorting makes the serialized result a pure function of the
+    classification itself.
     """
     return (
         sorted(sat, key=box_sort_key),
         sorted(unsat, key=box_sort_key),
         sorted(undecided, key=box_sort_key),
     )
-
-
-def _rebox(names: tuple[str, ...], entry: tuple) -> Box:
-    from repro.intervals import Interval
-
-    return Box({k: Interval(float(lo), float(hi))
-                for k, lo, hi in zip(names, entry[4], entry[5])})
 
 
 def solve(phi: Formula, box: Box, delta: float = 1e-3, **kwargs) -> Result:

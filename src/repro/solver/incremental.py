@@ -250,29 +250,6 @@ class CoverRecorder:
         self.lo.append(np.asarray(lo, dtype=float).copy())
         self.hi.append(np.asarray(hi, dtype=float).copy())
 
-    def add_shells(
-        self, b_lo: np.ndarray, b_hi: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray
-    ) -> None:
-        """Record the slabs of ``B \\ C`` (no-op when C fills B)."""
-        for s_lo, s_hi in shell_slabs(b_lo, b_hi, c_lo, c_hi):
-            self.add(s_lo, s_hi)
-
-    def add_pruned(
-        self,
-        pre_lo: np.ndarray,
-        pre_hi: np.ndarray,
-        con_lo: np.ndarray,
-        con_hi: np.ndarray,
-        empty: bool,
-    ) -> None:
-        """Record one pruned node: its contracted box + shell, or the
-        whole pre-contraction box when contraction emptied it."""
-        if empty:
-            self.add(pre_lo, pre_hi)
-        else:
-            self.add(con_lo, con_hi)
-            self.add_shells(pre_lo, pre_hi, con_lo, con_hi)
-
     def extend_pairs(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> None:
         """Absorb cover pieces shipped back from a shard epoch."""
         for lo, hi in pairs:

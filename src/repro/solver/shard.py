@@ -1,13 +1,21 @@
-"""Sharded, work-stealing parallel paving across worker processes.
+"""The ICP branch-and-prune driver: one loop for every shard count.
 
-The batched frontier loop of :mod:`repro.solver.icp` saturates one core;
-this module is the step from "one fast core" to "all cores".  The ICP
-search is embarrassingly shardable -- disjoint sub-boxes can be paved
-independently and merged -- *provided* the merge is verdict-exact and
-deterministic.  The driver here guarantees both:
+Every solve and paving of :class:`~repro.solver.icp.DeltaSolver` runs
+here.  The search is a widest-first frontier over pending boxes; each
+**epoch** takes up to ``frontier_size`` of a shard's widest pending
+boxes and runs one vectorized contract/judge/certify/split pass of the
+compiled tape over the whole chunk (:func:`_solve_epoch` /
+:func:`_pave_epoch`).  With ``shards=1`` (the default) the single
+shard's pass runs in-process, with no executor backend, and each epoch
+emits the ``icp/branch-and-prune`` (or ``icp/paving``) progress event.
+
+The ICP search is embarrassingly shardable -- disjoint sub-boxes can be
+paved independently and merged -- *provided* the merge is
+verdict-exact and deterministic.  For ``shards > 1`` the driver
+guarantees both:
 
 * the initial box is expanded in-coordinator through the *same*
-  contract-and-split tree the non-sharded loop walks, until there are
+  contract-and-split tree the one-shard loop walks, until there are
   at least ``shards`` disjoint pending sub-boxes; those are dealt to
   the shard queues (widest first, lexicographic ties, round-robin), so
   the sharded search explores the identical box tree -- an exhaustive
@@ -16,13 +24,11 @@ deterministic.  The driver here guarantees both:
   (the certified witness box may differ between shard counts; under a
   binding ``max_boxes`` budget the exploration order differs, so a
   budget-bound verdict can too -- both answers stay sound);
-* every **epoch** each shard's widest pending boxes are shipped to a
-  worker through the pluggable :class:`~repro.service.backends.ExecutorBackend`
-  protocol (``process`` for true parallelism, ``thread``/``inline`` for
-  tests, ``cluster``/``cluster:HOST:PORT`` to lease epochs to
-  ``repro worker`` processes on other machines -- see
-  :mod:`repro.cluster`), where one vectorized contract/judge/certify/split
-  pass of the compiled tape runs over the whole chunk;
+* every epoch each shard's chunk is shipped to a worker through the
+  pluggable :class:`~repro.service.backends.ExecutorBackend` protocol
+  (``process`` for true parallelism, ``thread``/``inline`` for tests,
+  ``cluster``/``cluster:HOST:PORT`` to lease epochs to ``repro worker``
+  processes on other machines -- see :mod:`repro.cluster`);
 * epochs are **lock-step**: the coordinator waits for every in-flight
   chunk before acting on any result, so all scheduling decisions are
   pure functions of epoch-complete state and two sharded runs are
@@ -34,13 +40,12 @@ deterministic.  The driver here guarantees both:
   :func:`lex_key` -- ties between equal-width boxes never depend on
   arrival order.
 
-Worker-side formula compilation is cached per process keyed on the
-pickled formula, so each worker compiles each formula once no matter how
-many epochs it serves.  Cooperative cancellation rides on the normal
-progress checkpoints: the coordinator emits one per-shard
-:class:`~repro.progress.ProgressEvent` per epoch, and a cancel request
-unwinds the driver, which drains and shuts down its worker pool before
-re-raising (no orphaned processes).
+Formula compilation is cached per process keyed on the pickled formula,
+so each process compiles each formula once no matter how many epochs it
+serves.  Cooperative cancellation rides on the normal progress
+checkpoints: the coordinator emits one progress event per shard per
+epoch, and a cancel request unwinds the driver, which drains and shuts
+down its worker pool before re-raising (no orphaned processes).
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import pickle
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,17 +287,22 @@ class _ShardQueue:
         self._tie = tie if tie is not None else itertools.count()
 
     def push(self, lo: np.ndarray, hi: np.ndarray, depth: int) -> None:
+        self.push_rows(lo[None, :], hi[None, :], (depth,))
+
+    def push_rows(self, lo: np.ndarray, hi: np.ndarray, depths) -> None:
+        """Push the rows of ``(n, dim)`` bound arrays."""
         # NaN-safe width: a degenerate infinite dimension ([inf, inf])
         # would make ``hi - lo`` NaN and the heap ordering ill-defined
         # (matches Interval.width / BoxArray.widths).
         with np.errstate(invalid="ignore"):
             w = hi - lo
-        w = np.where(np.isnan(w), 0.0, w)
-        width = float(np.max(w, initial=0.0))
-        heapq.heappush(
-            self.entries,
-            (-width, lex_key(lo, hi), next(self._tie), lo, hi, depth),
-        )
+        widths = np.where(np.isnan(w), 0.0, w).max(axis=1, initial=0.0)
+        for j in range(lo.shape[0]):
+            heapq.heappush(
+                self.entries,
+                (-float(widths[j]), lex_key(lo[j], hi[j]), next(self._tie),
+                 lo[j], hi[j], int(depths[j])),
+            )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -317,6 +328,11 @@ def _root_arrays(box: Box, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarr
     )
 
 
+def _chunk_bounds(chunk: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(k, dim)`` lower and upper bound arrays of queue entries."""
+    return np.array([e[3] for e in chunk]), np.array([e[4] for e in chunk])
+
+
 def _deal(boot: _ShardQueue, shards: int) -> list[_ShardQueue]:
     """Deal bootstrapped pending boxes to shard queues, widest first.
 
@@ -332,10 +348,14 @@ def _deal(boot: _ShardQueue, shards: int) -> list[_ShardQueue]:
 
 @dataclass
 class ShardPlan:
-    """Resolved sharding configuration of one driver run."""
+    """Resolved sharding configuration of one driver run.
+
+    ``backend`` is ``None`` for a single shard: its epochs run
+    in-process and no executor is created.
+    """
 
     shards: int
-    backend: ExecutorBackend
+    backend: ExecutorBackend | None
     owns_backend: bool
 
     def shutdown(self) -> None:
@@ -349,10 +369,22 @@ class ShardPlan:
         if self.owns_backend:
             self.backend.shutdown(wait=True)
 
+    def run_epoch(self, fn, calls: list[tuple]) -> list[dict]:
+        """Run ``fn(*args)`` for every chunk of one epoch, in order.
+
+        A single shard runs in-process; otherwise every chunk goes to
+        the backend and the lock-step barrier collects them all.
+        """
+        if self.backend is None:
+            return [fn(*args) for args in calls]
+        return _wait_all([self.backend.submit(fn, *args) for args in calls])
+
 
 def _resolve_plan(
     shards: int, backend: str | ExecutorBackend, workers: int | None
 ) -> ShardPlan:
+    if shards == 1:
+        return ShardPlan(1, None, owns_backend=False)
     if isinstance(backend, ExecutorBackend):
         return ShardPlan(shards, backend, owns_backend=False)
     return ShardPlan(
@@ -423,26 +455,25 @@ def solve_sharded(
     recorder=None,
     anytime: bool = False,
 ):
-    """Decide ``exists box . phi`` across ``shards`` parallel pavers.
+    """Decide ``exists box . phi`` over ``shards`` paving shards.
 
     Same verdict contract as :meth:`DeltaSolver.solve`; the run is a
     pure function of the arguments (byte-identical results regardless of
     backend or scheduling).  ``phi`` must already be existential-hoisted
     (the :class:`~repro.solver.icp.DeltaSolver` entry point does this).
+    An ``UNKNOWN`` result carries the lex-least too-narrow unresolved
+    box, or -- when the budget ran out first -- the widest pending box.
 
     ``recorder`` (a :class:`~repro.solver.incremental.CoverRecorder`)
-    collects the UNSAT cover shipped back from the worker epochs;
-    ``anytime`` streams per-epoch verdict-so-far snapshots.
+    collects the UNSAT cover shipped back from the epochs; ``anytime``
+    streams per-epoch verdict-so-far snapshots.
     """
     from .icp import Result, SolverStats, Status  # local: avoid import cycle
-
-    import time
 
     t0 = time.perf_counter()
     stats = SolverStats()
     names = tuple(box.names)
     phi_blob = pickle.dumps(phi)
-    frontier_size = max(2, int(frontier_size))
     record_cover = recorder is not None
 
     unresolved: tuple[tuple, np.ndarray, np.ndarray] | None = None
@@ -452,6 +483,11 @@ def solve_sharded(
     def finish(status: Status, witness: Box | None) -> Result:
         stats.wall_time = time.perf_counter() - t0
         return Result(status, witness, delta, stats)
+
+    def epoch_args(chunk: list[tuple]) -> tuple:
+        depths = np.array([e[5] for e in chunk], dtype=int)
+        return (phi_blob, names, *_chunk_bounds(chunk), depths,
+                delta, contract_tol, min_width, record_cover)
 
     def absorb(res: dict, into: _ShardQueue) -> list[tuple]:
         nonlocal unresolved
@@ -466,13 +502,11 @@ def solve_sharded(
             if unresolved is None or cand[0] < unresolved[0]:
                 unresolved = cand
         if res["children"] is not None:
-            c_lo, c_hi, c_depth = res["children"]
-            for j in range(c_lo.shape[0]):
-                into.push(c_lo[j], c_hi[j], int(c_depth[j]))
+            into.push_rows(*res["children"])
         return res["witnesses"]
 
     # Bootstrap in-coordinator: walk the same contract-and-split tree
-    # the non-sharded loop walks until every shard can be given work,
+    # the one-shard loop walks until every shard can be given work,
     # so sharding never changes *which* boxes get classified.
     boot = _ShardQueue()
     boot.push(*_root_arrays(box, names), 0)
@@ -484,15 +518,7 @@ def solve_sharded(
             "shard", "bootstrap",
             pending=len(boot), boxes=stats.boxes_processed, shards=shards,
         )
-        witnesses = absorb(
-            _solve_epoch(
-                phi_blob, names,
-                np.array([e[3] for e in chunk]), np.array([e[4] for e in chunk]),
-                np.array([e[5] for e in chunk], dtype=int),
-                delta, contract_tol, min_width, record_cover,
-            ),
-            boot,
-        )
+        witnesses = absorb(_solve_epoch(*epoch_args(chunk)), boot)
         if witnesses:
             lo_w, hi_w = min(witnesses, key=lambda w: lex_key(w[0], w[1]))
             return finish(Status.DELTA_SAT, _rebox(names, lo_w, hi_w))
@@ -529,24 +555,25 @@ def solve_sharded(
                     settled=stats.boxes_processed, pruned=stats.boxes_pruned,
                     final=0,
                 )
-            for i, chunk in chunks:
+            if shards == 1:
+                (_, chunk), = chunks
                 _progress(
-                    "shard", "branch-and-prune",
-                    shard=i, epoch=epoch, chunk=len(chunk),
-                    pending=len(queues[i]), boxes=stats.boxes_processed,
-                    steals=steals,
+                    "icp", "branch-and-prune",
+                    boxes=stats.boxes_processed + len(chunk),
+                    queue=len(queues[0]), depth=max(e[5] for e in chunk),
+                    splits=stats.splits, frontier=len(chunk),
                 )
-            futures = [
-                plan.backend.submit(
-                    _solve_epoch, phi_blob, names,
-                    np.array([e[3] for e in chunk]),
-                    np.array([e[4] for e in chunk]),
-                    np.array([e[5] for e in chunk], dtype=int),
-                    delta, contract_tol, min_width, record_cover,
-                )
-                for i, chunk in chunks
-            ]
-            results = _wait_all(futures)
+            else:
+                for i, chunk in chunks:
+                    _progress(
+                        "shard", "branch-and-prune",
+                        shard=i, epoch=epoch, chunk=len(chunk),
+                        pending=len(queues[i]), boxes=stats.boxes_processed,
+                        steals=steals,
+                    )
+            results = plan.run_epoch(
+                _solve_epoch, [epoch_args(chunk) for _, chunk in chunks]
+            )
 
             witnesses: list[tuple] = []
             for (i, _), res in zip(chunks, results):
@@ -559,7 +586,8 @@ def solve_sharded(
                 lo_w, hi_w = min(witnesses, key=lambda w: lex_key(w[0], w[1]))
                 return finish(Status.DELTA_SAT, _rebox(names, lo_w, hi_w))
 
-            steals += _rebalance(queues)
+            if shards > 1:
+                steals += _rebalance(queues)
 
         if unresolved is not None:
             return finish(Status.UNKNOWN, _rebox(names, *unresolved[1:]))
@@ -584,11 +612,13 @@ def pave_sharded(
     anytime: bool = False,
 ) -> tuple[list[Box], list[Box], list[Box], int, bool]:
     """Partition ``box`` into (delta-sat, unsat, undecided) sub-boxes
-    across ``shards`` parallel pavers.
+    over ``shards`` paving shards.
 
     Shard pavings merge under the total lexicographic order of
-    :func:`box_sort_key`, so two sharded runs (any backend, any
-    scheduling) return byte-identical lists.
+    :func:`box_sort_key`, so two runs (any backend, any scheduling)
+    return byte-identical lists.  Pending boxes are taken widest first,
+    so a binding ``max_boxes`` budget leaves the narrowest pending boxes
+    undecided.
 
     ``seeds`` replaces the root box with an explicit frontier (the
     warm-start resume path of :mod:`repro.solver.incremental` paves only
@@ -598,7 +628,6 @@ def pave_sharded(
     """
     names = tuple(box.names)
     phi_blob = pickle.dumps(phi)
-    frontier_size = max(2, int(frontier_size))
 
     sat: list[Box] = []
     unsat: list[Box] = []
@@ -607,6 +636,10 @@ def pave_sharded(
     truncated = False
     epoch = 0
     steals = 0
+
+    def epoch_args(chunk: list[tuple]) -> tuple:
+        return (phi_blob, names, *_chunk_bounds(chunk),
+                delta, contract_tol, min_width)
 
     def absorb(res: dict, into: _ShardQueue) -> None:
         nonlocal processed
@@ -618,17 +651,13 @@ def pave_sharded(
         )
         if res["children"] is not None:
             c_lo, c_hi = res["children"]
-            for j in range(c_lo.shape[0]):
-                into.push(c_lo[j], c_hi[j], 0)
+            into.push_rows(c_lo, c_hi, np.zeros(c_lo.shape[0], dtype=int))
 
     # Bootstrap (see solve_sharded): same tree, hence same classified
-    # leaves as the non-sharded paving, regardless of the shard count.
+    # leaves as the one-shard paving, regardless of the shard count.
     boot = _ShardQueue()
-    if seeds is None:
-        boot.push(*_root_arrays(box, names), 0)
-    else:
-        for seed in seeds:
-            boot.push(*_root_arrays(seed, names), 0)
+    for root in ([box] if seeds is None else seeds):
+        boot.push(*_root_arrays(root, names), 0)
     while boot and len(boot) < shards and processed < max_boxes:
         chunk = boot.take_chunk(
             min(frontier_size, len(boot), max_boxes - processed)
@@ -637,14 +666,7 @@ def pave_sharded(
             "shard", "bootstrap",
             pending=len(boot), boxes=processed, shards=shards,
         )
-        absorb(
-            _pave_epoch(
-                phi_blob, names,
-                np.array([e[3] for e in chunk]), np.array([e[4] for e in chunk]),
-                delta, contract_tol, min_width,
-            ),
-            boot,
-        )
+        absorb(_pave_epoch(*epoch_args(chunk)), boot)
     queues = _deal(boot, shards)
 
     plan = _resolve_plan(shards, backend, workers)
@@ -675,28 +697,30 @@ def pave_sharded(
                     sat=len(sat), unsat=len(unsat),
                     undecided=len(undecided), final=0,
                 )
-            for i, chunk in chunks:
+            if shards == 1:
+                (_, chunk), = chunks
                 _progress(
-                    "shard", "paving",
-                    shard=i, epoch=epoch, chunk=len(chunk),
-                    pending=len(queues[i]), boxes=processed,
-                    sat=len(sat), unsat=len(unsat), steals=steals,
+                    "icp", "paving",
+                    boxes=processed + len(chunk), queue=len(queues[0]),
+                    sat=len(sat), unsat=len(unsat),
                 )
-            futures = [
-                plan.backend.submit(
-                    _pave_epoch, phi_blob, names,
-                    np.array([e[3] for e in chunk]),
-                    np.array([e[4] for e in chunk]),
-                    delta, contract_tol, min_width,
-                )
-                for i, chunk in chunks
-            ]
-            results = _wait_all(futures)
+            else:
+                for i, chunk in chunks:
+                    _progress(
+                        "shard", "paving",
+                        shard=i, epoch=epoch, chunk=len(chunk),
+                        pending=len(queues[i]), boxes=processed,
+                        sat=len(sat), unsat=len(unsat), steals=steals,
+                    )
+            results = plan.run_epoch(
+                _pave_epoch, [epoch_args(chunk) for _, chunk in chunks]
+            )
 
             for (i, _), res in zip(chunks, results):
                 absorb(res, queues[i])
 
-            steals += _rebalance(queues)
+            if shards > 1:
+                steals += _rebalance(queues)
     finally:
         plan.shutdown()
 

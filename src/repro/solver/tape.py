@@ -22,7 +22,7 @@ and then evaluates the whole batch of boxes (a
   :mod:`repro.solver.contractor` (forward enclosures up the tape, the
   output constraint pushed back down, all rows at once);
 * :meth:`CompiledFormula.fixpoint_contract` iterates contraction with
-  the scalar loop's per-row progress threshold.
+  the scalar contractor's per-row progress threshold.
 
 Soundness is inherited row-wise from the vectorized kernel's inclusion
 property: judgments are conservative and contraction only removes

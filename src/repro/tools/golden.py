@@ -6,17 +6,17 @@ produce the *same* verdict through every execution path of the
 delta-decision machinery:
 
 ``serial``
-    the legacy scalar ICP loop (``frontier_size=1``),
+    one box per pass of the ICP loop (``frontier_size=1``),
 ``vectorized``
-    the batched frontier loop (the scenario's own solver defaults),
+    the scenario's own frontier width (its solver defaults),
 ``sharded``
     the work-stealing parallel driver (``shards=2``).
 
 A snapshot stores the mode-invariant *projection* of the report (task,
 name, status, rounded metrics, witness variable names) plus its SHA-256
 digest.  Mode-dependent fields (wall time, boxes processed, exact
-witness coordinates -- the scalar and batched searches may certify
-different boxes of equal validity) are deliberately excluded, so a
+witness coordinates -- searches with different frontier widths may
+certify different boxes of equal validity) are deliberately excluded, so a
 digest mismatch always means a real verdict regression.
 
 Alongside the scenario snapshots, ``paving-*.json`` entries pin the
@@ -214,11 +214,9 @@ def paving_digest(
 
     Returns the box counts plus a SHA-256 over the bounds of every
     classified box, in the solver's deterministic lexicographic output
-    order.  Bounds are hashed at 10 significant digits: the scalar and
-    vectorized fixpoint loops agree bound-for-bound only up to
-    single-ulp contraction differences (see
-    ``benchmarks/icp_throughput.py``), and the digest must pin the
-    partition, not that noise.  ``overrides`` layers extra solver
+    order.  Bounds are hashed at 10 significant digits: the digest pins
+    the partition, not last-ulp rounding of the contraction kernel.
+    ``overrides`` layers extra solver
     attributes on top of the mode's (the cluster conformance tests pass
     a live ``shard_backend`` here).
     """
@@ -239,8 +237,8 @@ def paving_digest(
         for b in part:
             for name in b.names:
                 iv = b[name]
-                # + 0.0 canonicalizes the sign of IEEE negative zeros,
-                # which differ between the scalar and vectorized kernels
+                # + 0.0 canonicalizes the sign of IEEE negative zeros, so
+                # the digest never depends on the sign of a zero bound
                 h.update(f"{name}:{iv.lo + 0.0:.10g}:{iv.hi + 0.0:.10g};".encode())
     return {
         "counts": [len(sat), len(unsat), len(undecided)],

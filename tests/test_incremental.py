@@ -3,7 +3,8 @@
 The :mod:`repro.solver.incremental` contract is *mandatory-safe* reuse:
 whatever the :class:`PavingStore` warm-start planner returns must be
 byte-identical to what the cold solver would have produced for the same
-query -- across the scalar, vectorized and sharded execution paths, for
+query -- across the one-box-frontier, vectorized and sharded execution
+paths, for
 exact replays, tightened deltas, tightened ``min_width``, perturbed
 constants and shrunk boxes alike.  These tests pin that contract at
 three levels: unit (fingerprints, covers, the store), solver
@@ -109,25 +110,23 @@ class TestCover:
 
     def test_recorder_overflow_disables_cover(self):
         rec = CoverRecorder(cap=3)
-        for i in range(5):
-            rec.add(np.array([float(i)]), np.array([float(i) + 1.0]))
+        rec.extend_pairs(
+            [(np.array([float(i)]), np.array([float(i) + 1.0])) for i in range(3)]
+        )
+        assert not rec.overflow and len(rec) == 3
+        rec.extend_pairs([(np.array([3.0]), np.array([4.0]))])
         assert rec.overflow and rec.arrays() is None
+        rec.extend_pairs([(np.array([5.0]), np.array([6.0]))])
+        assert len(rec) == 0 and rec.arrays() is None
 
-    def test_recorder_pruned_and_pairs(self):
+    def test_recorder_extend_pairs_copies_in_order(self):
         rec = CoverRecorder()
-        rec.add_pruned(
-            np.array([0.0]), np.array([2.0]),
-            np.array([0.5]), np.array([1.5]), empty=False,
-        )
-        rec.add_pruned(
-            np.array([5.0]), np.array([6.0]),
-            np.array([5.5]), np.array([5.5]), empty=True,
-        )
-        rec.extend_pairs([(np.array([9.0]), np.array([10.0]))])
+        lo0, hi0 = np.array([0.0, 1.0]), np.array([2.0, 3.0])
+        rec.extend_pairs([(lo0, hi0), (np.array([5.0, 6.0]), np.array([7.0, 8.0]))])
+        lo0[0] = hi0[0] = 99.0  # the recorder keeps its own copies
         lo, hi = rec.arrays()
-        # contracted box + two shell slabs + raw empty box + shipped pair
-        assert lo.shape == (5, 1)
-        assert float(lo[3, 0]) == 5.0 and float(hi[4, 0]) == 10.0
+        assert lo.tolist() == [[0.0, 1.0], [5.0, 6.0]]
+        assert hi.tolist() == [[2.0, 3.0], [7.0, 8.0]]
 
 
 # ----------------------------------------------------------------------
@@ -274,8 +273,8 @@ class TestWarmPave:
         )
         assert paving_key(warm) == paving_key(cold)
 
-    def test_sharded_artifact_warms_scalar_solver(self, tmp_path):
-        """A sharded run's artifact warm-starts a scalar solver."""
+    def test_sharded_artifact_warms_one_box_frontier(self, tmp_path):
+        """A sharded run's artifact warm-starts a ``frontier_size=1`` solver."""
         store = PavingStore(tmp_path)
         phi, box = annulus()
         DeltaSolver(

@@ -7,7 +7,7 @@ round-trip preserves semantics on randomly generated expression trees.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.expr import (
@@ -96,6 +96,10 @@ def test_interval_eval_contains_point_eval(e, env):
 
 
 @given(expr_strategy(), ENV)
+@example(
+    Binary("div", Binary("pow", Var("x"), Const(0.0)), Var("x")),
+    {"x": 1.7e-81, "y": 0.0, "z": 0.0},
+)
 @settings(max_examples=100, deadline=None)
 def test_derivative_matches_finite_difference(e, env):
     """Symbolic d/dx agrees with central differences where smooth."""
@@ -104,12 +108,19 @@ def test_derivative_matches_finite_difference(e, env):
         d = e.diff("x")
     except NotImplementedError:
         return
+    def central(step):
+        up = _safe_eval(e, {**env, "x": env["x"] + step})
+        dn = _safe_eval(e, {**env, "x": env["x"] - step})
+        return None if up is None or dn is None else (up - dn) / (2 * step)
+
     v = _safe_eval(d, env)
-    up = _safe_eval(e, {**env, "x": env["x"] + h})
-    dn = _safe_eval(e, {**env, "x": env["x"] - h})
-    if v is None or up is None or dn is None:
+    fd, fd_half = central(h), central(h / 2)
+    if v is None or fd is None or fd_half is None:
         return
-    fd = (up - dn) / (2 * h)
+    # near a pole (within ~h of it) the central difference itself does
+    # not converge: skip draws where halving h moves it beyond tolerance
+    if abs(fd - fd_half) > 1e-3 * max(1.0, abs(fd), abs(fd_half)):
+        return
     # |abs| kinks and steep regions excluded by tolerance scaling
     scale = max(1.0, abs(v), abs(fd))
     if abs(v - fd) > 1e-3 * scale:

@@ -6,7 +6,8 @@ import pytest
 from repro.expr import var, variables
 from repro.intervals import Box
 from repro.logic import And, Or, in_range
-from repro.service.backends import ThreadBackend
+from repro.progress import progress_scope
+from repro.service.backends import ExecutorBackend, ThreadBackend
 from repro.solver import DeltaSolver, Status, split_into_shards
 from repro.solver.shard import (
     ShardPlan,
@@ -74,12 +75,14 @@ class TestLexTieBreak:
         phi, b = annulus()
         pavings = [
             paving_tuples(
-                DeltaSolver(delta=1e-3, frontier_size=k, max_boxes=200_000)
-                .pave(phi, b, min_width=0.1)
+                DeltaSolver(
+                    delta=1e-3, frontier_size=k, max_boxes=200_000,
+                    shards=n, shard_backend="inline",
+                ).pave(phi, b, min_width=0.1)
             )
-            for k in (1, 8, 64)
+            for k, n in ((1, 1), (8, 1), (64, 1), (1, 2))
         ]
-        assert pavings[0] == pavings[1] == pavings[2]
+        assert pavings[0] == pavings[1] == pavings[2] == pavings[3]
 
     def test_witness_independent_of_disjunct_order(self):
         # two symmetric certifiable cells: the lex-least certified box
@@ -202,6 +205,60 @@ class TestWorkStealing:
         chunk = q.take_chunk(3)
         assert [float(e[4][0] - e[3][0]) for e in chunk] == [3.0, 1.0, 1.0]
         assert float(chunk[1][3][0]) == 0.0  # lex tie-break among width-1
+
+
+class _RefusingBackend(ExecutorBackend):
+    def submit(self, fn, /, *args):
+        raise AssertionError("a one-shard run must not use the backend")
+
+
+class TestOneShard:
+    """``shards=1`` is the one-shard case of the epoch driver."""
+
+    def test_never_touches_the_backend(self):
+        phi, b = annulus()
+        solver = DeltaSolver(delta=1e-3, shards=1, shard_backend=_RefusingBackend())
+        assert solver._solve_impl(phi, b).status is Status.DELTA_SAT
+        sat, _, _ = solver.pave(phi, b, min_width=0.1)
+        assert sat
+
+    def test_unknown_box_independent_of_shard_count(self):
+        # intervals cannot refute x - x >= 1e-20, so every leaf ends
+        # narrow and unresolved; the right-hand cell turns narrow first
+        phi = Or(
+            And(x <= 0.25, x - x >= 1e-20),
+            And(in_range(x, 0.9, 0.90001), x - x >= 1e-20),
+        )
+        b = Box.from_bounds({"x": (0.0, 1.0)})
+        results = [
+            DeltaSolver(
+                delta=1e-6, min_width=1e-3, frontier_size=k,
+                shards=n, shard_backend="inline",
+            )._solve_impl(phi, b)
+            for k, n in ((64, 1), (1, 1), (64, 2))
+        ]
+        assert all(r.status is Status.UNKNOWN for r in results)
+        # the lex-least unresolved box, not the first one found
+        assert results[0].witness_box["x"].hi < 0.25
+        assert results[0].witness_box == results[1].witness_box
+        assert results[0].witness_box == results[2].witness_box
+
+    def test_emits_one_icp_event_per_pass(self):
+        phi, b = annulus()
+        solver = DeltaSolver(delta=1e-3, frontier_size=8, max_boxes=40)
+        events = []
+        with progress_scope(sink=events.append):
+            r = solver._solve_impl(phi, b)
+            solver.pave(phi, b, min_width=0.3)
+        assert not [e for e in events if e.source == "shard"]
+        solve_ev = [e for e in events if e.stage == "branch-and-prune"]
+        pave_ev = [e for e in events if e.stage == "paving"]
+        assert [e.source for e in solve_ev + pave_ev] == ["icp"] * len(
+            solve_ev + pave_ev
+        )
+        assert solve_ev[-1].counters["boxes"] == r.stats.boxes_processed
+        assert all("queue" in e.counters for e in solve_ev + pave_ev)
+        assert pave_ev[-1].counters["boxes"] == 40
 
 
 class TestShardPlan:

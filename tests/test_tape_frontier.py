@@ -1,5 +1,6 @@
-"""The compiled tape and the batched ICP frontier against the scalar
-reference: same judgments, sound contraction, same verdicts and pavings.
+"""The compiled tape against the scalar AST walkers (same judgments,
+sound contraction), and wide ICP frontiers against the one-box frontier
+(same verdicts and pavings).
 """
 
 import random
@@ -124,11 +125,11 @@ class TestFrontierSolver:
     @pytest.mark.parametrize("phi,bounds,expected", CASES,
                              ids=[str(c[0])[:45] for c in CASES])
     @pytest.mark.parametrize("k", [2, 64, 512])
-    def test_same_verdict_as_scalar_loop(self, phi, bounds, expected, k):
+    def test_same_verdict_as_one_box_frontier(self, phi, bounds, expected, k):
         b = box(**bounds)
-        scalar = DeltaSolver(delta=1e-3, frontier_size=1)._solve_impl(phi, b)
+        one = DeltaSolver(delta=1e-3, frontier_size=1)._solve_impl(phi, b)
         batched = DeltaSolver(delta=1e-3, frontier_size=k)._solve_impl(phi, b)
-        assert scalar.status is expected
+        assert one.status is expected
         assert batched.status is expected
         if expected is Status.DELTA_SAT and not isinstance(phi, Exists):
             # the witness box certifies the weakened formula in full
@@ -158,7 +159,7 @@ class TestFrontierSolver:
 
 
 class TestFrontierPaving:
-    def test_partition_identical_to_scalar(self):
+    def test_partition_identical_to_one_box_frontier(self):
         phi = in_range(x, 0.25, 0.75)
         b = box(x=(0, 1))
         s = DeltaSolver(delta=1e-3, frontier_size=1).pave(phi, b, min_width=1e-3)
