@@ -5,7 +5,10 @@ Runs the same BioPSy-style parameter-set paving twice through one
 box per tape pass (``frontier_size=1``), and once as the ``vectorized``
 row, ``--frontier`` boxes per pass -- and reports boxes/sec for each,
 plus the speedup and a partition identity check proving both frontier
-widths classified the exact same sub-boxes.
+widths classified the exact same sub-boxes.  A ``kernel_ops`` block adds
+the layer below: best-of-5 microseconds per call of the hot interval ops
+(``*``, ``inverse``, ``/``, the tape's ``_safe_div``, ``+``) at 1 and 64
+rows.  It has no floor; it is there to be compared across commits.
 
 CI runs this in ``--quick`` mode and uploads the JSON as the
 ``BENCH_icp_throughput.json`` artifact::
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import time
+import timeit
 
 
 def problem():
@@ -65,6 +69,34 @@ def run_paving(frontier_size: int, min_width: float) -> dict:
     }
 
 
+def kernel_ops(calls: int = 200) -> dict:
+    """Best-of-5 microseconds per call of the hot interval ops.
+
+    Operands have bounds drawn uniformly from [-3, 3] (seed 0), so about
+    half the denominator rows span zero at 64 rows.
+    """
+    import numpy as np
+
+    from repro.intervals import IntervalArray
+    from repro.solver.tape import _safe_div
+
+    rng = np.random.default_rng(0)
+    ops: dict[str, dict[str, float]] = {}
+    for rows in (1, 64):
+        x, y = (IntervalArray(*np.sort(rng.uniform(-3.0, 3.0, (2, rows)), axis=0))
+                for _ in range(2))
+        for name, op in (
+            ("mul", lambda: x * y),
+            ("inverse", lambda: y.inverse()),
+            ("div", lambda: x / y),
+            ("safe_div", lambda: _safe_div(x, y)),
+            ("add", lambda: x + y),
+        ):
+            best = min(timeit.repeat(op, number=calls, repeat=5)) / calls
+            ops.setdefault(name, {})[f"rows_{rows}"] = round(best * 1e6, 2)
+    return {"unit": "us_per_call", "best_of": 5, "calls": calls, "ops": ops}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -94,6 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         "vectorized": vectorized,
         "speedup": round(vectorized["boxes_per_s"] / baseline["boxes_per_s"], 2),
         "partitions_identical": same_partition,
+        "kernel_ops": kernel_ops(),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)

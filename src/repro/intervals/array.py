@@ -10,8 +10,11 @@ The semantics mirror the scalar kernel operation by operation:
 
 * outward rounding is the same one-ulp ``nextafter`` bump, skipped when
   the double result is provably exact (TwoSum residual for addition,
-  Dekker two-product residual for multiplication) -- so batched results
-  are bit-identical to the scalar kernel wherever both are defined;
+  Dekker two-product residual for multiplication, where every corner
+  product reaching a bound must be exact) -- so batched results are
+  value-identical to the scalar kernel wherever both are defined; a zero
+  bound's sign may differ (``[0, 0.0013] * [-0.047, 0]`` has scalar
+  ``hi = -0.0`` and batched ``hi = +0.0``);
 * the empty interval is ``lo > hi`` (canonically ``[+inf, -inf]``) and
   propagates through every operation;
 * the inclusion property holds row-wise: for any ``x in X[i]``,
@@ -37,6 +40,13 @@ __all__ = ["IntervalArray", "BoxArray"]
 _INF = math.inf
 _FLOAT_MAX = math.nextafter(_INF, 0.0)
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
+# Dekker's residual is exact only when no partial product underflows,
+# i.e. e_a + e_b >= -970, which |a*b| >= 2**-969 guarantees.
+_MUL_TINY = 2.0 ** -969
+# (2, 1) columns broadcast over a stacked (lo, hi) pair of bound rows
+_OUTWARD = np.array([[-_INF], [_INF]])
+_EMPTY_BOUNDS = np.array([[_INF], [-_INF]])
+
 
 def _quiet():
     """Fresh errstate: outward rounding deliberately produces infinities,
@@ -63,18 +73,37 @@ def _add_bound(a: np.ndarray, b: np.ndarray, up: bool) -> np.ndarray:
     return np.where(exact, s, _up(s) if up else _down(s))
 
 
-def _mul_exact(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Mask of lanes where ``p == a*b`` exactly (Dekker residual)."""
-    big = ~np.isfinite(p) | (np.abs(a) > 1e150) | (np.abs(b) > 1e150)
-    ca = _SPLITTER * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLITTER * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    fallback = (p == 0.0) & ((a == 0.0) | (b == 0.0))
-    return np.where(big, fallback, err == 0.0)
+def _mul_exact(f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Mask of the corners where ``p == a*b`` exactly (Dekker residual),
+    for factors stacked as ``a = f[:4]``, ``b = f[4:]`` (one split pass).
+
+    ``p`` must have its ``0 * inf`` NaNs already zeroed: then a non-finite
+    ``p`` needs a factor beyond 1e150.  The residual judges a corner only
+    while the split cannot overflow (factors up to 1e150) and no partial
+    product underflows (``|p| >= _MUL_TINY``); any other corner is exact
+    only when a factor is zero.
+    """
+    c = _SPLITTER * f
+    h = c - (c - f)
+    t = f - h
+    ah, bh, al, bl = h[:4], h[4:], t[:4], t[4:]
+    exact = (((ah * bh - p) + ah * bl + al * bh) + al * bl) == 0.0
+    big = np.abs(f) > 1e150
+    unjudged = big[:4] | big[4:] | (np.abs(p) < _MUL_TINY)
+    # count_nonzero is one C call; ndarray.any() detours through Python
+    if np.count_nonzero(unjudged):
+        a, b = f[:4], f[4:]
+        exact = np.where(unjudged, (p == 0.0) & ((a == 0.0) | (b == 0.0)), exact)
+    return exact
+
+
+def _from_stack(out: np.ndarray, x: "IntervalArray", y: "IntervalArray") -> "IntervalArray":
+    """The rows of a fresh ``(2, n)`` (lo, hi) stack, emptied wherever an
+    operand row is empty (a non-empty pair never yields an empty row)."""
+    dead = (x.lo > x.hi) | (y.lo > y.hi)
+    if np.count_nonzero(dead):
+        out[:, dead] = _EMPTY_BOUNDS
+    return IntervalArray(out[0], out[1])
 
 
 class IntervalArray:
@@ -161,9 +190,6 @@ class IntervalArray:
     def contains(self, x) -> np.ndarray:
         return ~self.is_empty & (self.lo <= x) & (x <= self.hi)
 
-    def contains_zero(self) -> np.ndarray:
-        return self.contains(0.0)
-
     # ------------------------------------------------------------------
     # Set operations (per row)
     # ------------------------------------------------------------------
@@ -184,7 +210,7 @@ class IntervalArray:
         dead = self.is_empty
         for s in sources:
             dead = dead | s.is_empty
-        if dead.any():
+        if np.count_nonzero(dead):
             lo = np.where(dead, _INF, self.lo)
             hi = np.where(dead, -_INF, self.hi)
             return IntervalArray(lo, hi)
@@ -208,51 +234,54 @@ class IntervalArray:
         return self + (-other)
 
     def __mul__(self, other: "IntervalArray") -> "IntervalArray":
-        # The four corner products, examined in the scalar kernel's
-        # candidate order so tie-breaking picks the same corner.
         with _quiet():
+            # Rows 0-3 of f are the left and rows 4-7 the right factors of
+            # the corners p = (al*bl, ah*bl, al*bh, ah*bh) -- the scalar
+            # kernel's corners 0, 2, 1, 3, so each pair of its min/max
+            # tree (p0 p1)(p2 p3) sits in matching rows of the two halves.
             al, ah, bl, bh = self.lo, self.hi, other.lo, other.hi
-            p0 = al * bl
-            p1 = al * bh
-            p2 = ah * bl
-            p3 = ah * bh
-            for p in (p0, p1, p2, p3):
-                p[np.isnan(p)] = 0.0  # 0 * inf
-            plo = np.minimum(np.minimum(p0, p1), np.minimum(p2, p3))
-            phi_ = np.maximum(np.maximum(p0, p1), np.maximum(p2, p3))
-            # first corner (in candidate order) achieving each extremum
-            m1, m2 = p1 == plo, p2 == plo
-            f0 = p0 == plo
-            alo = np.where(f0, al, np.where(m1, al, np.where(m2, ah, ah)))
-            blo = np.where(f0, bl, np.where(m1, bh, np.where(m2, bl, bh)))
-            x1, x2 = p1 == phi_, p2 == phi_
-            g0 = p0 == phi_
-            ahi = np.where(g0, al, np.where(x1, al, np.where(x2, ah, ah)))
-            bhi = np.where(g0, bl, np.where(x1, bh, np.where(x2, bl, bh)))
-            lo = np.where(_mul_exact(alo, blo, plo), plo, _down(plo))
-            hi = np.where(_mul_exact(ahi, bhi, phi_), phi_, _up(phi_))
-        return IntervalArray(lo, hi)._propagate_empty(self, other)
+            f = np.array((al, ah, al, ah, bl, bl, bh, bh))
+            p = f[:4] * f[4:]
+            p[np.isnan(p)] = 0.0  # 0 * inf
+            exact = _mul_exact(f, p)
+            # The bound values come from that tree: the sign of a zero
+            # bound depends on it.
+            pair_min = np.minimum(p[:2], p[2:])
+            pair_max = np.maximum(p[:2], p[2:])
+            ext = np.array((np.minimum(pair_min[0], pair_min[1]),
+                            np.maximum(pair_max[0], pair_max[1])))
+            # A bound stays unrounded only when every corner reaching it
+            # is exact: (reaches > exact) marks a corner that reaches it
+            # inexactly, and one such corner rounds the bound outward.
+            inexact = ((p == ext[:, None]) > exact).any(axis=1)
+            out = np.where(inexact, np.nextafter(ext, _OUTWARD), ext)
+        return _from_stack(out, self, other)
+
+    def zero_free_inverse(self) -> "IntervalArray":
+        """``[down(1/hi), up(1/lo)]``: row-wise 1/self, valid on the rows
+        that are non-empty and exclude zero (:meth:`inverse` does the rest)."""
+        with _quiet():
+            return IntervalArray(_down(1.0 / self.hi), _up(1.0 / self.lo))
 
     def inverse(self) -> "IntervalArray":
         """Row-wise 1/self with the scalar kernel's zero-case analysis."""
-        with _quiet():
-            inv_hi = 1.0 / self.hi  # used for lower bounds
-            inv_lo = 1.0 / self.lo  # used for upper bounds
-            zero_point = (self.lo == 0.0) & (self.hi == 0.0)
-            zero_at_lo = (self.lo == 0.0) & ~zero_point
-            zero_at_hi = (self.hi == 0.0) & ~zero_point
-            interior = self.contains(0.0) & ~zero_point & ~zero_at_lo & ~zero_at_hi
-            lo = _down(inv_hi)
-            hi = _up(inv_lo)
-            lo = np.where(zero_at_lo, _down(inv_hi), lo)
-            hi = np.where(zero_at_lo, _INF, hi)
-            lo = np.where(zero_at_hi, -_INF, lo)
-            hi = np.where(zero_at_hi, _up(inv_lo), hi)
-            lo = np.where(interior, -_INF, lo)
-            hi = np.where(interior, _INF, hi)
-            lo = np.where(zero_point, _INF, lo)
-            hi = np.where(zero_point, -_INF, hi)
-        return IntervalArray(lo, hi)._propagate_empty(self)
+        lo, hi = self.lo, self.hi
+        recip = self.zero_free_inverse()
+        # Fast path: every row is non-empty and excludes zero.
+        plain = (lo <= hi) & ((lo > 0.0) | (hi < 0.0))
+        if np.count_nonzero(plain) == plain.size:
+            return recip
+        zero_point = (lo == 0.0) & (hi == 0.0)
+        zero_at_lo = (lo == 0.0) & ~zero_point
+        zero_at_hi = (hi == 0.0) & ~zero_point
+        interior = self.contains(0.0) & ~zero_point & ~zero_at_lo & ~zero_at_hi
+        out_hi = np.where(zero_at_lo, _INF, recip.hi)
+        out_lo = np.where(zero_at_hi, -_INF, recip.lo)
+        out_lo = np.where(interior, -_INF, out_lo)
+        out_hi = np.where(interior, _INF, out_hi)
+        out_lo = np.where(zero_point, _INF, out_lo)
+        out_hi = np.where(zero_point, -_INF, out_hi)
+        return IntervalArray(out_lo, out_hi)._propagate_empty(self)
 
     def __truediv__(self, other: "IntervalArray") -> "IntervalArray":
         return (self * other.inverse())._propagate_empty(self, other)

@@ -72,6 +72,9 @@ def _add_up(a: float, b: float) -> float:
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
+# Dekker's residual is exact only when no partial product underflows,
+# i.e. e_a + e_b >= -970, which |a*b| >= 2**-969 guarantees.
+_MUL_TINY = 2.0 ** -969
 
 
 def _pow_bound(x: float, n: int) -> float:
@@ -88,8 +91,12 @@ def _pow_bound(x: float, n: int) -> float:
 
 
 def _mul_exact(a: float, b: float, p: float) -> bool:
-    """True when ``p == a*b`` exactly (Dekker two-product residual test)."""
-    if not math.isfinite(p) or abs(a) > 1e150 or abs(b) > 1e150:
+    """True when ``p == a*b`` exactly (Dekker two-product residual test).
+
+    Where the residual cannot judge -- a split that may overflow, or a
+    partial product that may underflow -- only a zero factor is exact.
+    """
+    if not math.isfinite(p) or abs(a) > 1e150 or abs(b) > 1e150 or abs(p) < _MUL_TINY:
         return p == 0.0 and (a == 0.0 or b == 0.0)
     ca = _SPLITTER * a
     ah = ca - (ca - a)
@@ -303,10 +310,13 @@ class Interval:
                 if math.isnan(p):  # 0 * inf
                     p = 0.0
                 cands.append((p, a, b))
-        plo, alo, blo = min(cands, key=lambda c: c[0])
-        phi_, ahi, bhi = max(cands, key=lambda c: c[0])
-        lo = plo if _mul_exact(alo, blo, plo) else _down(plo)
-        hi = phi_ if _mul_exact(ahi, bhi, phi_) else _up(phi_)
+        plo = min(cands, key=lambda c: c[0])[0]
+        phi_ = max(cands, key=lambda c: c[0])[0]
+        # A bound stays unrounded only when *every* corner reaching it is
+        # exact: an inexact corner that rounds onto an exact one's value
+        # still hides a true product beyond it.
+        lo = plo if all(_mul_exact(a, b, p) for p, a, b in cands if p == plo) else _down(plo)
+        hi = phi_ if all(_mul_exact(a, b, p) for p, a, b in cands if p == phi_) else _up(phi_)
         return Interval(lo, hi)
 
     __rmul__ = __mul__

@@ -128,7 +128,11 @@ class ExprTape:
 
     # ------------------------------------------------------------------
     def forward(self, boxes: BoxArray) -> list[IntervalArray]:
-        """Bottom-up interval enclosures of every register over the batch."""
+        """Bottom-up interval enclosures of every register over the batch.
+
+        Registers are never written in place: ``hc4`` reads them as its
+        initial targets.
+        """
         n = len(boxes)
         regs: list[IntervalArray] = [None] * self.n_regs  # type: ignore[list-item]
         for ins in self.instrs:
@@ -160,16 +164,16 @@ class ExprTape:
         n = len(boxes)
         root_iv = fwd[self.root]
         # Output constraint: the term must be able to reach [0, +inf).
-        want_root = root_iv.intersect(
-            IntervalArray(np.zeros(n), np.full(n, _INF))
-        )
+        want_root = IntervalArray(np.maximum(root_iv.lo, 0.0), root_iv.hi)
         dead = root_iv.is_empty | want_root.is_empty
 
         # Per-register accumulated targets, narrowed by every consumer
         # before the register's own instruction is inverted (registers
         # are in topological order, so a reverse sweep visits consumers
         # first -- the DAG analogue of the scalar top-down recursion).
-        want: list[IntervalArray] = [iv.copy() for iv in fwd]
+        # Narrowing always builds a new array, so the targets start as
+        # the forward registers themselves, uncopied.
+        want: list[IntervalArray] = list(fwd)
         want[self.root] = want_root
 
         new_lo = boxes.lo.copy()
@@ -205,7 +209,7 @@ class ExprTape:
                 want[a] = want[a].intersect(inv_a)
                 want[b] = want[b].intersect(inv_b)
                 dead = dead | want[a].is_empty | want[b].is_empty
-        if dead.any():
+        if np.count_nonzero(dead):
             new_lo[dead] = _INF
             new_hi[dead] = -_INF
         return BoxArray(boxes.names, new_lo, new_hi)
@@ -304,8 +308,23 @@ def _where_ia(mask: np.ndarray, a: IntervalArray, b: IntervalArray) -> IntervalA
 
 
 def _safe_div(num: IntervalArray, den: IntervalArray) -> IntervalArray:
-    """num/den rows; the entire line where den spans zero."""
-    return _where_ia(den.contains_zero(), IntervalArray.entire(len(num)), num / den)
+    """num/den rows; the entire line where den spans zero.
+
+    Only rows whose ``den`` excludes zero keep their quotient, and there
+    ``inverse`` is ``den.zero_free_inverse()`` -- so that is all this
+    computes before overwriting the zero-spanning rows.
+    """
+    out = num * den.zero_free_inverse()  # fresh arrays, empty where num is empty
+    lo, hi = out.lo, out.hi
+    whole = (den.lo <= 0.0) & (den.hi >= 0.0)  # spans zero (so non-empty)
+    dead = den.lo > den.hi
+    if np.count_nonzero(dead):
+        lo[dead] = _INF
+        hi[dead] = -_INF
+    if np.count_nonzero(whole):
+        lo[whole] = -_INF
+        hi[whole] = _INF
+    return out
 
 
 def _invert_binary(
@@ -323,10 +342,10 @@ def _invert_binary(
         return want * b, _safe_div(a, want)
     if op == "min":
         bound = IntervalArray(want.lo, np.full(n, _INF))
-        return bound, bound.copy()
+        return bound, bound
     if op == "max":
         bound = IntervalArray(np.full(n, -_INF), want.hi)
-        return bound, bound.copy()
+        return bound, bound
     if op == "pow":
         # runtime exponent: no reliable componentwise preimage
         return IntervalArray.entire(n), IntervalArray.entire(n)

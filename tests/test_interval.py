@@ -1,10 +1,11 @@
 """Unit tests for repro.intervals.Interval."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
-from repro.intervals import EMPTY, Interval
+from repro.intervals import EMPTY, Interval, IntervalArray
 
 
 class TestConstruction:
@@ -138,6 +139,31 @@ class TestArithmetic:
     def test_mul_zero_inf(self):
         r = Interval(0, 0) * Interval.entire()
         assert r.contains(0.0)
+
+    def test_mul_tie_with_inexact_corner_rounds_outward(self):
+        # al*bl = 553340066220 is exact; ah*bh = 5533400662200 * 0.1 rounds
+        # to the same double but its exact value is ~3e-5 larger.  The
+        # first corner reaching the maximum is the exact one, so a rule
+        # that tests only that corner returned the bound unrounded.
+        X, Y = Interval(-542988, 5533400662200), Interval(-1019065, 0.1)
+        corners = [Fraction(a) * Fraction(b) for a in (X.lo, X.hi) for b in (Y.lo, Y.hi)]
+        scalar = X * Y
+        batched = IntervalArray.from_intervals([X]) * IntervalArray.from_intervals([Y])
+        for lo, hi in ((scalar.lo, scalar.hi), (batched.lo[0], batched.hi[0])):
+            assert Fraction(float(lo)) <= min(corners)
+            assert max(corners) <= Fraction(float(hi))
+        assert (batched.lo[0], batched.hi[0]) == (scalar.lo, scalar.hi)
+
+    def test_mul_underflowing_corner_rounds_outward(self):
+        # 5e-324 * 0.5 is 2**-1075 exactly but rounds to 0; so does the
+        # Dekker residual's ah*bh, which made the zero product look exact.
+        X, Y = Interval(5e-324, 5e-324), Interval(0.5, 0.5)
+        true = Fraction(5e-324) * Fraction(0.5)
+        scalar = X * Y
+        batched = IntervalArray.from_intervals([X]) * IntervalArray.from_intervals([Y])
+        for lo, hi in ((scalar.lo, scalar.hi), (batched.lo[0], batched.hi[0])):
+            assert Fraction(float(lo)) <= true <= Fraction(float(hi))
+        assert (batched.lo[0], batched.hi[0]) == (scalar.lo, scalar.hi)
 
     def test_div(self):
         r = Interval(1, 2) / Interval(2, 4)
