@@ -118,6 +118,7 @@ class HybridAutomaton:
     def __post_init__(self):
         self.params = dict(self.params)
         self._mode_map = {m.name: m for m in self.modes}
+        self._systems: dict[str, ODESystem] = {}
         if len(self._mode_map) != len(self.modes):
             raise ValueError("duplicate mode names")
         if self.initial_mode not in self._mode_map:
@@ -163,9 +164,20 @@ class HybridAutomaton:
         return [j for j in self.jumps if j.source == mode_name]
 
     def mode_system(self, mode_name: str) -> ODESystem:
-        """The mode's flow as an :class:`ODESystem` (params inherited)."""
-        m = self._mode_map[mode_name]
-        return ODESystem(m.derivatives, self.params, name=f"{self.name}.{mode_name}")
+        """The mode's flow as an :class:`ODESystem` (params inherited).
+
+        One system per mode is kept, so its vector field compiles once
+        per automaton; its ``params`` are refreshed to the automaton's
+        current ones on every call.
+        """
+        system = self._systems.get(mode_name)
+        if system is None:
+            m = self._mode_map[mode_name]
+            system = ODESystem(m.derivatives, self.params, name=f"{self.name}.{mode_name}")
+            self._systems[mode_name] = system
+        elif system.params != self.params:
+            system.params = dict(self.params)
+        return system
 
     def initial_box(self) -> Box:
         """The initial set as a box (requires ``init`` to be a Box)."""
@@ -203,6 +215,10 @@ class HybridAutomaton:
         if len(self.modes) == 1:
             return self.mode_system(self.modes[0].name)
         return None
+
+    def __getstate__(self) -> dict:
+        # compiled vector fields do not pickle; copies recompile on demand
+        return {**self.__dict__, "_systems": {}}
 
     def __repr__(self) -> str:
         return (

@@ -12,6 +12,7 @@ which the BLTL monitor (:mod:`repro.smc`) and the feature extractors
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -61,26 +62,35 @@ class Trajectory:
             if self.derivs.shape != self.states.shape:
                 raise ValueError("derivs/states shape mismatch")
 
-    def _interp_row(self, t: float) -> np.ndarray:
-        """Dense-output state at ``t`` (Hermite if derivatives stored)."""
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.times) - 2) if len(self.times) > 1 else 0
-        if len(self.times) == 1:
-            return self.states[0]
-        t0, t1 = self.times[idx], self.times[idx + 1]
+    def _dense(self, t: float) -> list[float]:
+        """Dense-output state at ``t`` (Hermite if derivatives stored).
+
+        Only the two bracketing samples leave numpy; the formula runs on
+        Python floats in the same association order as the row-wise
+        numpy expression, so every component has the same bits.
+        """
+        n = len(self.times)
+        if n == 1:
+            return self.states[0].tolist()
+        idx = int(self.times.searchsorted(t, "right")) - 1
+        idx = min(max(idx, 0), n - 2)
+        t0, t1 = self.times[idx : idx + 2].tolist()
+        y0, y1 = self.states[idx : idx + 2].tolist()
         h = t1 - t0
-        y0, y1 = self.states[idx], self.states[idx + 1]
         if h <= 0:
             return y0
         s = (t - t0) / h
         if self.derivs is None:
-            return y0 + s * (y1 - y0)
-        d0, d1 = self.derivs[idx], self.derivs[idx + 1]
+            return [a + s * (b - a) for a, b in zip(y0, y1)]
+        d0, d1 = self.derivs[idx : idx + 2].tolist()
         h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
+        h10h = s * (1 - s) ** 2 * h
         h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+        h11h = s * s * (s - 1) * h
+        return [
+            ((h00 * a + h10h * da) + h01 * b) + h11h * db
+            for a, b, da, db in zip(y0, y1, d0, d1)
+        ]
 
     @property
     def t0(self) -> float:
@@ -99,10 +109,10 @@ class Trajectory:
     def at(self, t: float) -> dict[str, float]:
         """State at time ``t`` by dense-output interpolation."""
         t = float(t)
-        if not (self.t0 - 1e-12 <= t <= self.t_end + 1e-12):
-            raise ValueError(f"time {t} outside trajectory [{self.t0}, {self.t_end}]")
-        row = self._interp_row(min(max(t, self.t0), self.t_end))
-        return dict(zip(self.names, map(float, row)))
+        lo, hi = self.t0, self.t_end
+        if not (lo - 1e-12 <= t <= hi + 1e-12):
+            raise ValueError(f"time {t} outside trajectory [{lo}, {hi}]")
+        return dict(zip(self.names, self._dense(min(max(t, lo), hi))))
 
     def value(self, name: str, t: float) -> float:
         return self.at(t)[name]
@@ -114,9 +124,7 @@ class Trajectory:
         """Sub-trajectory on ``[t_from, t_to]`` (endpoints interpolated)."""
         mask = (self.times > t_from) & (self.times < t_to)
         ts = np.concatenate([[t_from], self.times[mask], [t_to]])
-        rows = [self._interp_row(t_from)] + [r for r in self.states[mask]] + [
-            self._interp_row(t_to)
-        ]
+        states = np.vstack([self._dense(t_from), self.states[mask], self._dense(t_to)])
         derivs = None
         if self.derivs is not None:
             # endpoint derivatives approximated by the nearest sample
@@ -127,7 +135,7 @@ class Trajectory:
             derivs = np.vstack(
                 [self.derivs[i0], self.derivs[mask], self.derivs[i1]]
             )
-        return Trajectory(ts, np.array(rows), list(self.names), derivs)
+        return Trajectory(ts, states, list(self.names), derivs)
 
     def concat(self, other: "Trajectory") -> "Trajectory":
         """Join two trajectories end-to-start (shared sample dropped)."""
@@ -336,6 +344,10 @@ def rk45(
     t0, t1 = map(float, t_span)
     if t1 <= t0:
         raise ValueError("t_span must be increasing")
+    if max_step is not None and max_step <= 0:
+        raise ValueError("max_step must be positive")
+    if first_step is not None and first_step <= 0:
+        raise ValueError("first_step must be positive")
     span = t1 - t0
     hmax = max_step if max_step is not None else span / 10.0
     y = np.array([float(x0[n]) for n in names])
@@ -343,6 +355,7 @@ def rk45(
         bad = ", ".join(f"{n}={v}" for n, v in zip(names, y) if not np.isfinite(v))
         raise IntegrationError(f"non-finite initial state: {bad}")
     h = first_step if first_step is not None else min(hmax, span / 100.0)
+    dim = len(y)
     k_first = f(t0, y, p)
     times = [t0]
     rows = [y]
@@ -356,17 +369,18 @@ def rk45(
         h = min(h, t1 - t, hmax)
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t:.6g}")
-        ks = np.empty((7, len(y)))
+        ks = np.empty((7, dim))
         ks[0] = k_first
         for i, c, a in _DP_STAGES:
             yi = y + h * (a @ ks[:i])
             ks[i] = f(t + c * h, yi, p)
         y5 = yi  # the stage-7 argument is the 5th-order solution
-        if not np.all(np.isfinite(y5)):
+        if not np.isfinite(y5).all():
             h *= 0.25
             continue
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean((h * (_DP_E @ ks) / scale) ** 2)))
+        # the RMS norm as np.mean then np.sqrt compute it, bit for bit
+        err = math.sqrt(float(np.add.reduce((h * (_DP_E @ ks) / scale) ** 2)) / dim)
         if err <= 1.0:
             t += h
             y = y5
@@ -395,6 +409,8 @@ def simulate(
         return rk45(system, x0, t_span, params, **kwargs)
     if method == "rk4":
         dt = kwargs.pop("dt", (t_span[1] - t_span[0]) / 1000.0)
+        if kwargs:
+            raise TypeError(f"method 'rk4' got unexpected keyword arguments {sorted(kwargs)}")
         return rk4(system, x0, t_span, dt, params)
     raise ValueError(f"unknown method {method!r}")
 

@@ -2,10 +2,12 @@
 (thermostat and bouncing-ball classics)."""
 
 import math
+import pickle
 
 import pytest
 
 import repro.hybrid.simulate as hybrid_simulate
+import repro.odes.system as ode_system
 from repro.expr import var
 from repro.hybrid import (
     HybridAutomaton,
@@ -213,6 +215,62 @@ class TestThermostatSimulation:
         h = thermostat()
         traj = simulate_hybrid(h, {"x": 21.0}, t_final=1000.0, max_jumps=4)
         assert len(traj.jumps_taken) <= 4
+
+
+class TestModeSystemCache:
+    @staticmethod
+    def _count_compiles(monkeypatch):
+        compiles = []
+        real = ode_system.compile_vector_field
+
+        def counted(*args, **kwargs):
+            compiles.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ode_system, "compile_vector_field", counted)
+        return compiles
+
+    @staticmethod
+    def _heated_thermostat() -> HybridAutomaton:
+        base = thermostat()
+        on, off = base.modes[1], base.modes[0]
+        heated = Mode("on", {"x": var("heat") - x}, invariant=on.invariant)
+        return HybridAutomaton(
+            base.variables, [off, heated], base.jumps, base.initial_mode,
+            base.init, params={"heat": 30.0}, name="heated",
+        )
+
+    def test_one_compile_per_visited_mode(self, monkeypatch):
+        compiles = self._count_compiles(monkeypatch)
+        h = thermostat()
+        traj = simulate_hybrid(h, {"x": 21.0}, t_final=20.0)
+        assert len(traj.segments) > 2
+        assert len(compiles) == len(set(traj.mode_path())) == 2
+        for m in h.mode_names:
+            assert h.mode_system(m) is h.mode_system(m)
+        simulate_hybrid(h, {"x": 21.0}, t_final=20.0)
+        assert len(compiles) == 2
+        copy = pickle.loads(pickle.dumps(h))
+        again = simulate_hybrid(copy, {"x": 21.0}, t_final=20.0)
+        assert again.mode_path() == traj.mode_path()
+        assert len(compiles) == 4
+
+    def test_systems_follow_params(self, monkeypatch):
+        compiles = self._count_compiles(monkeypatch)
+        h = self._heated_thermostat()
+        simulate_hybrid(h, {"x": 21.0}, t_final=5.0)
+        assert len(compiles) == 2
+        warm = h.with_params(heat=40.0)
+        assert warm.mode_system("on") is not h.mode_system("on")
+        assert warm.mode_system("on").params == {"heat": 40.0}
+        assert h.mode_system("on").params == {"heat": 30.0}
+        simulate_hybrid(warm, {"x": 21.0}, t_final=5.0)
+        assert len(compiles) == 4
+        system = h.mode_system("on")
+        h.params["heat"] = 25.0
+        assert h.mode_system("on") is system
+        assert system.params == {"heat": 25.0}
+        assert len(compiles) == 4
 
 
 class TestBouncingBall:

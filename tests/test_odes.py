@@ -147,6 +147,16 @@ class TestRK45:
         with pytest.raises(ValueError):
             simulate(decay, {"x": 1.0}, (0.0, 1.0), method="euler")
 
+    def test_simulate_rk4_rejects_rk45_options(self, decay):
+        with pytest.raises(TypeError, match=r"\['max_step', 'rtol'\]"):
+            simulate(decay, {"x": 1.0}, (0.0, 1.0), method="rk4", rtol=1e-9, max_step=0.1)
+
+    @pytest.mark.parametrize("arg", ["first_step", "max_step"])
+    @pytest.mark.parametrize("value", [0.0, -0.1])
+    def test_rk45_rejects_non_positive_steps(self, decay, arg, value):
+        with pytest.raises(ValueError, match=f"{arg} must be positive"):
+            rk45(decay, {"x": 1.0}, (0.0, 1.0), **{arg: value})
+
 
 class TestTrajectory:
     def test_at_interpolates(self, decay):
@@ -182,6 +192,83 @@ class TestTrajectory:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0]), np.zeros((3, 1)), ["x"])
+
+
+def _reference_row(traj, t):
+    """The dense-output formulas as whole-row numpy expressions."""
+    times, states, derivs = traj.times, traj.states, traj.derivs
+    if len(times) == 1:
+        return states[0]
+    idx = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
+    t0, t1 = times[idx], times[idx + 1]
+    h = t1 - t0
+    y0, y1 = states[idx], states[idx + 1]
+    if h <= 0:
+        return y0
+    s = (t - t0) / h
+    if derivs is None:
+        return y0 + s * (y1 - y0)
+    d0, d1 = derivs[idx], derivs[idx + 1]
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+
+
+def _bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+class TestDenseOutputBits:
+    """``at`` and ``restricted`` match the numpy formulas bit for bit."""
+
+    @staticmethod
+    def _trajectories(rng):
+        for n in (1, 2, 3, 7, 30):
+            for dim in (1, 2, 5):
+                for scale in (1e-8, 1.0, 1e8):
+                    times = np.sort(rng.uniform(0.0, 10.0, n))
+                    states = rng.normal(size=(n, dim)) * scale
+                    derivs = rng.normal(size=(n, dim)) * scale
+                    names = [f"v{i}" for i in range(dim)]
+                    yield Trajectory(times, states, names, derivs)
+                    yield Trajectory(times, states, names)
+        # repeated sample times: zero-width brackets (h <= 0)
+        times = np.array([0.0, 1.0, 1.0, 2.0, 2.0, 3.0])
+        states = rng.normal(size=(6, 2))
+        yield Trajectory(times, states, ["a", "b"], rng.normal(size=(6, 2)))
+        yield Trajectory(times, states, ["a", "b"])
+
+    def test_at_matches_reference(self):
+        rng = np.random.default_rng(7)
+        for traj in self._trajectories(rng):
+            queries = [*rng.uniform(traj.t0, traj.t_end, 200), *traj.times]
+            for t in queries:
+                ref = _reference_row(traj, float(t))
+                assert _bits(traj.at(t).values()) == _bits(ref)
+
+    def test_endpoint_slack_and_range_error(self):
+        rng = np.random.default_rng(8)
+        for traj in self._trajectories(rng):
+            lo, hi = traj.t0, traj.t_end
+            for t, clamped in ((lo - 1e-12, lo), (hi + 1e-12, hi), (lo, lo), (hi, hi)):
+                assert _bits(traj.at(t).values()) == _bits(_reference_row(traj, clamped))
+            for t in (lo - 1e-9, hi + 1e-9):
+                with pytest.raises(ValueError, match="outside trajectory"):
+                    traj.at(t)
+
+    def test_restricted_matches_reference(self):
+        rng = np.random.default_rng(9)
+        for traj in self._trajectories(rng):
+            if len(traj) < 2:
+                continue
+            cuts = sorted(rng.uniform(traj.t0, traj.t_end, 2))
+            for a, b in (cuts, (traj.t0, traj.t_end), (traj.times[0], traj.times[1])):
+                sub = traj.restricted(a, b)
+                inner = traj.states[(traj.times > a) & (traj.times < b)]
+                ref = np.vstack([_reference_row(traj, a), inner, _reference_row(traj, b)])
+                assert sub.states.tobytes() == ref.tobytes()
 
 
 class TestEventLocation:
