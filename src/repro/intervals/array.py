@@ -64,15 +64,6 @@ def _up(x: np.ndarray) -> np.ndarray:
     return np.nextafter(x, _INF)
 
 
-def _add_bound(a: np.ndarray, b: np.ndarray, up: bool) -> np.ndarray:
-    """Directed a+b: exact when the TwoSum residual vanishes."""
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    exact = np.isfinite(s) & (err == 0.0)
-    return np.where(exact, s, _up(s) if up else _down(s))
-
-
 def _mul_exact(f: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Mask of the corners where ``p == a*b`` exactly (Dekker residual),
     for factors stacked as ``a = f[:4]``, ``b = f[4:]`` (one split pass).
@@ -131,7 +122,14 @@ class IntervalArray:
 
     @staticmethod
     def point(x) -> "IntervalArray":
+        """Degenerate rows ``[x, x]``; a NaN in ``x`` raises :exc:`ValueError`
+        (no interval encloses an undefined value)."""
         x = np.asarray(x, dtype=float)
+        nan = np.isnan(x)
+        if nan.any():
+            raise ValueError(
+                f"cannot make a point interval of NaN (row {int(np.flatnonzero(nan)[0])})"
+            )
         return IntervalArray(x.copy(), x.copy())
 
     @staticmethod
@@ -221,11 +219,16 @@ class IntervalArray:
     # ------------------------------------------------------------------
     def __add__(self, other: "IntervalArray") -> "IntervalArray":
         with _quiet():
-            out = IntervalArray(
-                _add_bound(self.lo, other.lo, up=False),
-                _add_bound(self.hi, other.hi, up=True),
-            )
-        return out._propagate_empty(self, other)
+            # Both bounds in one (2, n) TwoSum pass: a bound stays
+            # unrounded where the residual vanishes.  A non-finite sum
+            # leaves a NaN residual, so it always moves outward.
+            a = np.array((self.lo, self.hi))
+            b = np.array((other.lo, other.hi))
+            s = a + b
+            t = s - a
+            exact = (a - (s - t)) + (b - t) == 0.0
+            out = np.where(exact, s, np.nextafter(s, _OUTWARD))
+        return _from_stack(out, self, other)
 
     def __neg__(self) -> "IntervalArray":
         return IntervalArray(-self.hi, -self.lo)

@@ -51,26 +51,6 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF)
 
 
-def _add_down(a: float, b: float) -> float:
-    """Lower bound of a+b: exact when TwoSum reports no rounding error."""
-    s = a + b
-    if math.isfinite(s):
-        bb = s - a
-        if (a - (s - bb)) + (b - bb) == 0.0:
-            return s
-    return _down(s)
-
-
-def _add_up(a: float, b: float) -> float:
-    """Upper bound of a+b (exactness-aware, see :func:`_add_down`)."""
-    s = a + b
-    if math.isfinite(s):
-        bb = s - a
-        if (a - (s - bb)) + (b - bb) == 0.0:
-            return s
-    return _up(s)
-
-
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 # Dekker's residual is exact only when no partial product underflows,
 # i.e. e_a + e_b >= -970, which |a*b| >= 2**-969 guarantees.
@@ -126,8 +106,12 @@ class Interval:
     # ------------------------------------------------------------------
     @staticmethod
     def point(x: float) -> "Interval":
-        """Degenerate interval ``[x, x]``."""
-        return Interval(float(x), float(x))
+        """Degenerate interval ``[x, x]``; a NaN ``x`` raises :exc:`ValueError`
+        (no interval encloses an undefined value)."""
+        x = float(x)
+        if x != x:
+            raise ValueError(f"cannot make a point interval of NaN ({x!r})")
+        return Interval(x, x)
 
     @staticmethod
     def make(lo: float, hi: float) -> "Interval":
@@ -281,10 +265,11 @@ class Interval:
     # Arithmetic (outward rounded)
     # ------------------------------------------------------------------
     def __add__(self, other: "Interval | float") -> "Interval":
-        other = _as_interval(other)
-        if self.is_empty or other.is_empty:
+        if other.__class__ is not Interval:
+            other = _as_interval(other)
+        if self.lo > self.hi or other.lo > other.hi:
             return EMPTY
-        return Interval(_add_down(self.lo, other.lo), _add_up(self.hi, other.hi))
+        return _add(self.lo, self.hi, other.lo, other.hi)
 
     __radd__ = __add__
 
@@ -294,30 +279,21 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __sub__(self, other: "Interval | float") -> "Interval":
-        return self + (-_as_interval(other))
+        if other.__class__ is not Interval:
+            other = _as_interval(other)
+        if self.lo > self.hi or other.lo > other.hi:
+            return EMPTY
+        return _add(self.lo, self.hi, -other.hi, -other.lo)
 
     def __rsub__(self, other: float) -> "Interval":
         return _as_interval(other) - self
 
     def __mul__(self, other: "Interval | float") -> "Interval":
-        other = _as_interval(other)
-        if self.is_empty or other.is_empty:
+        if other.__class__ is not Interval:
+            other = _as_interval(other)
+        if self.lo > self.hi or other.lo > other.hi:
             return EMPTY
-        cands = []
-        for a in (self.lo, self.hi):
-            for b in (other.lo, other.hi):
-                p = a * b
-                if math.isnan(p):  # 0 * inf
-                    p = 0.0
-                cands.append((p, a, b))
-        plo = min(cands, key=lambda c: c[0])[0]
-        phi_ = max(cands, key=lambda c: c[0])[0]
-        # A bound stays unrounded only when *every* corner reaching it is
-        # exact: an inexact corner that rounds onto an exact one's value
-        # still hides a true product beyond it.
-        lo = plo if all(_mul_exact(a, b, p) for p, a, b in cands if p == plo) else _down(plo)
-        hi = phi_ if all(_mul_exact(a, b, p) for p, a, b in cands if p == phi_) else _up(phi_)
-        return Interval(lo, hi)
+        return _mul(self.lo, self.hi, other.lo, other.hi)
 
     __rmul__ = __mul__
 
@@ -336,9 +312,13 @@ class Interval:
         return Interval(_down(1.0 / self.hi), _up(1.0 / self.lo))
 
     def __truediv__(self, other: "Interval | float") -> "Interval":
-        other = _as_interval(other)
-        if self.is_empty or other.is_empty:
+        if other.__class__ is not Interval:
+            other = _as_interval(other)
+        b0, b1 = other.lo, other.hi
+        if self.lo > self.hi or b0 > b1:
             return EMPTY
+        if b0 > 0.0 or b1 < 0.0:  # zero-free divisor: the plain reciprocal
+            return _mul(self.lo, self.hi, _down(1.0 / b1), _up(1.0 / b0))
         return self * other.inverse()
 
     def __rtruediv__(self, other: float) -> "Interval":
@@ -495,6 +475,86 @@ def _as_interval(x: "Interval | float") -> Interval:
     if isinstance(x, Interval):
         return x
     return Interval.point(float(x))
+
+
+def _add(a0: float, a1: float, b0: float, b1: float) -> Interval:
+    """``[a0, a1] + [b0, b1]`` for non-empty operands.
+
+    A bound stays unrounded where the TwoSum residual vanishes (the sum
+    is exact) and otherwise moves one ulp outward.  A non-finite sum
+    leaves a NaN residual, so it always moves, and ``nextafter`` then
+    agrees with :func:`_down` / :func:`_up` (``+inf`` lowers to the
+    largest finite double).
+    """
+    s = a0 + b0
+    t = s - a0
+    lo = s if (a0 - (s - t)) + (b0 - t) == 0.0 else math.nextafter(s, -_INF)
+    s = a1 + b1
+    t = s - a1
+    hi = s if (a1 - (s - t)) + (b1 - t) == 0.0 else math.nextafter(s, _INF)
+    return Interval(lo, hi)
+
+
+def _mul(a0: float, a1: float, b0: float, b1: float) -> Interval:
+    """``[a0, a1] * [b0, b1]`` for non-empty operands.
+
+    Each bound is the *first* corner, in the order ``(a0*b0, a0*b1,
+    a1*b0, a1*b1)``, to reach the extreme -- what ``min``/``max`` pick --
+    so a zero bound keeps that corner's sign.  A bound stays unrounded
+    only when every corner reaching it is exact: an inexact corner that
+    rounds onto an exact one's value still hides a true product beyond
+    it.  A point factor makes two corners the same product, so they share
+    one exactness test, and the ``or`` chains stop at the first inexact
+    corner.
+    """
+    p0 = a0 * b0
+    p1 = a0 * b1
+    p2 = a1 * b0
+    p3 = a1 * b1
+    # 0 * inf
+    if p0 != p0:
+        p0 = 0.0
+    if p1 != p1:
+        p1 = 0.0
+    if p2 != p2:
+        p2 = 0.0
+    if p3 != p3:
+        p3 = 0.0
+    lo = hi = p0
+    if p1 < lo:
+        lo = p1
+    elif p1 > hi:
+        hi = p1
+    if p2 < lo:
+        lo = p2
+    elif p2 > hi:
+        hi = p2
+    if p3 < lo:
+        lo = p3
+    elif p3 > hi:
+        hi = p3
+    wide_a = a0 != a1
+    wide_b = b0 != b1
+    wide = wide_a and wide_b
+    if (
+        (p0 == lo and not _mul_exact(a0, b0, p0))
+        or (wide_b and p1 == lo and not _mul_exact(a0, b1, p1))
+        or (wide_a and p2 == lo and not _mul_exact(a1, b0, p2))
+        or (wide and p3 == lo and not _mul_exact(a1, b1, p3))
+    ):
+        if lo == hi:  # every corner reaches both bounds
+            return Interval(_down(lo), _up(hi))
+        lo = _down(lo)
+    elif lo == hi:
+        return Interval(lo, hi)
+    if (
+        (p0 == hi and not _mul_exact(a0, b0, p0))
+        or (wide_b and p1 == hi and not _mul_exact(a0, b1, p1))
+        or (wide_a and p2 == hi and not _mul_exact(a1, b0, p2))
+        or (wide and p3 == hi and not _mul_exact(a1, b1, p3))
+    ):
+        hi = _up(hi)
+    return Interval(lo, hi)
 
 
 def _periodic_trig(iv: Interval, fn, offset: float) -> Interval:

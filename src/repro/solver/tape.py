@@ -327,16 +327,30 @@ def _safe_div(num: IntervalArray, den: IntervalArray) -> IntervalArray:
     return out
 
 
+def _cat(x: IntervalArray, y: IntervalArray) -> IntervalArray:
+    """The rows of ``x`` followed by the rows of ``y``."""
+    return IntervalArray(np.concatenate((x.lo, y.lo)), np.concatenate((x.hi, y.hi)))
+
+
+def _halves(out: IntervalArray, n: int) -> tuple[IntervalArray, IntervalArray]:
+    """Rows ``[:n]`` and ``[n:]`` of a :func:`_cat`-stacked result, as views."""
+    lo, hi = out.lo, out.hi
+    return IntervalArray(lo[:n], hi[:n]), IntervalArray(lo[n:], hi[n:])
+
+
 def _invert_binary(
     op: str, want: IntervalArray, a: IntervalArray, b: IntervalArray
 ) -> tuple[IntervalArray, IntervalArray]:
     n = len(want)
-    if op == "add":
-        return want - b, want - a
-    if op == "sub":
-        return want + b, a - want
-    if op == "mul":
-        return _safe_div(want, b), _safe_div(want, a)
+    # add / sub / mul: both preimages in one kernel call over 2n rows.
+    # The kernel is row-wise, so each row runs the same IEEE operations
+    # as the per-operand form named beside it.
+    if op == "add":  # want - b, want - a
+        return _halves(_cat(want, want) - _cat(b, a), n)
+    if op == "sub":  # want + b, a - want
+        return _halves(_cat(want, a) + _cat(b, -want), n)
+    if op == "mul":  # _safe_div(want, b), _safe_div(want, a)
+        return _halves(_safe_div(_cat(want, want), _cat(b, a)), n)
     if op == "div":
         # want = a / b  =>  a = want * b, b = a / want
         return want * b, _safe_div(a, want)

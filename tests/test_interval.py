@@ -1,10 +1,13 @@
 """Unit tests for repro.intervals.Interval."""
 
 import math
+import random
+import struct
 from fractions import Fraction
 
 import pytest
 
+from repro.expr import Var
 from repro.intervals import EMPTY, Interval, IntervalArray
 
 
@@ -295,3 +298,249 @@ class TestEmptyPropagation:
     )
     def test_ops_propagate_empty(self, op):
         assert op(EMPTY).is_empty
+
+
+class TestNaNPoint:
+    """No interval encloses NaN: making a point of one must fail loudly,
+    not turn into the near-zero product ``0 * inf`` handling would give."""
+
+    def test_scalar_point_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Interval.point(math.nan)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x: x * math.nan,
+            lambda x: math.nan * x,
+            lambda x: x + math.nan,
+            lambda x: x - math.nan,
+            lambda x: math.nan - x,
+            lambda x: x / math.nan,
+            lambda x: math.nan / x,
+        ],
+    )
+    def test_scalar_ops_reject_nan_operand(self, op):
+        with pytest.raises(ValueError, match="NaN"):
+            op(Interval(1, 2))
+
+    def test_var_eval_interval_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Var("x").eval_interval({"x": math.nan})
+
+    def test_array_point_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN.*row 1"):
+            IntervalArray.point([1.0, math.nan, 2.0])
+        ok = IntervalArray.point([1.0, -0.0])
+        assert ok.lo.tolist() == ok.hi.tolist() == [1.0, -0.0]
+
+
+# ----------------------------------------------------------------------
+# Bit-for-bit pin of the straight-line scalar +, -, * and / against
+# frozen copies of the corner-list implementations they replaced.
+# ----------------------------------------------------------------------
+
+_INF = math.inf
+_REF_EMPTY = (_INF, -_INF)
+
+
+def _ref_down(x):
+    if x == _INF:
+        return math.nextafter(_INF, 0.0)
+    if x == -_INF:
+        return x
+    return math.nextafter(x, -_INF)
+
+
+def _ref_up(x):
+    if x == -_INF:
+        return -math.nextafter(_INF, 0.0)
+    if x == _INF:
+        return x
+    return math.nextafter(x, _INF)
+
+
+def _ref_add_bound(a, b, up):
+    s = a + b
+    if math.isfinite(s):
+        bb = s - a
+        if (a - (s - bb)) + (b - bb) == 0.0:
+            return s
+    return _ref_up(s) if up else _ref_down(s)
+
+
+def _ref_mul_exact(a, b, p):
+    if not math.isfinite(p) or abs(a) > 1e150 or abs(b) > 1e150 or abs(p) < 2.0 ** -969:
+        return p == 0.0 and (a == 0.0 or b == 0.0)
+    split = 134217729.0
+    ca = split * a
+    ah = ca - (ca - a)
+    al = a - ah
+    cb = split * b
+    bh = cb - (cb - b)
+    bl = b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl == 0.0
+
+
+def _ref_add(x, y):
+    if x[0] > x[1] or y[0] > y[1]:
+        return _REF_EMPTY
+    return (_ref_add_bound(x[0], y[0], False), _ref_add_bound(x[1], y[1], True))
+
+
+def _ref_sub(x, y):
+    if y[0] > y[1]:
+        return _REF_EMPTY
+    return _ref_add(x, (-y[1], -y[0]))
+
+
+def _ref_mul(x, y):
+    if x[0] > x[1] or y[0] > y[1]:
+        return _REF_EMPTY
+    cands = []
+    for a in x:
+        for b in y:
+            p = a * b
+            if math.isnan(p):
+                p = 0.0
+            cands.append((p, a, b))
+    plo = min(cands, key=lambda c: c[0])[0]
+    phi = max(cands, key=lambda c: c[0])[0]
+    lo = plo if all(_ref_mul_exact(a, b, p) for p, a, b in cands if p == plo) else _ref_down(plo)
+    hi = phi if all(_ref_mul_exact(a, b, p) for p, a, b in cands if p == phi) else _ref_up(phi)
+    return (lo, hi)
+
+
+def _ref_inverse(y):
+    lo, hi = y
+    if lo > hi or (lo == 0.0 and hi == 0.0):
+        return _REF_EMPTY
+    if lo <= 0.0 <= hi:
+        if lo == 0.0:
+            return (_ref_down(1.0 / hi), _INF)
+        if hi == 0.0:
+            return (-_INF, _ref_up(1.0 / lo))
+        return (-_INF, _INF)
+    return (_ref_down(1.0 / hi), _ref_up(1.0 / lo))
+
+
+def _ref_div(x, y):
+    if x[0] > x[1] or y[0] > y[1]:
+        return _REF_EMPTY
+    return _ref_mul(x, _ref_inverse(y))
+
+
+_PIN_OPS = [
+    ("add", lambda X, Y: X + Y, _ref_add),
+    ("sub", lambda X, Y: X - Y, _ref_sub),
+    ("mul", lambda X, Y: X * Y, _ref_mul),
+    ("div", lambda X, Y: X / Y, _ref_div),
+]
+
+_PIN_VALUES = (
+    0.0, -0.0, _INF, -_INF,
+    5e-324, 2.0 ** -1022, 2.0 ** -1000,  # subnormal, smallest normal
+    2.0 ** -969, math.nextafter(2.0 ** -969, 0.0),  # residual underflow edge
+    2.0 ** -485, 2.0 ** -484,  # squares straddle the underflow edge
+    1e150, math.nextafter(1e150, _INF),  # split-overflow edge
+    1e200, math.nextafter(_INF, 0.0),
+    1.0, 3.0, 0.1,
+)
+
+
+def _pin_value(rng):
+    r = rng.random()
+    if r < 0.35:
+        return rng.choice(_PIN_VALUES) * rng.choice((1.0, -1.0))
+    if r < 0.5:
+        return rng.randint(1, 2 ** 52) * 5e-324 * rng.choice((1.0, -1.0))  # subnormal
+    if r < 0.7:
+        return float(rng.randint(-60, 60))
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-300, 300)
+
+
+def _pin_interval(rng):
+    a, b = sorted((_pin_value(rng), _pin_value(rng)))
+    r = rng.random()
+    if r < 0.05:
+        return (b, a) if a < b else (_INF, -_INF)  # empty
+    if r < 0.3:
+        return (a, a)  # point
+    return (a, b)
+
+
+def _pin_tie(rng):
+    """Corners -u * -v (exact) and w * z (rounded) meeting on one double."""
+    u, v = rng.randint(1, 3_000_000), rng.randint(1, 3_000_000)
+    z = rng.choice((0.1, 0.3, 0.7, 0.01))
+    w = float(round(u * v / z))
+    s = rng.choice((-1.0, 1.0))
+    return tuple(sorted((-u * s, w * s))), (-float(v), z)
+
+
+@pytest.fixture(scope="module")
+def pin_pairs():
+    rng = random.Random(20261017)
+    pairs = [
+        # the two operands of the tie and underflow cases in TestArithmetic
+        ((-542988.0, 5533400662200.0), (-1019065.0, 0.1)),
+        ((5e-324, 5e-324), (0.5, 0.5)),
+    ]
+    for _ in range(20_000):
+        pairs.append(_pin_tie(rng) if rng.random() < 0.05 else (_pin_interval(rng), _pin_interval(rng)))
+    return pairs
+
+
+def _bits(lo, hi):
+    return struct.pack("<2d", lo, hi)
+
+
+def test_pin_draw_covers_the_edges(pin_pairs):
+    """The draw really holds the operands the pin test is about."""
+    ivs = [iv for pair in pin_pairs for iv in pair]
+    bounds = [v for iv in ivs for v in iv]
+    assert sum(lo > hi for lo, hi in ivs) > 500
+    assert sum(lo == hi for lo, hi in ivs) > 5000
+    assert sum(x[0] == x[1] and y[0] == y[1] for x, y in pin_pairs) > 1000
+    assert any(math.copysign(1.0, v) < 0 and v == 0.0 for v in bounds)
+    assert any(0.0 < abs(v) < 2.0 ** -1022 for v in bounds)
+    for v in _PIN_VALUES:
+        assert any(b == v for b in bounds), v
+    assert sum(_zero_times_inf(x, y) for x, y in pin_pairs) > 100
+    assert sum(_mixed_tie(x, y) for x, y in pin_pairs) > 100
+
+
+def _zero_times_inf(x, y):
+    return x[0] <= x[1] and y[0] <= y[1] and any(
+        math.isnan(a * b) for a in x for b in y
+    )
+
+
+def _mixed_tie(x, y):
+    """True when an inexact corner rounds onto an exact one's extreme."""
+    if x[0] > x[1] or y[0] > y[1]:
+        return False
+    products = [(0.0 if math.isnan(a * b) else a * b, a, b) for a in x for b in y]
+    corners = [(p, _ref_mul_exact(a, b, p)) for p, a, b in products]
+    for ext in (min(p for p, _ in corners), max(p for p, _ in corners)):
+        if len({e for p, e in corners if p == ext}) == 2:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name,op,ref", _PIN_OPS, ids=[c[0] for c in _PIN_OPS])
+def test_scalar_ops_match_frozen_reference_bits(pin_pairs, name, op, ref):
+    bad = []
+    for x, y in pin_pairs:
+        got = op(Interval(*x), Interval(*y))
+        if _bits(got.lo, got.hi) != _bits(*ref(x, y)):
+            bad.append((x, y, (got.lo.hex(), got.hi.hex()), tuple(v.hex() for v in ref(x, y))))
+    assert not bad, (name, len(bad), bad[:3])
+
+
+@pytest.mark.parametrize("name,op,ref", _PIN_OPS, ids=[c[0] for c in _PIN_OPS])
+def test_scalar_ops_with_float_operand_match_reference_bits(pin_pairs, name, op, ref):
+    for x, y in pin_pairs[:5000]:
+        v = y[0]
+        got = op(Interval(*x), v)
+        assert _bits(got.lo, got.hi) == _bits(*ref(x, (v, v))), (name, x, v)
