@@ -54,7 +54,7 @@ from repro.bmc import BMCChecker, BMCOptions, BMCStatus, ReachSpec
 from repro.expr import parse_expr
 from repro.lyapunov import LyapunovAnalyzer
 from repro.smc import InitialDistribution, StatisticalModelChecker
-from repro.solver import Status
+from repro.solver import DeltaSolver, Status
 from repro.status import AnalysisStatus
 
 from .report import AnalysisReport
@@ -64,7 +64,7 @@ from .serialize import (
     formula_from_value,
     timeseries_from_value,
 )
-from .spec import TaskSpec
+from .spec import SolverOptions, TaskSpec
 
 __all__ = ["Task", "register_task", "get_task", "task_names", "task_table"]
 
@@ -266,14 +266,7 @@ class FalsifyTask(Task):
                     if spec.query.get("param_ranges")
                     else None
                 ),
-                delta=o.delta,
-                max_boxes=o.max_boxes,
-                frontier_size=o.frontier_size,
-                shards=o.shards,
-                shard_backend=o.shard_backend,
-                paving_store=o.paving_store,
-                warm_start=o.warm_start,
-                anytime=o.anytime,
+                solver=_delta_solver(o),
             )
         else:
             raise ValueError(f"unknown falsify method {method!r}")
@@ -282,7 +275,22 @@ class FalsifyTask(Task):
         return report
 
 
-def _bmc_options(o) -> BMCOptions:
+def _delta_solver(o: SolverOptions) -> DeltaSolver:
+    """Map shared :class:`SolverOptions` onto the ICP search configuration."""
+    return DeltaSolver(
+        delta=o.delta,
+        max_boxes=o.max_boxes,
+        contract_tol=o.contract_tol,
+        frontier_size=o.frontier_size,
+        shards=o.shards,
+        shard_backend=o.shard_backend,
+        paving_store=o.paving_store,
+        warm_start=o.warm_start,
+        anytime=o.anytime,
+    )
+
+
+def _bmc_options(o: SolverOptions) -> BMCOptions:
     """Map shared :class:`SolverOptions` onto the BMC option group."""
     return BMCOptions(
         delta=o.delta,
@@ -470,12 +478,7 @@ class LyapunovTask(Task):
             exclusion_radius=float(q.get("exclusion_radius", 0.05)),
             eps_v=float(q.get("eps_v", 1e-3)),
             eps_dv=float(q.get("eps_dv", 1e-4)),
-            delta=spec.solver.delta,
-            frontier_size=spec.solver.frontier_size,
-            shards=spec.solver.shards,
-            shard_backend=spec.solver.shard_backend,
-            paving_store=spec.solver.paving_store,
-            warm_start=spec.solver.warm_start,
+            solver=_delta_solver(spec.solver),
         )
         mode = str(q.get("mode", "synthesize"))
         if mode == "synthesize":

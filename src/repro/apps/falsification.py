@@ -210,8 +210,8 @@ def falsify_ascent(
         stacklevel=2,
     )
     return _falsify_ascent_impl(
-        system, variable, from_level, to_level, state_bounds,
-        param_ranges, delta=delta, max_boxes=max_boxes,
+        system, variable, from_level, to_level, state_bounds, param_ranges,
+        solver=DeltaSolver(delta=delta, max_boxes=max_boxes),
     )
 
 
@@ -222,14 +222,8 @@ def _falsify_ascent_impl(
     to_level: float,
     state_bounds: Mapping[str, tuple[float, float]],
     param_ranges: Mapping[str, tuple[float, float]] | None = None,
-    delta: float = 1e-4,
-    max_boxes: int = 200_000,
-    frontier_size: int = 64,
-    shards: int = 1,
-    shard_backend: object = "process",
-    paving_store: object = None,
-    warm_start: bool = True,
-    anytime: bool = False,
+    *,
+    solver: DeltaSolver,
 ) -> FalsificationVerdict:
     if variable not in system.state_names:
         raise ValueError(f"unknown state variable {variable!r}")
@@ -256,11 +250,7 @@ def _falsify_ascent_impl(
     dims.update(searched)
     box = Box.from_bounds(dims)
 
-    result = DeltaSolver(
-        delta=delta, max_boxes=max_boxes, frontier_size=frontier_size,
-        shards=shards, shard_backend=shard_backend,
-        paving_store=paving_store, warm_start=warm_start, anytime=anytime,
-    )._solve_impl(query, box)
+    result = solver._solve_impl(query, box)
     direction = "ascent" if to_level >= from_level else "descent"
     if result.status is Status.UNSAT:
         return FalsificationVerdict(

@@ -21,7 +21,7 @@ sublevel value ``V <= level`` inside the verified region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from repro.expr import Const, Expr
@@ -77,6 +77,13 @@ class LyapunovAnalyzer:
     eps_v, eps_dv:
         Robustness margins: require ``V >= eps_v |x-e|^2`` and
         ``dV/dt <= -eps_dv |x-e|^2`` on the annulus.
+    equilibrium_tol:
+        Largest ``|f|`` accepted at the equilibrium.
+    solver:
+        The configured delta-decision procedure behind every query
+        (default: ``DeltaSolver()``, delta 1e-3).  Its knobs reach the
+        CEGIS loop of :meth:`synthesize` whole; :meth:`certify` and
+        :meth:`region_of_attraction` replace only its ``max_boxes``.
     """
 
     def __init__(
@@ -87,13 +94,8 @@ class LyapunovAnalyzer:
         exclusion_radius: float = 0.05,
         eps_v: float = 1e-3,
         eps_dv: float = 1e-4,
-        delta: float = 1e-3,
         equilibrium_tol: float = 1e-6,
-        frontier_size: int = 64,
-        shards: int = 1,
-        shard_backend: object = "process",
-        paving_store: object = None,
-        warm_start: bool = True,
+        solver: DeltaSolver | None = None,
     ):
         # inline default parameter values: the exists-forall conditions
         # must mention only states and template coefficients
@@ -103,12 +105,7 @@ class LyapunovAnalyzer:
         self.r = float(exclusion_radius)
         self.eps_v = float(eps_v)
         self.eps_dv = float(eps_dv)
-        self.delta = float(delta)
-        self.frontier_size = int(frontier_size)
-        self.shards = int(shards)
-        self.shard_backend = shard_backend
-        self.paving_store = paving_store
-        self.warm_start = warm_start
+        self.solver = solver if solver is not None else DeltaSolver()
 
         residual = system.eval_field(self.equilibrium)
         worst = max(abs(v) for v in residual.values())
@@ -154,10 +151,7 @@ class LyapunovAnalyzer:
         lo = 1e-2
         param_box = Box.from_bounds({c: (lo, coeff_bound) for c in template.coefficients})
         ef = ExistsForallSolver(
-            delta=self.delta, max_iterations=max_iterations, seed=seed,
-            frontier_size=self.frontier_size,
-            shards=self.shards, shard_backend=self.shard_backend,
-            paving_store=self.paving_store, warm_start=self.warm_start,
+            max_iterations=max_iterations, seed=seed, solver=self.solver
         )
         res = ef.solve(phi, param_box, self.region)
         if res.status is Status.DELTA_SAT:
@@ -177,12 +171,7 @@ class LyapunovAnalyzer:
         UNSAT of the violation formula proves the robust Lyapunov
         conditions hold everywhere on the annulus (exact, one-sided).
         """
-        solver = DeltaSolver(
-            delta=self.delta, max_boxes=max_boxes,
-            frontier_size=self.frontier_size,
-            shards=self.shards, shard_backend=self.shard_backend,
-            paving_store=self.paving_store, warm_start=self.warm_start,
-        )
+        solver = replace(self.solver, max_boxes=max_boxes)
         res = solver._solve_impl(self.violation(V), self.region)
         if res.status is Status.UNSAT:
             return LyapunovResult(Status.DELTA_SAT, V=V)
@@ -211,21 +200,6 @@ class LyapunovAnalyzer:
         names = self.system.state_names
         # V range over region for the bisection bracket
         v_hi = V.eval_interval(dict(self.region)).hi
-        # resolve a named shard backend once: the bisection makes up to
-        # ~2*levels sharded solves, and the driver leaves injected
-        # instances running, so they all reuse one worker pool
-        backend = self.shard_backend
-        owns_pool = self.shards > 1 and isinstance(backend, str)
-        if owns_pool:
-            from repro.service.backends import make_backend
-
-            backend = make_backend(self.shard_backend, self.shards)
-        solver = DeltaSolver(
-            delta=self.delta, max_boxes=max_boxes,
-            frontier_size=self.frontier_size,
-            shards=self.shards, shard_backend=backend,
-            paving_store=self.paving_store, warm_start=self.warm_start,
-        )
 
         def boundary_touch(c: float) -> Formula:
             # exists x: V(x) <= c and x on the region boundary
@@ -243,7 +217,9 @@ class LyapunovAnalyzer:
                 return True
             return solver._solve_impl(boundary_touch(c), self.region).status is not Status.UNSAT
 
-        try:
+        # the bisection makes up to ~2*levels solves: one worker pool
+        # serves them all
+        with replace(self.solver, max_boxes=max_boxes).pooled() as solver:
             lo_ok, hi_bad = 0.0, float(v_hi)
             if violated(hi_bad):
                 # bisection
@@ -255,6 +231,3 @@ class LyapunovAnalyzer:
                         lo_ok = mid
                 return lo_ok
             return hi_bad
-        finally:
-            if owns_pool:
-                backend.shutdown(wait=True)

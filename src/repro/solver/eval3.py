@@ -33,6 +33,8 @@ __all__ = ["Certainty", "eval_formula", "certainly_delta_sat"]
 
 
 class Certainty(enum.Enum):
+    """Three-valued truth of a formula over a box."""
+
     CERTAIN_FALSE = -1
     UNKNOWN = 0
     CERTAIN_TRUE = 1

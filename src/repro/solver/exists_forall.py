@@ -20,7 +20,7 @@ verifier's UNSAT is exact for the delta-strengthened inner formula).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.intervals import Box
 from repro.logic import And, Formula
@@ -49,36 +49,38 @@ class ExistsForallSolver:
 
     Parameters
     ----------
-    delta:
-        Delta of the inner delta-decision queries.
     max_iterations:
         Bound on propose/verify rounds.
     n_seed_samples:
         Random state-space samples used as initial "counterexamples" so
         the first candidate is already plausible.
+    seed:
+        Seed of the random state-space samples.
+    propose_budget, verify_budget:
+        ``max_boxes`` of each propose and each verify solve.
+    solver:
+        The configured inner delta-decision procedure: its ``delta``,
+        sharding and paving-store knobs apply to every propose and
+        verify solve, whose budgets replace its ``max_boxes``.  A
+        paving store pays off here: CEGIS re-verifies near-identical
+        queries every round, so stored witnesses and covers
+        short-circuit whole solves.
     """
 
-    delta: float = 1e-3
     max_iterations: int = 30
     n_seed_samples: int = 8
     seed: int = 0
     propose_budget: int = 20_000
     verify_budget: int = 50_000
-    frontier_size: int = 64
-    shards: int = 1
-    shard_backend: object = "process"
-    # Paving-artifact store for warm-started re-solves (see
-    # repro.solver.incremental): CEGIS re-verifies near-identical
-    # queries every round, so stored witnesses/covers short-circuit
-    # whole propose/verify solves.
-    paving_store: object = None
-    warm_start: bool = True
+    solver: DeltaSolver = DeltaSolver()
 
     def solve(self, phi: Formula, param_box: Box, state_box: Box) -> EFResult:
         """Solve ``exists param_box . forall state_box . phi``.
 
         ``phi``'s free variables must be covered by the two boxes, which
-        must be disjoint in names.
+        must be disjoint in names.  A named shard backend starts once
+        for the whole loop (:meth:`DeltaSolver.pooled`), so every
+        propose/verify solve reuses one worker pool.
         """
         overlap = set(param_box.names) & set(state_box.names)
         if overlap:
@@ -92,36 +94,12 @@ class ExistsForallSolver:
             state_box.sample_random(rng) for _ in range(self.n_seed_samples)
         ]
         not_phi = phi.negate()
-        # resolve a named shard backend ONCE: the sharded driver leaves
-        # injected instances running, so every propose/verify solve of
-        # the CEGIS loop reuses one worker pool instead of spawning and
-        # tearing down a pool per call
-        backend = self.shard_backend
-        owns_pool = self.shards > 1 and isinstance(backend, str)
-        if owns_pool:
-            from repro.service.backends import make_backend
-
-            backend = make_backend(self.shard_backend, self.shards)
-        proposer = DeltaSolver(
-            delta=self.delta, max_boxes=self.propose_budget,
-            frontier_size=self.frontier_size,
-            shards=self.shards, shard_backend=backend,
-            paving_store=self.paving_store, warm_start=self.warm_start,
-        )
-        verifier = DeltaSolver(
-            delta=self.delta, max_boxes=self.verify_budget,
-            frontier_size=self.frontier_size,
-            shards=self.shards, shard_backend=backend,
-            paving_store=self.paving_store, warm_start=self.warm_start,
-        )
-        try:
+        with self.solver.pooled() as pooled:
             return self._cegis(
-                phi, not_phi, param_box, state_box,
-                counterexamples, proposer, verifier,
+                phi, not_phi, param_box, state_box, counterexamples,
+                replace(pooled, max_boxes=self.propose_budget),
+                replace(pooled, max_boxes=self.verify_budget),
             )
-        finally:
-            if owns_pool:
-                backend.shutdown(wait=True)
 
     def _cegis(
         self,

@@ -29,7 +29,9 @@ from __future__ import annotations
 import enum
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 
 from repro.expr import var as _var
 from repro.intervals import Box
@@ -45,12 +47,14 @@ from .incremental import (
     try_warm_pave,
     try_warm_solve,
 )
-from .shard import box_sort_key, pave_sharded, solve_sharded
+from .shard import _resolve_plan, box_sort_key, pave_sharded, solve_sharded
 
 __all__ = ["Status", "Result", "SolverStats", "DeltaSolver", "solve"]
 
 
 class Status(enum.Enum):
+    """Verdict of a delta-decision query."""
+
     DELTA_SAT = "delta-sat"
     UNSAT = "unsat"
     UNKNOWN = "unknown"  # budget exhausted before a verdict
@@ -133,9 +137,17 @@ def _hoist_existentials(phi: Formula, box: Box) -> tuple[Formula, Box]:
     return phi2, box
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeltaSolver:
     """A delta-complete decision procedure for bounded L_RF sentences.
+
+    One frozen value holds every knob of the ICP search, and consumers
+    pass it whole: the exists-forall CEGIS loop, the Lyapunov analyzer
+    and barrier falsification each take a configured solver rather than
+    re-declaring its fields, and the shard driver reads its knobs from
+    it.  Derive a variant with :func:`dataclasses.replace` (e.g. a
+    different ``max_boxes`` budget); :meth:`pooled` starts a named
+    ``shard_backend`` once for a run of many solves.
 
     Parameters
     ----------
@@ -167,7 +179,8 @@ class DeltaSolver:
         :class:`~repro.service.backends.ExecutorBackend` instance.
         Named backends are instantiated per call and shut down on exit
         (including cancellation); an injected instance is left running
-        for reuse -- its lifecycle stays with the caller.
+        for reuse -- its lifecycle stays with the caller (see
+        :meth:`pooled`).
     shard_workers:
         Worker-pool size of the sharded driver (default: ``shards``).
     paving_store:
@@ -209,6 +222,26 @@ class DeltaSolver:
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
+
+    @contextmanager
+    def pooled(self) -> Iterator[DeltaSolver]:
+        """Start a named ``shard_backend`` once for many solves.
+
+        Yields a copy whose ``shard_backend`` is a live backend instance
+        (the sharded driver leaves injected instances running, so every
+        solve of the copy reuses one worker pool) and shuts that backend
+        down on exit.  With ``shards == 1`` or an injected
+        :class:`~repro.service.backends.ExecutorBackend`, yields
+        ``self`` untouched.
+        """
+        plan = _resolve_plan(self.shards, self.shard_backend, self.shard_workers)
+        try:
+            if plan.owns_backend:
+                yield replace(self, shard_backend=plan.backend)
+            else:
+                yield self
+        finally:
+            plan.shutdown()
 
     def solve(self, phi: Formula, box: Box) -> Result:
         """Decide ``exists box. phi`` in the delta-relaxed sense.
@@ -256,7 +289,7 @@ class DeltaSolver:
                 if reused is not None:
                     return self._finish_solve(reused)
             recorder = CoverRecorder()
-        result = self._dispatch_solve(phi, box, recorder)
+        result = solve_sharded(phi, box, self, recorder)
         if store is not None:
             record_solve(
                 store, fp, box,
@@ -274,18 +307,6 @@ class DeltaSolver:
                 pruned=result.stats.boxes_pruned, final=1,
             )
         return result
-
-    def _dispatch_solve(
-        self, phi: Formula, box: Box, recorder: CoverRecorder | None
-    ) -> Result:
-        return solve_sharded(
-            phi, box,
-            delta=self.delta, max_boxes=self.max_boxes,
-            contract_tol=self.contract_tol, min_width=self.min_width,
-            frontier_size=self.frontier_size, shards=self.shards,
-            backend=self.shard_backend, workers=self.shard_workers,
-            recorder=recorder, anytime=self.anytime,
-        )
 
     def pave(
         self, phi: Formula, box: Box, min_width: float = 1e-2
@@ -314,7 +335,7 @@ class DeltaSolver:
                       sat=0, unsat=0, undecided=0, final=0)
         store = self._resolved_store()
         if store is None:
-            sat, unsat, und, _, _ = self._dispatch_pave(phi, box, min_width, None)
+            sat, unsat, und, _, _ = pave_sharded(phi, box, self, min_width)
             return self._finish_pave(sat, unsat, und)
         fp = formula_fingerprint(phi)
         if self.warm_start:
@@ -326,15 +347,15 @@ class DeltaSolver:
             if plan is not None:
                 if not plan.seeds:
                     return self._finish_pave(plan.sat, plan.unsat, plan.undecided)
-                n_sat, n_unsat, n_und, _, _ = self._dispatch_pave(
-                    phi, box, min_width, plan.seeds
+                n_sat, n_unsat, n_und, _, _ = pave_sharded(
+                    phi, box, self, min_width, plan.seeds
                 )
                 sat, unsat, und = _sorted_paving(
                     plan.sat + n_sat, plan.unsat + n_unsat, plan.undecided + n_und
                 )
                 return self._finish_pave(sat, unsat, und)
-        sat, unsat, und, processed, truncated = self._dispatch_pave(
-            phi, box, min_width, None
+        sat, unsat, und, processed, truncated = pave_sharded(
+            phi, box, self, min_width
         )
         record_pave(
             store, fp, box,
@@ -355,22 +376,6 @@ class DeltaSolver:
                 final=1,
             )
         return sat, unsat, undecided
-
-    def _dispatch_pave(
-        self,
-        phi: Formula,
-        box: Box,
-        min_width: float,
-        seeds: list[Box] | None,
-    ) -> tuple[list[Box], list[Box], list[Box], int, bool]:
-        return pave_sharded(
-            phi, box,
-            delta=self.delta, max_boxes=self.max_boxes,
-            contract_tol=self.contract_tol, min_width=min_width,
-            frontier_size=self.frontier_size, shards=self.shards,
-            backend=self.shard_backend, workers=self.shard_workers,
-            seeds=seeds, anytime=self.anytime,
-        )
 
 
 def _sorted_paving(

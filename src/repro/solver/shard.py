@@ -55,6 +55,7 @@ import itertools
 import pickle
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -65,6 +66,9 @@ from repro.service.backends import ExecutorBackend, make_backend
 
 from .incremental import shell_slabs
 from .tape import CERTAIN_FALSE, CERTAIN_TRUE, CompiledFormula, compile_formula
+
+if TYPE_CHECKING:
+    from .icp import DeltaSolver
 
 __all__ = ["ShardPlan", "split_into_shards", "lex_key", "solve_sharded", "pave_sharded"]
 
@@ -287,6 +291,7 @@ class _ShardQueue:
         self._tie = tie if tie is not None else itertools.count()
 
     def push(self, lo: np.ndarray, hi: np.ndarray, depth: int) -> None:
+        """Push one box given by its ``(dim,)`` bound arrays."""
         self.push_rows(lo[None, :], hi[None, :], (depth,))
 
     def push_rows(self, lo: np.ndarray, hi: np.ndarray, depths) -> None:
@@ -317,6 +322,7 @@ class _ShardQueue:
         return self.take_chunk(k)
 
     def receive(self, entries: list[tuple]) -> None:
+        """Push entries taken from another queue, identity intact."""
         for entry in entries:
             heapq.heappush(self.entries, entry)
 
@@ -440,36 +446,28 @@ def _rebalance(queues: list[_ShardQueue]) -> int:
     return stolen
 
 
-def solve_sharded(
-    phi: Formula,
-    box: Box,
-    *,
-    delta: float,
-    max_boxes: int,
-    contract_tol: float,
-    min_width: float,
-    frontier_size: int,
-    shards: int,
-    backend: str | ExecutorBackend = "process",
-    workers: int | None = None,
-    recorder=None,
-    anytime: bool = False,
-):
-    """Decide ``exists box . phi`` over ``shards`` paving shards.
+def solve_sharded(phi: Formula, box: Box, solver: DeltaSolver, recorder=None):
+    """Decide ``exists box . phi`` over ``solver.shards`` paving shards.
 
-    Same verdict contract as :meth:`DeltaSolver.solve`; the run is a
-    pure function of the arguments (byte-identical results regardless of
-    backend or scheduling).  ``phi`` must already be existential-hoisted
-    (the :class:`~repro.solver.icp.DeltaSolver` entry point does this).
-    An ``UNKNOWN`` result carries the lex-least too-narrow unresolved
-    box, or -- when the budget ran out first -- the widest pending box.
+    Same verdict contract as :meth:`DeltaSolver.solve`, whose search
+    knobs (``delta``, ``max_boxes``, ``contract_tol``, ``min_width``,
+    ``frontier_size``, ``shards``, ``shard_backend``, ``shard_workers``,
+    ``anytime``) it reads; the run is a pure function of the arguments
+    (byte-identical results regardless of backend or scheduling).
+    ``phi`` must already be existential-hoisted (the
+    :class:`~repro.solver.icp.DeltaSolver` entry point does this).  An
+    ``UNKNOWN`` result carries the lex-least too-narrow unresolved box,
+    or -- when the budget ran out first -- the widest pending box.
 
     ``recorder`` (a :class:`~repro.solver.incremental.CoverRecorder`)
-    collects the UNSAT cover shipped back from the epochs; ``anytime``
-    streams per-epoch verdict-so-far snapshots.
+    collects the UNSAT cover shipped back from the epochs;
+    ``solver.anytime`` streams per-epoch verdict-so-far snapshots.
     """
     from .icp import Result, SolverStats, Status  # local: avoid import cycle
 
+    delta, max_boxes = solver.delta, solver.max_boxes
+    contract_tol, min_width = solver.contract_tol, solver.min_width
+    frontier_size, shards = solver.frontier_size, solver.shards
     t0 = time.perf_counter()
     stats = SolverStats()
     names = tuple(box.names)
@@ -524,7 +522,7 @@ def solve_sharded(
             return finish(Status.DELTA_SAT, _rebox(names, lo_w, hi_w))
     queues = _deal(boot, shards)
 
-    plan = _resolve_plan(shards, backend, workers)
+    plan = _resolve_plan(shards, solver.shard_backend, solver.shard_workers)
     try:
         while any(queues):
             budget = max_boxes - stats.boxes_processed
@@ -549,7 +547,7 @@ def solve_sharded(
 
             # progress checkpoints fire BEFORE any submit: a cancel can
             # then only unwind between epochs, with no future in flight
-            if anytime:
+            if solver.anytime:
                 _progress(
                     "icp", "anytime", message=Status.UNKNOWN.value,
                     settled=stats.boxes_processed, pruned=stats.boxes_pruned,
@@ -599,24 +597,18 @@ def solve_sharded(
 def pave_sharded(
     phi: Formula,
     box: Box,
-    *,
-    delta: float,
-    max_boxes: int,
-    contract_tol: float,
+    solver: DeltaSolver,
     min_width: float,
-    frontier_size: int,
-    shards: int,
-    backend: str | ExecutorBackend = "process",
-    workers: int | None = None,
     seeds: list[Box] | None = None,
-    anytime: bool = False,
 ) -> tuple[list[Box], list[Box], list[Box], int, bool]:
     """Partition ``box`` into (delta-sat, unsat, undecided) sub-boxes
-    over ``shards`` paving shards.
+    over ``solver.shards`` paving shards.
 
-    Shard pavings merge under the total lexicographic order of
-    :func:`box_sort_key`, so two runs (any backend, any scheduling)
-    return byte-identical lists.  Pending boxes are taken widest first,
+    The search knobs come from ``solver`` as in :func:`solve_sharded`,
+    except ``min_width``: a paving's leaf width is its own argument
+    (:meth:`DeltaSolver.pave`).  Shard pavings merge under the total
+    lexicographic order of :func:`box_sort_key`, so two runs (any
+    backend, any scheduling) return byte-identical lists.  Pending boxes are taken widest first,
     so a binding ``max_boxes`` budget leaves the narrowest pending boxes
     undecided.
 
@@ -626,6 +618,9 @@ def pave_sharded(
     processed-box count and whether the ``max_boxes`` budget truncated
     the paving.
     """
+    delta, max_boxes = solver.delta, solver.max_boxes
+    contract_tol = solver.contract_tol
+    frontier_size, shards = solver.frontier_size, solver.shards
     names = tuple(box.names)
     phi_blob = pickle.dumps(phi)
 
@@ -669,7 +664,7 @@ def pave_sharded(
         absorb(_pave_epoch(*epoch_args(chunk)), boot)
     queues = _deal(boot, shards)
 
-    plan = _resolve_plan(shards, backend, workers)
+    plan = _resolve_plan(shards, solver.shard_backend, solver.shard_workers)
     try:
         while any(queues):
             remaining = max_boxes - processed
@@ -691,7 +686,7 @@ def pave_sharded(
 
             # see solve_sharded: checkpoints precede submits so a cancel
             # never strands an in-flight future
-            if anytime:
+            if solver.anytime:
                 _progress(
                     "icp", "anytime", message="paving",
                     sat=len(sat), unsat=len(unsat),

@@ -151,6 +151,7 @@ class ExprTape:
         return regs
 
     def eval(self, boxes: BoxArray) -> IntervalArray:
+        """Enclosure of the term over every row of ``boxes``."""
         return self.forward(boxes)[self.root]
 
     # ------------------------------------------------------------------
@@ -408,9 +409,11 @@ class _CNode:
     __slots__ = ()
 
     def judge(self, boxes: BoxArray, delta: float) -> np.ndarray:
+        """Row-wise three-valued judgment of the node's ``phi^delta``."""
         raise NotImplementedError
 
     def contract(self, boxes: BoxArray) -> BoxArray:
+        """Sound contraction of every row (empty rows are infeasible)."""
         raise NotImplementedError
 
 
@@ -418,9 +421,11 @@ class _CTrue(_CNode):
     __slots__ = ()
 
     def judge(self, boxes, delta):
+        """Certainly true on every row."""
         return np.full(len(boxes), CERTAIN_TRUE, dtype=np.int8)
 
     def contract(self, boxes):
+        """Identity: ``true`` removes nothing."""
         return boxes
 
 
@@ -428,9 +433,11 @@ class _CFalse(_CNode):
     __slots__ = ()
 
     def judge(self, boxes, delta):
+        """Certainly false on every row."""
         return np.full(len(boxes), CERTAIN_FALSE, dtype=np.int8)
 
     def contract(self, boxes):
+        """Empty every row: ``false`` has no solutions."""
         lo = np.full_like(boxes.lo, _INF)
         hi = np.full_like(boxes.hi, -_INF)
         return BoxArray(boxes.names, lo, hi)
@@ -444,6 +451,7 @@ class _CAtom(_CNode):
         self.strict = atom.strict
 
     def judge(self, boxes, delta):
+        """Compare the term's enclosure with ``-delta``."""
         iv = self.tape.eval(boxes)
         threshold = -delta
         out = np.zeros(len(boxes), dtype=np.int8)
@@ -457,6 +465,7 @@ class _CAtom(_CNode):
         return out
 
     def contract(self, boxes):
+        """HC4-revise of ``term >= 0`` (``> 0`` if strict)."""
         return self.tape.hc4(boxes, self.strict)
 
 
@@ -467,6 +476,7 @@ class _CAnd(_CNode):
         self.parts = parts
 
     def judge(self, boxes, delta):
+        """Row-wise minimum of the conjuncts' judgments."""
         out = self.parts[0].judge(boxes, delta)
         for p in self.parts[1:]:
             if (out == CERTAIN_FALSE).all():
@@ -475,6 +485,7 @@ class _CAnd(_CNode):
         return out
 
     def contract(self, boxes):
+        """Contract by each conjunct in turn."""
         for p in self.parts:
             boxes = p.contract(boxes)
             if boxes.is_empty.all():
@@ -489,6 +500,7 @@ class _COr(_CNode):
         self.parts = parts
 
     def judge(self, boxes, delta):
+        """Row-wise maximum of the disjuncts' judgments."""
         out = self.parts[0].judge(boxes, delta)
         for p in self.parts[1:]:
             if (out == CERTAIN_TRUE).all():
@@ -497,6 +509,7 @@ class _COr(_CNode):
         return out
 
     def contract(self, boxes):
+        """Hull of the rows each disjunct contracts to."""
         hull_lo = np.full_like(boxes.lo, _INF)
         hull_hi = np.full_like(boxes.hi, -_INF)
         for p in self.parts:
@@ -519,6 +532,7 @@ class _CQuant(_CNode):
         self.body = body
 
     def judge(self, boxes, delta):
+        """Judge the body over the bound variable's whole domain."""
         lo_iv = self.lo_tape.eval(boxes)
         hi_iv = self.hi_tape.eval(boxes)
         bad = lo_iv.is_empty | hi_iv.is_empty
@@ -537,7 +551,8 @@ class _CQuant(_CNode):
         return out.astype(np.int8, copy=False)
 
     def contract(self, boxes):
-        return boxes  # handled by hoisting / verification, identity is sound
+        """Identity (sound): hoisting and verification handle quantifiers."""
+        return boxes
 
 
 def _compile_node(phi: Formula) -> _CNode:

@@ -217,19 +217,20 @@ def paving_digest(
     order.  Bounds are hashed at 10 significant digits: the digest pins
     the partition, not last-ulp rounding of the contraction kernel.
     ``overrides`` layers extra solver
-    attributes on top of the mode's (the cluster conformance tests pass
-    a live ``shard_backend`` here).
+    fields on top of the mode's (the cluster conformance tests pass
+    a live ``shard_backend`` here); a misspelled field raises
+    ``TypeError`` and an invalid value ``ValueError``.
     """
     from repro.solver import DeltaSolver
 
     factory, min_width = PAVING_PROBLEMS[problem]
     phi, box = factory()
-    solver = DeltaSolver(delta=1e-3, max_boxes=1_000_000)
     merged = dict(MODES[mode])
     if overrides:
         merged.update(overrides)
-    for k, v in merged.items():
-        setattr(solver, k, v)
+    solver = _dataclass_replace(
+        DeltaSolver(delta=1e-3, max_boxes=1_000_000), **merged
+    )
     sat, unsat, undecided = solver.pave(phi, box, min_width=min_width)
     h = hashlib.sha256()
     for part in (sat, unsat, undecided):

@@ -1,9 +1,9 @@
-"""Docstring coverage of the public surface (repro.api, repro.monitor,
-repro.scenarios, repro.tools).
+"""Docstring coverage of the public surface (repro.api, repro.lyapunov,
+repro.monitor, repro.scenarios, repro.solver, repro.tools).
 
 Mirrors the ruff pydocstyle D1 rules enabled in pyproject.toml
 (D100-D104, D106) so the check also runs where ruff is not installed:
-every module, public class, and public function/method in the two
+every module, public class, and public function/method in these
 packages must carry a docstring.
 """
 
@@ -15,7 +15,10 @@ import pytest
 import repro
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
-PACKAGES = (SRC / "api", SRC / "monitor", SRC / "scenarios", SRC / "tools")
+PACKAGES = (
+    SRC / "api", SRC / "lyapunov", SRC / "monitor", SRC / "scenarios",
+    SRC / "solver", SRC / "tools",
+)
 
 
 def _public_surface():

@@ -209,7 +209,7 @@ class TestExistsForall:
     def test_linear_bound_synthesis(self):
         # exists p in [0,4]: forall x in [0,1]: p - x^2 >= 0   (any p >= 1)
         phi = p - x ** 2 >= 0
-        ef = ExistsForallSolver(delta=1e-3, max_iterations=20)
+        ef = ExistsForallSolver(max_iterations=20, solver=DeltaSolver(delta=1e-3))
         res = ef.solve(phi, box(p=(0, 4)), box(x=(0, 1)))
         assert res.status is Status.DELTA_SAT
         assert res.candidate["p"] >= 1.0 - 0.05
@@ -217,7 +217,7 @@ class TestExistsForall:
     def test_unsat_when_impossible(self):
         # exists p in [0, 0.5]: forall x in [0,1]: p - x >= 0  (needs p >= 1)
         phi = p - x >= 0
-        ef = ExistsForallSolver(delta=1e-3, max_iterations=20)
+        ef = ExistsForallSolver(max_iterations=20, solver=DeltaSolver(delta=1e-3))
         res = ef.solve(phi, box(p=(0, 0.5)), box(x=(0, 1)))
         assert res.status in (Status.UNSAT, Status.UNKNOWN)
         assert res.status is Status.UNSAT
@@ -226,7 +226,7 @@ class TestExistsForall:
         # exists c in [0.1, 10]: forall x in [-1,1]: c*x^2 - x^4 + 0.01 >= 0
         c = variables("c")[0]
         phi = c * x ** 2 - x ** 4 + 0.01 >= 0
-        ef = ExistsForallSolver(delta=1e-3, max_iterations=25)
+        ef = ExistsForallSolver(max_iterations=25, solver=DeltaSolver(delta=1e-3))
         res = ef.solve(phi, box(c=(0.1, 10)), box(x=(-1, 1)))
         assert res.status is Status.DELTA_SAT
         # any c >= 1 works; candidate must be >= ~0.9
