@@ -75,7 +75,7 @@ class TestSimulationGuidanceAblation:
             enclosure_step=0.1, max_boxes_per_path=400,
             use_simulation_guidance=guided,
         )
-        res = benchmark(lambda: BMCChecker(h, opt).check(spec))
+        res = benchmark(lambda: BMCChecker(h, opt)._check_impl(spec))
         assert res.status is BMCStatus.DELTA_SAT
         if guided:
             assert res.boxes_processed <= 5  # candidate verified directly
@@ -91,5 +91,5 @@ class TestContractionAblation:
         )
         box = Box.from_bounds({"x": (-2, 2), "y": (0, 8)})
         solver = DeltaSolver(delta=1e-3, contract_tol=tol)
-        res = benchmark(lambda: solver.solve(phi, box))
+        res = benchmark(lambda: solver._solve_impl(phi, box))
         assert res.status is Status.DELTA_SAT

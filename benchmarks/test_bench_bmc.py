@@ -25,7 +25,7 @@ def test_depth_sweep(benchmark, k):
         goal=in_range(x, 18.5, 21.5), goal_mode="on", max_jumps=k, time_bound=3.0
     )
     checker = BMCChecker(h, _OPTS)
-    result = benchmark(lambda: checker.check(spec))
+    result = benchmark(lambda: checker._check_impl(spec))
     if k == 0:
         assert result.status is BMCStatus.UNSAT  # no path ends in "on"
     else:
@@ -40,7 +40,7 @@ def test_time_bound_sweep(benchmark, M):
     h = thermostat()
     spec = ReachSpec(goal=(18.05 - x >= 0), goal_mode="off", max_jumps=0, time_bound=M)
     checker = BMCChecker(h, _OPTS)
-    result = benchmark(lambda: checker.check(spec))
+    result = benchmark(lambda: checker._check_impl(spec))
     assert result.status is BMCStatus.DELTA_SAT
 
 
@@ -52,7 +52,7 @@ def test_threshold_synthesis(benchmark):
     spec = ReachSpec(goal=(x >= 19.0), goal_mode="on", max_jumps=1, time_bound=3.0)
     checker = BMCChecker(h, _OPTS)
     result = benchmark(
-        lambda: checker.check(spec, param_ranges={"theta_on": (15.0, 21.0)})
+        lambda: checker._check_impl(spec, param_ranges={"theta_on": (15.0, 21.0)})
     )
     assert result.status is BMCStatus.DELTA_SAT
     theta = result.witness_params["theta_on"]
@@ -73,5 +73,5 @@ def test_unreachable_band(benchmark):
     h = thermostat()
     spec = ReachSpec(goal=(x >= 31.0), max_jumps=2, time_bound=3.0)
     checker = BMCChecker(h, _OPTS)
-    result = benchmark(lambda: checker.check(spec))
+    result = benchmark(lambda: checker._check_impl(spec))
     assert result.status is BMCStatus.UNSAT

@@ -35,7 +35,7 @@ def test_point_calibration(once):
         tolerance=0.02,
     )
     calib = SMTCalibrator(_decay(), data, {"k": (0.1, 3.0)}, {"x": 1.0}, delta=0.02)
-    res = once(calib.calibrate)
+    res = once(calib._calibrate_impl)
     assert res.status is CalibrationStatus.DELTA_SAT
     assert res.params["k"] == pytest.approx(k_true, abs=0.1)
 
@@ -52,7 +52,7 @@ def test_two_parameter_logistic(once):
         sys_, data, {"r": (0.2, 2.0), "K": (4.0, 12.0)}, {"x": 0.5},
         delta=0.05, enclosure_step=0.1,
     )
-    res = once(calib.calibrate)
+    res = once(calib._calibrate_impl)
     assert res.status is CalibrationStatus.DELTA_SAT
     assert res.params["K"] == pytest.approx(8.0, abs=0.8)
 
@@ -65,7 +65,7 @@ def test_inconsistent_data_unsat(once):
         _decay(), data, {"k": (0.01, 5.0)}, {"x": 1.0},
         delta=0.01, max_boxes=1500,
     )
-    res = once(calib.calibrate)
+    res = once(calib._calibrate_impl)
     assert res.status is CalibrationStatus.UNSAT
 
 

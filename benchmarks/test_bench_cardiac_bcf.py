@@ -16,7 +16,8 @@ Reproduction:
 
 import pytest
 
-from repro.apps import Checkpoint, TimeSeriesData, falsify_with_data
+from repro.apps import Checkpoint, TimeSeriesData
+from repro.apps.falsification import _falsify_with_data_impl
 from repro.models import (
     action_potential,
     ap_features,
@@ -60,7 +61,7 @@ def test_apd_vs_tau_so1_series(once):
 def test_synthesize_tachycardic_tau(once):
     """delta-sat: some tau_so1 in (3, 12) produces fast repolarization."""
     verdict = once(
-        falsify_with_data,
+        _falsify_with_data_impl,
         bcf_hybrid().mode_system("m4"),
         TACHY_BANDS,
         {"tau_so1": (3.0, 12.0)},
@@ -78,7 +79,7 @@ def test_normal_range_cannot_tachycardia(once):
     """UNSAT: in the normal range (25, 40) the early repolarization is
     provably too slow -- the disorder needs the parameter excursion."""
     verdict = once(
-        falsify_with_data,
+        _falsify_with_data_impl,
         bcf_hybrid().mode_system("m4"),
         TACHY_BANDS,
         {"tau_so1": (25.0, 40.0)},

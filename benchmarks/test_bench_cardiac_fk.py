@@ -10,7 +10,7 @@ the FK current time scales returns UNSAT -> hypothesis rejected.  The
 same query on BCF (epicardial) is delta-sat.
 """
 
-from repro.apps import falsify_ascent
+from repro.apps.falsification import _falsify_ascent_impl
 from repro.models import (
     action_potential,
     ap_features,
@@ -19,12 +19,15 @@ from repro.models import (
     fenton_karma,
     fenton_karma_hybrid,
 )
+from repro.solver import DeltaSolver
 
 #: physiological ranges around the Beeler-Reuter fit of [55]
 FK_RANGES = {"tau_r": (10.0, 38.0), "tau_si": (28.0, 130.0)}
 #: gate invariants at the notch: in the excited regime dv/dt < 0, so
 #: v has decayed below 0.01 by the time the notch forms
 FK_STATE_BOUNDS = {"u": (0.0, 1.2), "v": (0.0, 0.01), "w": (0.0, 1.0)}
+#: the delta and box budget of both barrier queries
+SOLVER = DeltaSolver(delta=1e-4, max_boxes=200_000)
 
 
 def test_fk_dome_rejected(once):
@@ -32,13 +35,14 @@ def test_fk_dome_rejected(once):
     dome window [0.75, 0.85] for any physiological parameters."""
     fk_excited = fenton_karma_hybrid().mode_system("excited")
     verdict = once(
-        falsify_ascent,
+        _falsify_ascent_impl,
         fk_excited,
         "u",
         0.75,
         0.85,
         FK_STATE_BOUNDS,
         FK_RANGES,
+        solver=SOLVER,
     )
     assert verdict.rejected
     assert verdict.conclusive
@@ -49,13 +53,14 @@ def test_bcf_dome_realizable(once):
     the same barrier query is delta-sat with a witness."""
     bcf_m4 = bcf_hybrid().mode_system("m4")
     verdict = once(
-        falsify_ascent,
+        _falsify_ascent_impl,
         bcf_m4,
         "u",
         1.0,
         1.2,
         {"u": (0.0, 1.6), "v": (0.0, 1.0), "w": (0.0, 1.0), "s": (0.0, 1.0)},
         {"tau_so1": (25.0, 35.0)},
+        solver=SOLVER,
     )
     assert not verdict.rejected
     assert verdict.conclusive

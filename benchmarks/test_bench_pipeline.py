@@ -36,7 +36,7 @@ def test_validated_exit(once):
         {"x": 1.0},
         delta=0.03,
     )
-    report = once(pipeline.run)
+    report = once(pipeline._run_impl)
     assert report.validated
     assert report.calibrated_params["k"] == pytest.approx(1.3, abs=0.1)
 
@@ -49,7 +49,7 @@ def test_falsified_exit(once):
         _decay(), impossible, impossible, {"k": (0.05, 3.0)}, {"x": 1.0},
         delta=0.02, max_boxes=600,
     )
-    report = once(pipeline.run)
+    report = once(pipeline._run_impl)
     assert report.falsified
 
 
@@ -65,6 +65,6 @@ def test_refine_exit_with_smc(once):
         {"x": 1.0},
         delta=0.05,
     )
-    report = once(pipeline.run, 0.25)
+    report = once(pipeline._run_impl, 0.25)
     assert report.stage == "refine"
     assert report.smc_probability is not None and report.smc_probability < 0.5

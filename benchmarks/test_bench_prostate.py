@@ -9,7 +9,7 @@ responder and failing for the non-responder -- verdicts that *differ by
 patient parameters*, which is the personalization claim.
 """
 
-from repro.apps import synthesize_threshold_policy
+from repro.apps.therapy import _synthesize_threshold_policy_impl
 from repro.expr import var
 from repro.hybrid import simulate_hybrid
 from repro.models import PATIENT_PROFILES, ias_model
@@ -42,7 +42,7 @@ def test_policy_synthesis_responder(once):
     h = ias_model("patient_A")
     phi = G(600.0, (var("x") + var("y")) <= 40.0)
     res = once(
-        synthesize_threshold_policy,
+        _synthesize_threshold_policy_impl,
         h,
         phi,
         {"r0": (0.5, 8.0), "r1": (8.5, 25.0)},
@@ -64,7 +64,7 @@ def test_policy_synthesis_nonresponder_fails(once):
     h = ias_model("patient_C")
     phi = G(900.0, (var("x") + var("y")) <= 40.0)
     res = once(
-        synthesize_threshold_policy,
+        _synthesize_threshold_policy_impl,
         h,
         phi,
         {"r0": (0.5, 8.0), "r1": (8.5, 25.0)},

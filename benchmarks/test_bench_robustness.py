@@ -12,7 +12,8 @@ yields a delta-sat excitation witness; bisection brackets the
 excitability threshold.
 """
 
-from repro.apps import check_robustness, stimulus_threshold
+from repro.apps import stimulus_threshold
+from repro.apps.robustness import _check_robustness_impl
 from repro.bmc import BMCOptions
 from repro.expr import var
 from repro.intervals import Box
@@ -33,7 +34,7 @@ def test_subthreshold_robust(once):
     """Stimuli up to u = 0.03 provably cannot trigger an AP."""
     h = _rest_model(0.03)
     res = once(
-        check_robustness,
+        _check_robustness_impl,
         h,
         {"u": (0.0, 0.03)},
         AP_FIRED,
@@ -51,7 +52,7 @@ def test_suprathreshold_excitable(once):
         init=Box.from_bounds({"u": (0.3, 0.5), "v": (1.0, 1.0), "w": (1.0, 1.0)}),
     )
     res = once(
-        check_robustness,
+        _check_robustness_impl,
         h,
         {"u": (0.3, 0.5)},
         AP_FIRED,

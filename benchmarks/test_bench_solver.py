@@ -29,7 +29,7 @@ def test_delta_sweep(benchmark, delta):
     """Work grows as delta shrinks; verdict stays delta-sat."""
     phi, box = _transcendental_problem()
     solver = DeltaSolver(delta=delta, max_boxes=200_000)
-    result = benchmark(lambda: solver.solve(phi, box))
+    result = benchmark(lambda: solver._solve_impl(phi, box))
     assert result.status is Status.DELTA_SAT
     w = result.witness
     import math
@@ -50,7 +50,7 @@ def test_dimension_sweep(benchmark, dim):
     phi = in_range(sq, 0.9, 1.0)
     box = Box.from_bounds({n: (-1.2, 1.2) for n in names})
     solver = DeltaSolver(delta=1e-3)
-    result = benchmark(lambda: solver.solve(phi, box))
+    result = benchmark(lambda: solver._solve_impl(phi, box))
     assert result.status is Status.DELTA_SAT
 
 
@@ -62,7 +62,7 @@ def test_unsat_certificate(benchmark):
     )
     box = Box.from_bounds({"x": (-2, 2), "y": (-2, 2)})
     solver = DeltaSolver(delta=1e-3)
-    result = benchmark(lambda: solver.solve(phi, box))
+    result = benchmark(lambda: solver._solve_impl(phi, box))
     assert result.status is Status.UNSAT
 
 

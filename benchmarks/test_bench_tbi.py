@@ -10,7 +10,7 @@ minimum-drug BMC plan with synthesized decision threshold, and the
 threshold-dependence of survival at high dose.
 """
 
-from repro.apps import synthesize_reach_therapy
+from repro.apps.therapy import _synthesize_reach_therapy_impl
 from repro.bmc import BMCOptions
 from repro.expr import var
 from repro.hybrid import simulate_hybrid
@@ -54,7 +54,7 @@ def test_minimum_drug_plan(once):
     """BMC threshold synthesis: one drug decision reaches recovery."""
     h = tbi_model(dose=0.55, drugs=("drug_A",))
     plan = once(
-        synthesize_reach_therapy,
+        _synthesize_reach_therapy_impl,
         h,
         RECOVERY_GOAL,
         {"theta_A": (0.2, 0.8)},

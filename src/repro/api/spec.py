@@ -74,6 +74,13 @@ class SolverOptions:
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
+        # "not > 0" also rejects NaN: a zero step never advances time
+        if not self.enclosure_step > 0:
+            raise ValueError(
+                f"enclosure_step must be > 0, got {self.enclosure_step}"
+            )
+        if self.verify_step is not None and not self.verify_step > 0:
+            raise ValueError(f"verify_step must be > 0, got {self.verify_step}")
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any] | None) -> "SolverOptions":

@@ -14,18 +14,13 @@ from .calibration import (
 )
 from .falsification import (
     FalsificationVerdict,
-    falsify_ascent,
-    falsify_reachability,
-    falsify_with_data,
 )
 from .therapy import (
     PolicyResult,
     TherapyPlan,
     evaluate_policy,
-    synthesize_reach_therapy,
-    synthesize_threshold_policy,
 )
-from .robustness import RobustnessResult, check_robustness, stimulus_threshold
+from .robustness import RobustnessResult, stimulus_threshold
 from .pipeline import AnalysisPipeline, PipelineReport, PipelineStage
 
 __all__ = [
@@ -35,16 +30,10 @@ __all__ = [
     "CalibrationResult",
     "CalibrationStatus",
     "FalsificationVerdict",
-    "falsify_with_data",
-    "falsify_reachability",
-    "falsify_ascent",
     "TherapyPlan",
-    "synthesize_reach_therapy",
     "PolicyResult",
-    "synthesize_threshold_policy",
     "evaluate_policy",
     "RobustnessResult",
-    "check_robustness",
     "stimulus_threshold",
     "AnalysisPipeline",
     "PipelineReport",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -80,10 +79,13 @@ class TimeSeriesData:
 
     @property
     def horizon(self) -> float:
+        """Time of the last checkpoint (0 without checkpoints)."""
         return self.checkpoints[-1].t if self.checkpoints else 0.0
 
 
 class CalibrationStatus(enum.Enum):
+    """Verdict of a calibration query."""
+
     DELTA_SAT = "delta-sat"
     UNSAT = "unsat"
     UNKNOWN = "unknown"
@@ -91,6 +93,13 @@ class CalibrationStatus(enum.Enum):
 
 @dataclass
 class CalibrationResult:
+    """Outcome of a calibration query.
+
+    A delta-sat result carries a data-consistent valuation ``params``
+    and the verified ``param_box`` around it; ``boxes_processed`` and
+    ``wall_time`` describe the search.
+    """
+
     status: CalibrationStatus
     params: dict[str, float] | None = None
     param_box: Box | None = None
@@ -241,24 +250,8 @@ class SMTCalibrator:
         return True
 
     # ------------------------------------------------------------------
-    def calibrate(self) -> CalibrationResult:
-        """Search the parameter box for a data-consistent valuation.
-
-        .. deprecated:: 0.2
-            Direct calls are deprecated in favor of the unified facade
-            (the ``calibrate`` task of ``repro.api``); this shim
-            delegates unchanged.
-        """
-        warnings.warn(
-            "SMTCalibrator.calibrate is deprecated; submit a 'calibrate' "
-            "spec through the unified repro.api facade (repro.run / "
-            "Engine.run) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._calibrate_impl()
-
     def _calibrate_impl(self) -> CalibrationResult:
+        """Search the parameter box for a data-consistent valuation."""
         t0 = time.perf_counter()
         root_params = Box.from_bounds(dict(self.param_ranges))
         state_box = self._initial_state_box()

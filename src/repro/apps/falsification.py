@@ -4,20 +4,23 @@
 model is unable to satisfy a desired behavior no matter which parameter
 values are used.  This can be used to reject model hypotheses."
 
-Two entry points:
+Three encodings, each behind a method of the ``falsify`` task of
+:mod:`repro.api`:
 
-* :func:`falsify_with_data` -- the calibration encoding: the model is
-  rejected when *no* parameters in the given ranges thread the data
-  bands (this is how the paper shows Fenton-Karma cannot reproduce the
-  epicardial spike-and-dome morphology).
-* :func:`falsify_reachability` -- the BMC encoding: the model is
+* :func:`_falsify_with_data_impl` -- the calibration encoding: the
+  model is rejected when *no* parameters in the given ranges thread the
+  data bands (this is how the paper shows Fenton-Karma cannot reproduce
+  the epicardial spike-and-dome morphology).
+* :func:`_falsify_reachability_impl` -- the BMC encoding: the model is
   rejected when a behavioral goal region is unreachable for all
   parameter values within bounds.
+* :func:`_falsify_ascent_impl` -- the barrier encoding: the model is
+  rejected when no state in a level window can move in the required
+  direction, so no trajectory crosses the window.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -31,12 +34,7 @@ from repro.solver import DeltaSolver, Status
 
 from .calibration import CalibrationStatus, SMTCalibrator, TimeSeriesData
 
-__all__ = [
-    "FalsificationVerdict",
-    "falsify_with_data",
-    "falsify_reachability",
-    "falsify_ascent",
-]
+__all__ = ["FalsificationVerdict"]
 
 
 @dataclass
@@ -60,33 +58,6 @@ class FalsificationVerdict:
         return self.rejected
 
 
-def falsify_with_data(
-    system: ODESystem,
-    data: TimeSeriesData,
-    param_ranges: Mapping[str, tuple[float, float]],
-    x0: Mapping[str, float] | Box,
-    delta: float = 0.05,
-    max_boxes: int = 600,
-    enclosure_step: float = 0.05,
-) -> FalsificationVerdict:
-    """Reject ``system`` if no parameters can reproduce ``data``.
-
-    .. deprecated:: 0.2
-        Use the ``falsify`` task of :mod:`repro.api` instead; this shim
-        delegates unchanged.
-    """
-    warnings.warn(
-        "falsify_with_data is deprecated; submit a 'falsify' spec through "
-        "the unified repro.api facade (repro.run / Engine.run) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _falsify_with_data_impl(
-        system, data, param_ranges, x0,
-        delta=delta, max_boxes=max_boxes, enclosure_step=enclosure_step,
-    )
-
-
 def _falsify_with_data_impl(
     system: ODESystem,
     data: TimeSeriesData,
@@ -96,6 +67,7 @@ def _falsify_with_data_impl(
     max_boxes: int = 600,
     enclosure_step: float = 0.05,
 ) -> FalsificationVerdict:
+    """Reject ``system`` if no parameters can reproduce ``data``."""
     calib = SMTCalibrator(
         system, data, param_ranges, x0,
         delta=delta, max_boxes=max_boxes, enclosure_step=enclosure_step,
@@ -118,7 +90,7 @@ def _falsify_with_data_impl(
     )
 
 
-def falsify_reachability(
+def _falsify_reachability_impl(
     automaton: HybridAutomaton,
     spec: ReachSpec,
     param_ranges: Mapping[str, tuple[float, float]] | None = None,
@@ -126,27 +98,7 @@ def falsify_reachability(
 ) -> FalsificationVerdict:
     """Reject ``automaton`` if the behavioral goal of ``spec`` is
     unreachable for every parameter value in ``param_ranges``.
-
-    .. deprecated:: 0.2
-        Use the ``falsify`` task of :mod:`repro.api` instead; this shim
-        delegates unchanged.
     """
-    warnings.warn(
-        "falsify_reachability is deprecated; submit a 'falsify' spec "
-        "through the unified repro.api facade (repro.run / Engine.run) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _falsify_reachability_impl(automaton, spec, param_ranges, options)
-
-
-def _falsify_reachability_impl(
-    automaton: HybridAutomaton,
-    spec: ReachSpec,
-    param_ranges: Mapping[str, tuple[float, float]] | None = None,
-    options: BMCOptions | None = None,
-) -> FalsificationVerdict:
     res = BMCChecker(automaton, options)._check_impl(spec, param_ranges)
     if res.status is BMCStatus.UNSAT:
         return FalsificationVerdict(
@@ -166,15 +118,15 @@ def _falsify_reachability_impl(
     )
 
 
-def falsify_ascent(
+def _falsify_ascent_impl(
     system: ODESystem,
     variable: str,
     from_level: float,
     to_level: float,
     state_bounds: Mapping[str, tuple[float, float]],
     param_ranges: Mapping[str, tuple[float, float]] | None = None,
-    delta: float = 1e-4,
-    max_boxes: int = 200_000,
+    *,
+    solver: DeltaSolver,
 ) -> FalsificationVerdict:
     """Barrier falsification: can ``variable`` ever climb from
     ``from_level`` to ``to_level``?
@@ -198,33 +150,7 @@ def falsify_ascent(
     ascent is (delta-)possible.
 
     ``to_level < from_level`` checks the symmetric descent barrier.
-
-    .. deprecated:: 0.2
-        Use the ``falsify`` task of :mod:`repro.api` instead; this shim
-        delegates unchanged.
     """
-    warnings.warn(
-        "falsify_ascent is deprecated; submit a 'falsify' spec through "
-        "the unified repro.api facade (repro.run / Engine.run) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _falsify_ascent_impl(
-        system, variable, from_level, to_level, state_bounds, param_ranges,
-        solver=DeltaSolver(delta=delta, max_boxes=max_boxes),
-    )
-
-
-def _falsify_ascent_impl(
-    system: ODESystem,
-    variable: str,
-    from_level: float,
-    to_level: float,
-    state_bounds: Mapping[str, tuple[float, float]],
-    param_ranges: Mapping[str, tuple[float, float]] | None = None,
-    *,
-    solver: DeltaSolver,
-) -> FalsificationVerdict:
     if variable not in system.state_names:
         raise ValueError(f"unknown state variable {variable!r}")
     unknown = set(param_ranges or {}) - set(system.params)

@@ -15,7 +15,6 @@ hypotheses" signal of the figure).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -55,10 +54,12 @@ class PipelineReport:
 
     @property
     def validated(self) -> bool:
+        """True when the calibrated model also fits the test data."""
         return self.stage is PipelineStage.VALIDATED
 
     @property
     def falsified(self) -> bool:
+        """True when no parameters reproduce the training data."""
         return self.stage is PipelineStage.FALSIFIED
 
 
@@ -103,23 +104,8 @@ class AnalysisPipeline:
         self.seed = seed
 
     # ------------------------------------------------------------------
-    def run(self, smc_samples_epsilon: float = 0.1) -> PipelineReport:
-        """Execute calibrate -> validate -> (analyze | SMC-refine).
-
-        .. deprecated:: 0.2
-            Use the ``pipeline`` task of :mod:`repro.api` instead; this
-            shim delegates unchanged.
-        """
-        warnings.warn(
-            "AnalysisPipeline.run is deprecated; submit a 'pipeline' spec "
-            "through the unified repro.api facade (repro.run / Engine.run) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_impl(smc_samples_epsilon)
-
     def _run_impl(self, smc_samples_epsilon: float = 0.1) -> PipelineReport:
+        """Execute calibrate -> validate -> (analyze | SMC-refine)."""
         _progress("pipeline", "calibrate", step=1)
         calib = SMTCalibrator(
             self.system, self.train_data, self.param_ranges, self.x0,

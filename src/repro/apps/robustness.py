@@ -7,7 +7,7 @@ successfully triggered by a small range of stimulation.  An unsat
 answer returned by dReach will guarantee that the model is robust to
 the corresponding stimulation amplitude."
 
-:func:`check_robustness` decides whether a *bad* region is reachable
+:func:`_check_robustness_impl` decides whether a *bad* region is reachable
 from a whole box of disturbed initial conditions; UNSAT proves
 robustness.  :func:`stimulus_threshold` brackets the excitability
 threshold by bisection between a proven-robust amplitude and a
@@ -16,7 +16,6 @@ proven-excitable one.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -25,7 +24,7 @@ from repro.hybrid import HybridAutomaton
 from repro.intervals import Box
 from repro.logic import Formula
 
-__all__ = ["RobustnessResult", "check_robustness", "stimulus_threshold"]
+__all__ = ["RobustnessResult", "stimulus_threshold"]
 
 
 @dataclass
@@ -46,7 +45,7 @@ class RobustnessResult:
         return self.robust is True
 
 
-def check_robustness(
+def _check_robustness_impl(
     automaton: HybridAutomaton,
     disturbance: Box | Mapping[str, tuple[float, float]],
     bad: Formula,
@@ -60,32 +59,7 @@ def check_robustness(
     The disturbance box overrides the automaton's initial set for the
     named dimensions (e.g. the stimulated voltage range); unnamed state
     variables keep their default initial intervals.
-
-    .. deprecated:: 0.2
-        Use the ``robustness`` task of :mod:`repro.api` instead; this
-        shim delegates unchanged.
     """
-    warnings.warn(
-        "check_robustness is deprecated; submit a 'robustness' spec "
-        "through the unified repro.api facade (repro.run / Engine.run) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _check_robustness_impl(
-        automaton, disturbance, bad,
-        time_bound=time_bound, max_jumps=max_jumps, options=options,
-    )
-
-
-def _check_robustness_impl(
-    automaton: HybridAutomaton,
-    disturbance: Box | Mapping[str, tuple[float, float]],
-    bad: Formula,
-    time_bound: float = 50.0,
-    max_jumps: int = 2,
-    options: BMCOptions | None = None,
-) -> RobustnessResult:
     dist_box = disturbance if isinstance(disturbance, Box) else Box.from_bounds(dict(disturbance))
     init = automaton.initial_box().merged(dist_box)
     spec = ReachSpec(goal=bad, max_jumps=max_jumps, time_bound=time_bound)

@@ -5,11 +5,11 @@ into a parameter synthesis problem for hybrid automata."
 
 Two synthesis routes:
 
-* :func:`synthesize_reach_therapy` -- the BMC route for the TBI model:
+* :func:`_synthesize_reach_therapy_impl` -- the BMC route for the TBI model:
   enumerate mode paths shortest-first (minimizing the number of drugs,
   as the paper asks, "to avoid potential side effects") and synthesize
   decision thresholds such that the automaton reaches the recovery goal.
-* :func:`synthesize_threshold_policy` -- the SMC route for safety-style
+* :func:`_synthesize_threshold_policy_impl` -- the SMC route for safety-style
   objectives (e.g. the IAS model's "CRPC burden stays below a bound for
   the whole horizon"): cross-entropy search over thresholds scored by
   BLTL robustness, followed by a Monte-Carlo confirmation.
@@ -17,7 +17,6 @@ Two synthesis routes:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -28,9 +27,7 @@ from repro.smc import BLTL, InitialDistribution, cross_entropy_search, monitor, 
 
 __all__ = [
     "TherapyPlan",
-    "synthesize_reach_therapy",
     "PolicyResult",
-    "synthesize_threshold_policy",
     "evaluate_policy",
 ]
 
@@ -53,7 +50,7 @@ class TherapyPlan:
         return self.found
 
 
-def synthesize_reach_therapy(
+def _synthesize_reach_therapy_impl(
     automaton: HybridAutomaton,
     goal: Formula,
     threshold_ranges: Mapping[str, tuple[float, float]],
@@ -70,35 +67,7 @@ def synthesize_reach_therapy(
     minimum number of discrete treatment decisions able to reach the
     goal (paper: "we also aim to minimize the number of drugs used").
     Paths passing through ``forbidden_modes`` are skipped.
-
-    .. deprecated:: 0.2
-        Use the ``therapy`` task of :mod:`repro.api` instead; this shim
-        delegates unchanged.
     """
-    warnings.warn(
-        "synthesize_reach_therapy is deprecated; submit a 'therapy' spec "
-        "through the unified repro.api facade (repro.run / Engine.run) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _synthesize_reach_therapy_impl(
-        automaton, goal, threshold_ranges, goal_mode=goal_mode,
-        max_drugs=max_drugs, time_bound=time_bound, options=options,
-        forbidden_modes=forbidden_modes,
-    )
-
-
-def _synthesize_reach_therapy_impl(
-    automaton: HybridAutomaton,
-    goal: Formula,
-    threshold_ranges: Mapping[str, tuple[float, float]],
-    goal_mode: str = "live",
-    max_drugs: int = 3,
-    time_bound: float = 60.0,
-    options: BMCOptions | None = None,
-    forbidden_modes: tuple[str, ...] = ("death",),
-) -> TherapyPlan:
     opts = options or BMCOptions()
     checker = BMCChecker(automaton, opts)
     from repro.bmc import enumerate_paths
@@ -157,38 +126,6 @@ class PolicyResult:
         return self.found
 
 
-def synthesize_threshold_policy(
-    automaton: HybridAutomaton,
-    phi: BLTL,
-    threshold_ranges: Mapping[str, tuple[float, float]],
-    init: InitialDistribution | Mapping,
-    horizon: float,
-    population: int = 24,
-    iterations: int = 12,
-    seed: int = 0,
-    confirm_samples: int = 40,
-) -> PolicyResult:
-    """Cross-entropy search over treatment thresholds maximizing the
-    BLTL robustness of ``phi``; the winner is confirmed by Monte Carlo.
-
-    .. deprecated:: 0.2
-        Use the ``therapy`` task of :mod:`repro.api` instead; this shim
-        delegates unchanged.
-    """
-    warnings.warn(
-        "synthesize_threshold_policy is deprecated; submit a 'therapy' "
-        "spec through the unified repro.api facade (repro.run / "
-        "Engine.run) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _synthesize_threshold_policy_impl(
-        automaton, phi, threshold_ranges, init, horizon,
-        population=population, iterations=iterations, seed=seed,
-        confirm_samples=confirm_samples,
-    )
-
-
 def _synthesize_threshold_policy_impl(
     automaton: HybridAutomaton,
     phi: BLTL,
@@ -201,6 +138,9 @@ def _synthesize_threshold_policy_impl(
     confirm_samples: int = 40,
     rtol: float = 1e-6,
 ) -> PolicyResult:
+    """Cross-entropy search over treatment thresholds maximizing the
+    BLTL robustness of ``phi``; the winner is confirmed by Monte Carlo.
+    """
     objective = smc_objective(
         automaton, phi, init, horizon, n_samples=3, seed=seed, rtol=rtol
     )

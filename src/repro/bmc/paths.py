@@ -40,6 +40,7 @@ class Path:
 
     @property
     def final_mode(self) -> str:
+        """The mode the path ends in."""
         return self.modes[-1]
 
     def __len__(self) -> int:

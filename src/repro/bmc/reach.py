@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import enum
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -48,6 +47,8 @@ __all__ = ["ReachSpec", "BMCOptions", "BMCStatus", "BMCResult", "BMCChecker"]
 
 
 class BMCStatus(enum.Enum):
+    """Verdict of a bounded reachability query."""
+
     DELTA_SAT = "delta-sat"
     UNSAT = "unsat"
     UNKNOWN = "unknown"
@@ -112,6 +113,7 @@ class BMCResult:
         return self.status is BMCStatus.DELTA_SAT
 
     def mode_path(self) -> list[str] | None:
+        """Mode names along the witness path, or None without a witness."""
         return self.path.modes if self.path is not None else None
 
     def __repr__(self) -> str:
@@ -134,10 +136,11 @@ def _dwell_name(i: int) -> str:
 class BMCChecker:
     """Bounded model checker / parameter synthesizer for hybrid automata.
 
-    Typical use::
+    The ``reach``, ``robustness`` and ``therapy`` tasks of
+    :mod:`repro.api` drive it; in-process use::
 
         checker = BMCChecker(automaton, options)
-        result = checker.check(spec, param_ranges={"k1": (0.0, 2.0)})
+        result = checker._check_impl(spec, param_ranges={"k1": (0.0, 2.0)})
         if result:                      # delta-sat
             print(result.witness_params, result.mode_path())
     """
@@ -156,9 +159,9 @@ class BMCChecker:
         return env
 
     # ------------------------------------------------------------------
-    # Public API
+    # Entry point
     # ------------------------------------------------------------------
-    def check(
+    def _check_impl(
         self,
         spec: ReachSpec,
         param_ranges: Mapping[str, tuple[float, float]] | None = None,
@@ -169,26 +172,7 @@ class BMCChecker:
 
         Returns delta-sat with a witness (parameters, initial state,
         dwell schedule, path), unsat, or unknown on budget exhaustion.
-
-        .. deprecated:: 0.2
-            Direct calls are deprecated in favor of the unified facade
-            (the ``reach`` task of ``repro.api``); this shim delegates
-            unchanged.
         """
-        warnings.warn(
-            "BMCChecker.check is deprecated; submit a 'reach' spec through "
-            "the unified repro.api facade (repro.run / Engine.run) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._check_impl(spec, param_ranges, init_box)
-
-    def _check_impl(
-        self,
-        spec: ReachSpec,
-        param_ranges: Mapping[str, tuple[float, float]] | None = None,
-        init_box: Box | None = None,
-    ) -> BMCResult:
         t0 = time.perf_counter()
         param_ranges = dict(param_ranges or {})
         unknown = set(param_ranges) - set(self.automaton.params)

@@ -180,6 +180,8 @@ def flow_enclosure(
         ``"lognorm"`` (default, contractive-friendly) or ``"taylor"``
         (see module docstring).
     """
+    if not max_step > 0:  # also rejects NaN; zero would never advance t
+        raise ValueError("max_step must be positive")
     if not isinstance(x0, Box):
         x0 = Box.from_bounds(dict(x0))
     names = system.state_names

@@ -11,8 +11,8 @@ CEGIS exists-forall solver used for Lyapunov synthesis (Section IV-C).
 """
 
 from .contractor import contract_formula, fixpoint_contract, hc4_revise
-from .eval3 import Certainty, certainly_delta_sat, eval_formula
-from .icp import DeltaSolver, Result, SolverStats, Status, solve
+from .eval3 import Certainty
+from .icp import DeltaSolver, Result, SolverStats, Status
 from .exists_forall import EFResult, ExistsForallSolver
 from .shard import ShardPlan, pave_sharded, solve_sharded, split_into_shards
 from .tape import CompiledFormula, ExprTape, compile_formula, judge_batch
@@ -22,8 +22,6 @@ __all__ = [
     "contract_formula",
     "fixpoint_contract",
     "Certainty",
-    "eval_formula",
-    "certainly_delta_sat",
     "CompiledFormula",
     "ExprTape",
     "compile_formula",
@@ -32,7 +30,6 @@ __all__ = [
     "Result",
     "SolverStats",
     "Status",
-    "solve",
     "EFResult",
     "ExistsForallSolver",
     "ShardPlan",

@@ -15,7 +15,6 @@ delta-satisfiability (paper Theorem 1's delta-sat case).
 from __future__ import annotations
 
 import enum
-import warnings
 
 from repro.intervals import Box, Interval
 from repro.logic import (
@@ -29,7 +28,7 @@ from repro.logic import (
     TrueFormula,
 )
 
-__all__ = ["Certainty", "eval_formula", "certainly_delta_sat"]
+__all__ = ["Certainty"]
 
 
 class Certainty(enum.Enum):
@@ -38,39 +37,6 @@ class Certainty(enum.Enum):
     CERTAIN_FALSE = -1
     UNKNOWN = 0
     CERTAIN_TRUE = 1
-
-
-def eval_formula(phi: Formula, box: Box, delta: float = 0.0) -> Certainty:
-    """Three-valued judgment of ``phi^delta`` over ``box``.
-
-    .. deprecated:: 0.3
-        The scalar AST walk is deprecated; this shim compiles the
-        formula to a flat tape (:mod:`repro.solver.tape`) and judges a
-        batch of one box.  Batch callers should compile once with
-        :func:`repro.solver.tape.compile_formula` and judge whole
-        :class:`~repro.intervals.BoxArray` frontiers.
-    """
-    warnings.warn(
-        "eval_formula is deprecated; submit boxes in batches through "
-        "repro.solver.tape.compile_formula(...).judge(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.intervals import BoxArray
-
-    from .tape import compile_formula
-
-    verdict = compile_formula(phi).judge(BoxArray.from_box(box), delta)
-    return Certainty(int(verdict[0]))
-
-
-def certainly_delta_sat(phi: Formula, box: Box, delta: float) -> bool:
-    """True when every point of ``box`` satisfies ``phi^delta``.
-
-    This is the verification step of the delta-sat answer: the returned
-    witness box then consists entirely of delta-solutions.
-    """
-    return _certainly_delta_sat_impl(phi, box, delta)
 
 
 def _eval_atom(atom: Atom, box: Box, delta: float) -> Certainty:
@@ -96,9 +62,10 @@ def _eval_formula_impl(phi: Formula, box: Box, delta: float = 0.0) -> Certainty:
     """Scalar three-valued judgment of ``phi^delta`` over ``box``.
 
     Kept as the single-box AST reference: the BMC layer's per-box guard
-    checks use it, and ``tests/test_tape_frontier.py`` compares the
-    tape's judgments against it row by row.  The public
-    :func:`eval_formula` shim routes through the tape.
+    checks use it, and the tape tests compare the tape's judgments
+    against it.  Batch callers compile once with
+    :func:`repro.solver.tape.compile_formula` and judge whole
+    :class:`~repro.intervals.BoxArray` frontiers instead.
 
     ``delta=0`` judges the formula itself.  Quantified subformulas are
     judged by extending the box with the quantifier's full domain
@@ -157,7 +124,3 @@ def _eval_formula_impl(phi: Formula, box: Box, delta: float = 0.0) -> Certainty:
         # false-somewhere-is-impossible, i.e. exists is false.
         return c
     raise TypeError(f"cannot evaluate {type(phi).__name__}")
-
-
-def _certainly_delta_sat_impl(phi: Formula, box: Box, delta: float) -> bool:
-    return _eval_formula_impl(phi, box, delta) is Certainty.CERTAIN_TRUE

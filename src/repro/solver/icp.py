@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -49,7 +48,7 @@ from .incremental import (
 )
 from .shard import _resolve_plan, box_sort_key, pave_sharded, solve_sharded
 
-__all__ = ["Status", "Result", "SolverStats", "DeltaSolver", "solve"]
+__all__ = ["Status", "Result", "SolverStats", "DeltaSolver"]
 
 
 class Status(enum.Enum):
@@ -243,22 +242,6 @@ class DeltaSolver:
         finally:
             plan.shutdown()
 
-    def solve(self, phi: Formula, box: Box) -> Result:
-        """Decide ``exists box. phi`` in the delta-relaxed sense.
-
-        .. deprecated:: 0.2
-            Direct calls are deprecated in favor of the unified facade
-            (``repro.api.Engine`` / ``repro.run``); this shim delegates
-            unchanged.
-        """
-        warnings.warn(
-            "DeltaSolver.solve is deprecated; submit specs through the "
-            "unified repro.api facade (repro.run / Engine.run) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._solve_impl(phi, box)
-
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
@@ -268,6 +251,7 @@ class DeltaSolver:
         return get_store(self.paving_store)
 
     def _solve_impl(self, phi: Formula, box: Box) -> Result:
+        """Decide ``exists box. phi`` in the delta-relaxed sense."""
         phi, box = _hoist_existentials(phi, box)
         missing = phi.variables() - set(box.names)
         if missing:
@@ -392,18 +376,3 @@ def _sorted_paving(
         sorted(unsat, key=box_sort_key),
         sorted(undecided, key=box_sort_key),
     )
-
-
-def solve(phi: Formula, box: Box, delta: float = 1e-3, **kwargs) -> Result:
-    """Convenience wrapper: ``DeltaSolver(delta, **kwargs).solve(phi, box)``.
-
-    .. deprecated:: 0.2
-        Use the unified facade (``repro.run`` / ``Engine.run``) instead.
-    """
-    warnings.warn(
-        "repro.solver.solve is deprecated; submit specs through the "
-        "unified repro.api facade (repro.run / Engine.run) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return DeltaSolver(delta=delta, **kwargs)._solve_impl(phi, box)

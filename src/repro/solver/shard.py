@@ -449,7 +449,7 @@ def _rebalance(queues: list[_ShardQueue]) -> int:
 def solve_sharded(phi: Formula, box: Box, solver: DeltaSolver, recorder=None):
     """Decide ``exists box . phi`` over ``solver.shards`` paving shards.
 
-    Same verdict contract as :meth:`DeltaSolver.solve`, whose search
+    Same verdict contract as :meth:`DeltaSolver._solve_impl`, whose search
     knobs (``delta``, ``max_boxes``, ``contract_tol``, ``min_width``,
     ``frontier_size``, ``shards``, ``shard_backend``, ``shard_workers``,
     ``anytime``) it reads; the run is a pure function of the arguments

@@ -584,7 +584,8 @@ class CompiledFormula:
     def judge(self, boxes: BoxArray, delta: float = 0.0) -> np.ndarray:
         """Row-wise three-valued judgment of ``phi^delta``: an ``int8``
         array of ``-1`` (certainly false) / ``0`` / ``+1`` (certainly
-        true), matching :func:`repro.solver.eval3.eval_formula`."""
+        true), matching the scalar reference
+        ``repro.solver.eval3._eval_formula_impl``."""
         return self.root.judge(boxes, delta)
 
     def contract(self, boxes: BoxArray) -> BoxArray:

@@ -74,6 +74,14 @@ class TestTaskSpecRoundTrip:
         # the serve/CLI door builds options through from_dict: same message
         with pytest.raises(ValueError, match="frontier_size must be >= 1"):
             SolverOptions.from_dict({"frontier_size": 0})
+        # a non-positive (or NaN) step would never advance the enclosure
+        for step in (0.0, -0.05, float("nan")):
+            with pytest.raises(ValueError, match="enclosure_step must be > 0"):
+                SolverOptions(enclosure_step=step)
+            with pytest.raises(ValueError, match="verify_step must be > 0"):
+                SolverOptions(verify_step=step)
+        with pytest.raises(ValueError, match="enclosure_step must be > 0"):
+            SolverOptions.from_dict({"enclosure_step": 0})
 
     def test_missing_fields_rejected(self):
         with pytest.raises(ValueError, match="task"):

@@ -9,8 +9,8 @@ from repro.apps import (
     Checkpoint,
     SMTCalibrator,
     TimeSeriesData,
-    falsify_with_data,
 )
+from repro.apps.falsification import _falsify_with_data_impl
 from repro.expr import var
 from repro.intervals import Box
 from repro.models import logistic
@@ -60,7 +60,7 @@ class TestCalibration:
             decay_system(), decay_data(k_true=1.5), {"k": (0.1, 3.0)},
             {"x": 1.0}, delta=0.02,
         )
-        res = calib.calibrate()
+        res = calib._calibrate_impl()
         assert res.status is CalibrationStatus.DELTA_SAT
         assert res.params["k"] == pytest.approx(1.5, abs=0.1)
 
@@ -69,7 +69,7 @@ class TestCalibration:
         calib = SMTCalibrator(
             decay_system(), data, {"k": (0.1, 3.0)}, {"x": 1.0}, delta=0.01
         )
-        res = calib.calibrate()
+        res = calib._calibrate_impl()
         assert res
         traj = rk45(decay_system(), {"x": 1.0}, (0.0, 2.0), params=res.params)
         for cp in data.checkpoints:
@@ -87,7 +87,7 @@ class TestCalibration:
             decay_system(), data, {"k": (0.01, 5.0)}, {"x": 1.0},
             delta=0.01, max_boxes=800,
         )
-        res = calib.calibrate()
+        res = calib._calibrate_impl()
         assert res.status is CalibrationStatus.UNSAT
 
     def test_logistic_two_parameters(self):
@@ -100,7 +100,7 @@ class TestCalibration:
             sys_, data, {"r": (0.2, 2.0), "K": (4.0, 12.0)}, {"x": 0.5},
             delta=0.05, enclosure_step=0.1,
         )
-        res = calib.calibrate()
+        res = calib._calibrate_impl()
         assert res.status is CalibrationStatus.DELTA_SAT
         assert res.params["K"] == pytest.approx(8.0, abs=0.8)
 
@@ -110,7 +110,7 @@ class TestCalibration:
             decay_system(), data, {"k": (0.5, 2.0)},
             Box.from_bounds({"x": (0.99, 1.01)}), delta=0.05,
         )
-        res = calib.calibrate()
+        res = calib._calibrate_impl()
         assert res.status is CalibrationStatus.DELTA_SAT
 
     def test_unknown_param_rejected(self):
@@ -159,7 +159,7 @@ class TestPaving:
 
 class TestFalsification:
     def test_consistent_model_survives(self):
-        verdict = falsify_with_data(
+        verdict = _falsify_with_data_impl(
             decay_system(), decay_data(k_true=1.0), {"k": (0.5, 2.0)}, {"x": 1.0}
         )
         assert not verdict.rejected
@@ -169,7 +169,7 @@ class TestFalsification:
     def test_inconsistent_model_rejected(self):
         # ask decay model to *grow*: x(1) = 2.0 from x(0) = 1 with k > 0
         data = TimeSeriesData.from_samples([(1.0, {"x": 2.0})], tolerance=0.1)
-        verdict = falsify_with_data(
+        verdict = _falsify_with_data_impl(
             decay_system(), data, {"k": (0.01, 5.0)}, {"x": 1.0}, max_boxes=400
         )
         assert verdict.rejected

@@ -5,11 +5,13 @@ import pytest
 from repro.apps import (
     AnalysisPipeline,
     TimeSeriesData,
-    check_robustness,
     evaluate_policy,
     stimulus_threshold,
-    synthesize_reach_therapy,
-    synthesize_threshold_policy,
+)
+from repro.apps.robustness import _check_robustness_impl
+from repro.apps.therapy import (
+    _synthesize_reach_therapy_impl,
+    _synthesize_threshold_policy_impl,
 )
 from repro.bmc import BMCOptions
 from repro.expr import var
@@ -53,7 +55,7 @@ def small_therapy_automaton() -> HybridAutomaton:
 class TestReachTherapy:
     def test_mini_therapy_synthesized(self):
         h = small_therapy_automaton()
-        plan = synthesize_reach_therapy(
+        plan = _synthesize_reach_therapy_impl(
             h,
             goal=in_range(x, 0.0, 0.25),
             threshold_ranges={"theta": (0.6, 1.9)},
@@ -72,7 +74,7 @@ class TestReachTherapy:
         # theta >= 2.0 can never fire before death at x = 2.0 kills first;
         # restrict the range to a region where the guard x >= theta fires
         # after the death guard -> no live recovery
-        plan = synthesize_reach_therapy(
+        plan = _synthesize_reach_therapy_impl(
             h,
             goal=in_range(x, 0.0, 0.25),
             threshold_ranges={"theta": (2.5, 3.0)},
@@ -90,7 +92,7 @@ class TestReachTherapy:
             var("clox") <= 0.9, var("rip3") <= 0.9, var("peox") <= 0.9,
             var("il") <= 0.9, var("nad") >= 0.25,
         )
-        plan = synthesize_reach_therapy(
+        plan = _synthesize_reach_therapy_impl(
             h,
             goal=goal,
             threshold_ranges={"theta_A": (0.2, 0.8)},
@@ -111,7 +113,7 @@ class TestThresholdPolicy:
         h = ias_model("patient_A")
         # objective: keep total burden below 40 for 500 days
         phi = G(500.0, (var("x") + var("y")) <= 40.0)
-        res = synthesize_threshold_policy(
+        res = _synthesize_threshold_policy_impl(
             h,
             phi,
             {"r0": (1.0, 8.0), "r1": (8.5, 20.0)},
@@ -152,7 +154,7 @@ class TestRobustnessApp:
         )
 
     def test_subthreshold_robust(self, excitable):
-        res = check_robustness(
+        res = _check_robustness_impl(
             excitable, {"u": (0.0, 0.1)}, bad=(var("u") >= 0.8),
             time_bound=10.0, max_jumps=2,
             options=BMCOptions(enclosure_step=0.2, max_boxes_per_path=60),
@@ -164,7 +166,7 @@ class TestRobustnessApp:
             excitable.variables, excitable.modes, excitable.jumps, "fire",
             Box.from_bounds({"u": (0.25, 0.35)}), name="excitable_hi",
         )
-        res = check_robustness(
+        res = _check_robustness_impl(
             h2, {"u": (0.25, 0.35)}, bad=(var("u") >= 0.8),
             time_bound=10.0, max_jumps=2,
             options=BMCOptions(enclosure_step=0.1, max_boxes_per_path=60,
@@ -196,7 +198,7 @@ class TestPipeline:
         test = self._make_data(1.3, (1.5, 2.0), 0.05)
         report = AnalysisPipeline(
             sys_, train, test, {"k": (0.5, 2.5)}, {"x": 1.0}, delta=0.03
-        ).run()
+        )._run_impl()
         assert report.validated
         assert report.calibrated_params["k"] == pytest.approx(1.3, abs=0.1)
 
@@ -209,7 +211,7 @@ class TestPipeline:
         report = AnalysisPipeline(
             sys_, train, train, {"k": (0.05, 3.0)}, {"x": 1.0},
             delta=0.02, max_boxes=600,
-        ).run()
+        )._run_impl()
         assert report.falsified
 
     def test_refine_path_with_smc(self):
@@ -223,7 +225,7 @@ class TestPipeline:
         )
         report = AnalysisPipeline(
             sys_, train, test, {"k": (0.8, 1.2)}, {"x": 1.0}, delta=0.05
-        ).run(smc_samples_epsilon=0.25)
+        )._run_impl(smc_samples_epsilon=0.25)
         assert report.stage == "refine"
         assert report.validation_errors
         assert report.smc_probability is not None

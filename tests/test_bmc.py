@@ -92,7 +92,7 @@ class TestSingleModeReachability:
     def test_reachable_level(self):
         h = decay_automaton()
         spec = ReachSpec(goal=in_range(x, 0.35, 0.40), max_jumps=0, time_bound=3.0)
-        res = BMCChecker(h).check(spec)
+        res = BMCChecker(h)._check_impl(spec)
         assert res.status is BMCStatus.DELTA_SAT
         # decay reaches 0.375 at t = ln(1/0.375) ~ 0.98
         assert res.witness_dwells[0] == pytest.approx(math.log(1 / 0.375), abs=0.1)
@@ -101,14 +101,14 @@ class TestSingleModeReachability:
         h = decay_automaton()
         # x only decays from 1; it can never exceed 1.5
         spec = ReachSpec(goal=(x >= 1.5), max_jumps=0, time_bound=2.0)
-        res = BMCChecker(h).check(spec)
+        res = BMCChecker(h)._check_impl(spec)
         assert res.status is BMCStatus.UNSAT
 
     def test_unreachable_within_time_bound(self):
         h = decay_automaton()
         # x(t) = e^-t >= 0.1 requires t ~ 2.3 > bound 1.0
         spec = ReachSpec(goal=(0.05 - x >= 0), max_jumps=0, time_bound=1.0)
-        res = BMCChecker(h).check(spec)
+        res = BMCChecker(h)._check_impl(spec)
         assert res.status is BMCStatus.UNSAT
 
     def test_parameter_synthesis(self):
@@ -121,7 +121,7 @@ class TestSingleModeReachability:
         )
         # simpler: x in [0.19, 0.21] reachable within t <= 1 requires k >= ln(1/0.21)
         spec = ReachSpec(goal=in_range(x, 0.19, 0.21), max_jumps=0, time_bound=1.0)
-        res = BMCChecker(h).check(spec, param_ranges={"k": (0.1, 3.0)})
+        res = BMCChecker(h)._check_impl(spec, param_ranges={"k": (0.1, 3.0)})
         assert res.status is BMCStatus.DELTA_SAT
         k = res.witness_params["k"]
         assert k >= math.log(1 / 0.21) - 0.1
@@ -131,13 +131,13 @@ class TestSingleModeReachability:
         # k in [0.1, 0.5]: x(t) >= e^{-0.5 * 1} ~ 0.606 for t <= 1;
         # asking for x <= 0.3 within 1 time unit is infeasible
         spec = ReachSpec(goal=(0.3 - x >= 0), max_jumps=0, time_bound=1.0)
-        res = BMCChecker(h).check(spec, param_ranges={"k": (0.1, 0.5)})
+        res = BMCChecker(h)._check_impl(spec, param_ranges={"k": (0.1, 0.5)})
         assert res.status is BMCStatus.UNSAT
 
     def test_unknown_param_rejected(self):
         h = decay_automaton()
         with pytest.raises(ValueError):
-            BMCChecker(h).check(
+            BMCChecker(h)._check_impl(
                 ReachSpec(goal=(x >= 0), max_jumps=0), param_ranges={"zz": (0, 1)}
             )
 
@@ -147,7 +147,7 @@ class TestMultiModeReachability:
         h = two_mode_switch()
         # after switching at x=0.5, growth can reach 0.8 again
         spec = ReachSpec(goal=(x >= 0.8), goal_mode="b", max_jumps=1, time_bound=3.0)
-        res = BMCChecker(h).check(spec)
+        res = BMCChecker(h)._check_impl(spec)
         assert res.status is BMCStatus.DELTA_SAT
         assert res.mode_path() == ["a", "b"]
         # dwell in mode a until x = 0.5: t = ln 2
@@ -157,7 +157,7 @@ class TestMultiModeReachability:
         h = two_mode_switch()
         # in mode a alone, x never grows above 1
         spec = ReachSpec(goal=(x >= 1.2), goal_mode="a", max_jumps=0, time_bound=3.0)
-        res = BMCChecker(h).check(spec)
+        res = BMCChecker(h)._check_impl(spec)
         assert res.status is BMCStatus.UNSAT
 
     def test_guard_blocks_path(self):
@@ -170,7 +170,7 @@ class TestMultiModeReachability:
             Box.from_bounds({"x": (1.0, 1.0)}),
         )
         spec = ReachSpec(goal=(x >= 0.0), goal_mode="b", max_jumps=1, time_bound=3.0)
-        res = BMCChecker(h).check(spec)
+        res = BMCChecker(h)._check_impl(spec)
         assert res.status is BMCStatus.UNSAT
 
     def test_reset_applied(self):
@@ -182,7 +182,7 @@ class TestMultiModeReachability:
             Box.from_bounds({"x": (1.0, 1.0)}),
         )
         spec = ReachSpec(goal=(x >= 10.0), goal_mode="b", max_jumps=1, time_bound=3.0)
-        res = BMCChecker(h).check(spec)
+        res = BMCChecker(h)._check_impl(spec)
         assert res.status is BMCStatus.DELTA_SAT
 
     def test_invariant_prunes(self):
@@ -198,7 +198,7 @@ class TestMultiModeReachability:
             Box.from_bounds({"x": (1.0, 1.0)}),
         )
         spec = ReachSpec(goal=(x >= 0.0), goal_mode="b", max_jumps=1, time_bound=3.0)
-        res = BMCChecker(h).check(spec)
+        res = BMCChecker(h)._check_impl(spec)
         assert res.status is BMCStatus.UNSAT
 
     def test_min_dwell_excludes_instant_jump(self):
@@ -211,7 +211,7 @@ class TestMultiModeReachability:
         )
         spec = ReachSpec(goal=(x >= 0.9), goal_mode="b", max_jumps=1,
                          time_bound=2.0, min_dwell=0.0)
-        res = BMCChecker(h).check(spec)
+        res = BMCChecker(h)._check_impl(spec)
         assert res.status is BMCStatus.DELTA_SAT
 
 
@@ -226,14 +226,14 @@ class TestInitialStateSearch:
         )
         # only initial states >= ~1.8 reach x >= 1.8 (at t=0)
         spec = ReachSpec(goal=(x >= 1.8), max_jumps=0, time_bound=1.0)
-        res = BMCChecker(h).check(spec)
+        res = BMCChecker(h)._check_impl(spec)
         assert res.status is BMCStatus.DELTA_SAT
         assert res.witness_x0["x"] >= 1.7
 
     def test_custom_init_box_overrides(self):
         h = decay_automaton()
         spec = ReachSpec(goal=(x >= 4.5), max_jumps=0, time_bound=1.0)
-        res = BMCChecker(h).check(spec, init_box=Box.from_bounds({"x": (4.0, 5.0)}))
+        res = BMCChecker(h)._check_impl(spec, init_box=Box.from_bounds({"x": (4.0, 5.0)}))
         assert res.status is BMCStatus.DELTA_SAT
 
 
@@ -242,7 +242,7 @@ class TestOptions:
         h = decay_automaton()
         spec = ReachSpec(goal=in_range(x, 0.3, 0.5), max_jumps=0, time_bound=3.0)
         opt = BMCOptions(use_simulation_guidance=False, max_boxes_per_path=2000)
-        res = BMCChecker(h, opt).check(spec)
+        res = BMCChecker(h, opt)._check_impl(spec)
         assert res.status is BMCStatus.DELTA_SAT
 
     def test_budget_exhaustion_unknown(self):
@@ -251,5 +251,5 @@ class TestOptions:
         opt = BMCOptions(
             use_simulation_guidance=False, max_boxes_per_path=2, delta=1e-6,
         )
-        res = BMCChecker(h, opt).check(spec)
+        res = BMCChecker(h, opt)._check_impl(spec)
         assert res.status in (BMCStatus.UNKNOWN, BMCStatus.DELTA_SAT)

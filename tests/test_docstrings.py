@@ -1,5 +1,6 @@
-"""Docstring coverage of the public surface (repro.api, repro.lyapunov,
-repro.monitor, repro.scenarios, repro.solver, repro.tools).
+"""Docstring coverage of the public surface (repro.api, repro.apps,
+repro.bmc, repro.lyapunov, repro.monitor, repro.scenarios, repro.solver,
+repro.tools).
 
 Mirrors the ruff pydocstyle D1 rules enabled in pyproject.toml
 (D100-D104, D106) so the check also runs where ruff is not installed:
@@ -16,8 +17,8 @@ import repro
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 PACKAGES = (
-    SRC / "api", SRC / "lyapunov", SRC / "monitor", SRC / "scenarios",
-    SRC / "solver", SRC / "tools",
+    SRC / "api", SRC / "apps", SRC / "bmc", SRC / "lyapunov", SRC / "monitor",
+    SRC / "scenarios", SRC / "solver", SRC / "tools",
 )
 
 

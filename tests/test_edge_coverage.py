@@ -8,38 +8,58 @@ import pytest
 
 from repro.expr import var, variables
 from repro.hybrid import HybridAutomaton, Jump, Mode, simulate_hybrid
-from repro.intervals import Box, Interval
+from repro.intervals import Box, BoxArray, Interval
 from repro.logic import Exists, Forall
 from repro.odes import ODESystem, flow_enclosure
-from repro.solver import Certainty, eval_formula
+from repro.solver import Certainty, compile_formula
+from repro.solver.eval3 import _eval_formula_impl
 
 x, y = variables("x y")
 
 
+def tape_judge(phi, b: Box, delta: float = 0.0) -> Certainty:
+    """The one-box tape judgment of ``phi^delta`` over ``b``."""
+    return Certainty(int(compile_formula(phi).judge(BoxArray.from_box(b), delta)[0]))
+
+
 class TestQuantifierJudgments:
-    def test_exists_true_everywhere_is_true(self):
+    """Quantifier judgments on the tape kernel."""
+
+    @pytest.fixture
+    def judge(self):
+        return tape_judge
+
+    def test_exists_true_everywhere_is_true(self, judge):
         phi = Exists("y", 0, 1, x + y >= 0)
-        assert eval_formula(phi, Box.from_bounds({"x": (5, 6)})) is Certainty.CERTAIN_TRUE
+        assert judge(phi, Box.from_bounds({"x": (5, 6)})) is Certainty.CERTAIN_TRUE
 
-    def test_exists_false_everywhere_is_false(self):
+    def test_exists_false_everywhere_is_false(self, judge):
         phi = Exists("y", 0, 1, x + y >= 100)
-        assert eval_formula(phi, Box.from_bounds({"x": (0, 1)})) is Certainty.CERTAIN_FALSE
+        assert judge(phi, Box.from_bounds({"x": (0, 1)})) is Certainty.CERTAIN_FALSE
 
-    def test_empty_domain_semantics(self):
+    def test_empty_domain_semantics(self, judge):
         # forall over empty domain: vacuously true; exists: false
         f_all = Forall("y", 1, 0, x >= 100)
         f_ex = Exists("y", 1, 0, x >= -100)
         box = Box.from_bounds({"x": (0, 1)})
-        assert eval_formula(f_all, box) is Certainty.CERTAIN_TRUE
-        assert eval_formula(f_ex, box) is Certainty.CERTAIN_FALSE
+        assert judge(f_all, box) is Certainty.CERTAIN_TRUE
+        assert judge(f_ex, box) is Certainty.CERTAIN_FALSE
 
-    def test_unknown_propagates(self):
+    def test_unknown_propagates(self, judge):
         phi = Forall("y", 0, 1, x - y >= 0)
-        assert eval_formula(phi, Box.from_bounds({"x": (0.5, 1.5)})) is Certainty.UNKNOWN
+        assert judge(phi, Box.from_bounds({"x": (0.5, 1.5)})) is Certainty.UNKNOWN
 
-    def test_nested_quantifiers(self):
+    def test_nested_quantifiers(self, judge):
         inner = Forall("y", 0, 1, x + y >= 0)
-        assert eval_formula(inner, Box.from_bounds({"x": (1, 2)})) is Certainty.CERTAIN_TRUE
+        assert judge(inner, Box.from_bounds({"x": (1, 2)})) is Certainty.CERTAIN_TRUE
+
+
+class TestQuantifierJudgmentsScalar(TestQuantifierJudgments):
+    """The same judgments on the scalar AST walk (the BMC guard path)."""
+
+    @pytest.fixture
+    def judge(self):
+        return _eval_formula_impl
 
 
 class TestEnclosureMethods:
@@ -99,7 +119,7 @@ class TestBMCWitnessReplay:
         )
         spec = ReachSpec(goal=in_range(x, 0.8, 1.2), goal_mode="b",
                          max_jumps=1, time_bound=3.0)
-        res = BMCChecker(h, BMCOptions(enclosure_step=0.1)).check(spec)
+        res = BMCChecker(h, BMCOptions(enclosure_step=0.1))._check_impl(spec)
         assert res
         traj = simulate_hybrid(h, res.witness_x0, t_final=sum(res.witness_dwells) + 0.5)
         assert traj.mode_path() == res.mode_path()

@@ -105,6 +105,14 @@ class TestFailureModes:
             flow_enclosure(sys_, {"x": (5.0, 5.0)}, duration=1.0, max_step=0.05,
                            max_growth=100.0)
 
+    @pytest.mark.parametrize("method", ["lognorm", "taylor"])
+    @pytest.mark.parametrize("step", [0.0, -0.05, float("nan")])
+    def test_non_positive_max_step_rejected(self, decay, method, step):
+        # a zero step never advances t: both loops would spin forever
+        with pytest.raises(ValueError, match="max_step must be positive"):
+            flow_enclosure(decay, {"x": (1.0, 1.0)}, duration=1.0,
+                           max_step=step, method=method)
+
     def test_extra_dimensions_ignored(self, decay):
         tube = flow_enclosure(
             decay, Box.from_bounds({"x": (1.0, 1.0), "unused": (0, 1)}), duration=0.2

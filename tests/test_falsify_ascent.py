@@ -1,10 +1,14 @@
-"""Tests for barrier falsification (falsify_ascent)."""
+"""Tests for barrier falsification (_falsify_ascent_impl)."""
 
 import pytest
 
-from repro.apps import falsify_ascent
+from repro.apps.falsification import _falsify_ascent_impl
 from repro.expr import var
 from repro.odes import ODESystem
+from repro.solver import DeltaSolver
+
+#: the delta and box budget every barrier query here runs with
+SOLVER = DeltaSolver(delta=1e-4, max_boxes=200_000)
 
 x, y = var("x"), var("y")
 
@@ -16,30 +20,30 @@ def decay():
 
 class TestAscentBarrier:
     def test_pure_decay_cannot_ascend(self, decay):
-        v = falsify_ascent(
-            decay, "x", 0.2, 0.5, {"x": (0.0, 1.0)}, {"k": (0.5, 2.0)}
+        v = _falsify_ascent_impl(
+            decay, "x", 0.2, 0.5, {"x": (0.0, 1.0)}, {"k": (0.5, 2.0)}, solver=SOLVER
         )
         assert v.rejected and v.conclusive
 
     def test_growth_can_ascend(self):
         sys_ = ODESystem({"x": var("r") * x}, {"r": 1.0})
-        v = falsify_ascent(
-            sys_, "x", 0.2, 0.5, {"x": (0.0, 1.0)}, {"r": (0.5, 2.0)}
+        v = _falsify_ascent_impl(
+            sys_, "x", 0.2, 0.5, {"x": (0.0, 1.0)}, {"r": (0.5, 2.0)}, solver=SOLVER
         )
         assert not v.rejected and v.conclusive
         assert v.witness_params is not None
 
     def test_descent_direction(self, decay):
         # decay certainly CAN descend
-        v = falsify_ascent(
-            decay, "x", 0.5, 0.2, {"x": (0.0, 1.0)}, {"k": (0.5, 2.0)}
+        v = _falsify_ascent_impl(
+            decay, "x", 0.5, 0.2, {"x": (0.0, 1.0)}, {"k": (0.5, 2.0)}, solver=SOLVER
         )
         assert not v.rejected
 
     def test_growth_cannot_descend(self):
         sys_ = ODESystem({"x": var("r") * x}, {"r": 1.0})
-        v = falsify_ascent(
-            sys_, "x", 0.5, 0.2, {"x": (0.1, 1.0)}, {"r": (0.5, 2.0)}
+        v = _falsify_ascent_impl(
+            sys_, "x", 0.5, 0.2, {"x": (0.1, 1.0)}, {"r": (0.5, 2.0)}, solver=SOLVER
         )
         assert v.rejected
 
@@ -47,28 +51,33 @@ class TestAscentBarrier:
         # dx/dt = y - x: ascent through [0.4, 0.6] possible iff y can
         # exceed x there
         sys_ = ODESystem({"x": y - x, "y": -y})
-        blocked = falsify_ascent(
-            sys_, "x", 0.4, 0.6, {"x": (0, 1), "y": (0.0, 0.3)}
+        blocked = _falsify_ascent_impl(
+            sys_, "x", 0.4, 0.6, {"x": (0, 1), "y": (0.0, 0.3)}, solver=SOLVER
         )
         assert blocked.rejected
-        open_ = falsify_ascent(
-            sys_, "x", 0.4, 0.6, {"x": (0, 1), "y": (0.0, 2.0)}
+        open_ = _falsify_ascent_impl(
+            sys_, "x", 0.4, 0.6, {"x": (0, 1), "y": (0.0, 2.0)}, solver=SOLVER
         )
         assert not open_.rejected
 
     def test_no_params_allowed(self):
         sys_ = ODESystem({"x": -x})
-        v = falsify_ascent(sys_, "x", 0.2, 0.5, {"x": (0.0, 1.0)})
+        v = _falsify_ascent_impl(sys_, "x", 0.2, 0.5, {"x": (0.0, 1.0)}, solver=SOLVER)
         assert v.rejected
         assert v.witness_params is None or v.witness_params == {}
 
     def test_validation_errors(self, decay):
         with pytest.raises(ValueError, match="unknown state"):
-            falsify_ascent(decay, "zz", 0, 1, {"x": (0, 1)})
+            _falsify_ascent_impl(decay, "zz", 0, 1, {"x": (0, 1)}, solver=SOLVER)
         with pytest.raises(ValueError, match="unknown parameters"):
-            falsify_ascent(decay, "x", 0, 1, {"x": (0, 1)}, {"zz": (0, 1)})
+            _falsify_ascent_impl(
+                decay, "x", 0, 1, {"x": (0, 1)}, {"zz": (0, 1)}, solver=SOLVER
+            )
         with pytest.raises(ValueError, match="bounds missing"):
-            falsify_ascent(ODESystem({"x": y - x, "y": -y}), "x", 0, 1, {"x": (0, 1)})
+            _falsify_ascent_impl(
+                ODESystem({"x": y - x, "y": -y}), "x", 0, 1, {"x": (0, 1)},
+                solver=SOLVER,
+            )
 
 
 class TestCardiacHeadline:
@@ -77,10 +86,11 @@ class TestCardiacHeadline:
         from repro.models import fenton_karma_hybrid
 
         fk_excited = fenton_karma_hybrid().mode_system("excited")
-        v = falsify_ascent(
+        v = _falsify_ascent_impl(
             fk_excited, "u", 0.75, 0.85,
             {"u": (0.0, 1.2), "v": (0.0, 0.01), "w": (0.0, 1.0)},
             {"tau_r": (10.0, 38.0), "tau_si": (28.0, 130.0)},
+            solver=SOLVER,
         )
         assert v.rejected and v.conclusive
 
@@ -91,10 +101,11 @@ class TestCardiacHeadline:
         from repro.models import fenton_karma_hybrid
 
         fk_excited = fenton_karma_hybrid().mode_system("excited")
-        v = falsify_ascent(
+        v = _falsify_ascent_impl(
             fk_excited, "u", 0.75, 0.85,
             {"u": (0.0, 1.2), "v": (0.0, 1.0), "w": (0.0, 1.0)},
             {"tau_r": (10.0, 38.0), "tau_si": (28.0, 130.0)},
+            solver=SOLVER,
         )
         assert not v.rejected
 
@@ -102,9 +113,10 @@ class TestCardiacHeadline:
         from repro.models import bcf_hybrid
 
         bcf_m4 = bcf_hybrid().mode_system("m4")
-        v = falsify_ascent(
+        v = _falsify_ascent_impl(
             bcf_m4, "u", 1.0, 1.2,
             {"u": (0.0, 1.6), "v": (0.0, 1.0), "w": (0.0, 1.0), "s": (0.0, 1.0)},
             {"tau_so1": (25.0, 35.0)},
+            solver=SOLVER,
         )
         assert not v.rejected and v.conclusive

@@ -139,8 +139,8 @@ class TestWarmSolve:
         store = PavingStore(tmp_path)
         phi, box = annulus()
         mk = lambda: DeltaSolver(delta=1e-3, paving_store=store)  # noqa: E731
-        cold = mk().solve(phi, box)
-        warm = mk().solve(phi, box)
+        cold = mk()._solve_impl(phi, box)
+        warm = mk()._solve_impl(phi, box)
         assert warm.status is cold.status is Status.DELTA_SAT
         assert warm.witness_box == cold.witness_box
         assert warm.witness == cold.witness
@@ -152,26 +152,26 @@ class TestWarmSolve:
         store = PavingStore(tmp_path)
         phi = Atom(x * x + y * y - Const(9.0), strict=False)  # >= 9: empty
         mk = lambda d: DeltaSolver(delta=d, paving_store=store)  # noqa: E731
-        assert mk(1e-3).solve(phi, BOX2).status is Status.UNSAT
-        warm = mk(5e-4).solve(phi, BOX2)
+        assert mk(1e-3)._solve_impl(phi, BOX2).status is Status.UNSAT
+        warm = mk(5e-4)._solve_impl(phi, BOX2)
         assert warm.status is Status.UNSAT
         assert warm.stats.boxes_processed == 0
         assert store.stats()["partial"] == 1
         # tightened delta must equal the cold verdict too
-        assert DeltaSolver(delta=5e-4).solve(phi, BOX2).status is Status.UNSAT
+        assert DeltaSolver(delta=5e-4)._solve_impl(phi, BOX2).status is Status.UNSAT
 
     def test_perturbed_constant_rejudges_cover(self, tmp_path):
         store = PavingStore(tmp_path)
         mk = lambda c: Atom(x * x + y * y - Const(c), strict=False)  # noqa: E731
         sv = lambda: DeltaSolver(delta=1e-3, paving_store=store)  # noqa: E731
-        assert sv().solve(mk(9.0), BOX2).status is Status.UNSAT
-        warm = sv().solve(mk(8.9), BOX2)  # still infeasible: reuse
+        assert sv()._solve_impl(mk(9.0), BOX2).status is Status.UNSAT
+        warm = sv()._solve_impl(mk(8.9), BOX2)  # still infeasible: reuse
         assert warm.status is Status.UNSAT
         assert warm.stats.boxes_processed == 0
         assert store.stats()["partial"] == 1
-        assert DeltaSolver(delta=1e-3).solve(mk(8.9), BOX2).status is Status.UNSAT
+        assert DeltaSolver(delta=1e-3)._solve_impl(mk(8.9), BOX2).status is Status.UNSAT
         # flipping the verdict must fall back cold, not claim UNSAT
-        flipped = sv().solve(mk(7.9), BOX2)
+        flipped = sv()._solve_impl(mk(7.9), BOX2)
         assert flipped.status is Status.DELTA_SAT
         assert flipped.stats.boxes_processed > 0
 
@@ -179,18 +179,18 @@ class TestWarmSolve:
         store = PavingStore(tmp_path)
         phi = Atom(x * x + y * y - Const(9.0), strict=False)
         sv = lambda: DeltaSolver(delta=1e-3, paving_store=store)  # noqa: E731
-        assert sv().solve(phi, BOX2).status is Status.UNSAT
+        assert sv()._solve_impl(phi, BOX2).status is Status.UNSAT
         inner = Box.from_bounds({"x": (-1.0, 1.5), "y": (-0.5, 2.0)})
-        warm = sv().solve(phi, inner)
+        warm = sv()._solve_impl(phi, inner)
         assert warm.status is Status.UNSAT and warm.stats.boxes_processed == 0
 
     def test_witness_carries_over_to_perturbed_bound(self, tmp_path):
         store = PavingStore(tmp_path)
         mk = lambda c: Atom(Const(c) - x * x - y * y, strict=False)  # noqa: E731
         sv = lambda: DeltaSolver(delta=1e-3, paving_store=store)  # noqa: E731
-        cold = sv().solve(mk(1.0), BOX2)
+        cold = sv()._solve_impl(mk(1.0), BOX2)
         assert cold.status is Status.DELTA_SAT
-        warm = sv().solve(mk(1.001), BOX2)  # looser bound: witness survives
+        warm = sv()._solve_impl(mk(1.001), BOX2)  # looser bound: witness survives
         assert warm.status is Status.DELTA_SAT
         assert warm.witness_box == cold.witness_box
         assert warm.stats.boxes_processed == 0
@@ -201,8 +201,8 @@ class TestWarmSolve:
         mk = lambda: DeltaSolver(  # noqa: E731
             delta=1e-3, paving_store=store, warm_start=False
         )
-        mk().solve(phi, box)
-        again = mk().solve(phi, box)
+        mk()._solve_impl(phi, box)
+        again = mk()._solve_impl(phi, box)
         assert again.stats.boxes_processed > 0  # really solved cold
         s = store.stats()
         assert s["hits"] == 0 and s["stores"] == 2
@@ -211,9 +211,9 @@ class TestWarmSolve:
         store = PavingStore(tmp_path)
         phi, box = annulus()
         tiny = DeltaSolver(delta=1e-3, max_boxes=2, paving_store=store)
-        assert tiny.solve(phi, box).status is Status.UNKNOWN
+        assert tiny._solve_impl(phi, box).status is Status.UNKNOWN
         # UNKNOWN is never stored, so the warm pass has nothing to reuse
-        warm = DeltaSolver(delta=1e-3, paving_store=store).solve(phi, box)
+        warm = DeltaSolver(delta=1e-3, paving_store=store)._solve_impl(phi, box)
         assert warm.status is Status.DELTA_SAT
         assert warm.stats.boxes_processed > 0
         assert store.stats()["hits"] == 0
@@ -332,11 +332,11 @@ def test_warm_solve_agrees_with_cold_solve(tmp_path_factory, phi):
     root = tmp_path_factory.mktemp("store")
     store = PavingStore(root)
     box = Box.from_bounds({"x": (-1.5, 1.5), "y": (-1.5, 1.5)})
-    DeltaSolver(delta=1e-2, max_boxes=20_000, paving_store=store).solve(phi, box)
-    warm = DeltaSolver(delta=1e-2, max_boxes=20_000, paving_store=store).solve(
+    DeltaSolver(delta=1e-2, max_boxes=20_000, paving_store=store)._solve_impl(phi, box)
+    warm = DeltaSolver(delta=1e-2, max_boxes=20_000, paving_store=store)._solve_impl(
         phi, box
     )
-    cold = DeltaSolver(delta=1e-2, max_boxes=20_000).solve(phi, box)
+    cold = DeltaSolver(delta=1e-2, max_boxes=20_000)._solve_impl(phi, box)
     assert warm.status is cold.status
     if warm.status is Status.DELTA_SAT:
         assert not math.isnan(sum(warm.witness.values()))
@@ -360,11 +360,11 @@ class TestStoreRobustness:
         store = PavingStore(tmp_path)
         phi, box = annulus()
         mk = lambda: DeltaSolver(delta=1e-3, paving_store=store)  # noqa: E731
-        cold = mk().solve(phi, box)
+        cold = mk()._solve_impl(phi, box)
         (path,) = self._artifact_paths(tmp_path)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{"version": 1, "kind": "solve", "names"')  # torn write
-        warm = mk().solve(phi, box)
+        warm = mk()._solve_impl(phi, box)
         assert warm.status is cold.status
         assert warm.stats.boxes_processed > 0  # fell back cold
         assert store.stats()["quarantined"] == 1
@@ -377,7 +377,7 @@ class TestStoreRobustness:
     def test_schema_version_mismatch_quarantined(self, tmp_path):
         store = PavingStore(tmp_path)
         phi, box = annulus()
-        DeltaSolver(delta=1e-3, paving_store=store).solve(phi, box)
+        DeltaSolver(delta=1e-3, paving_store=store)._solve_impl(phi, box)
         (path,) = self._artifact_paths(tmp_path)
         payload = json.loads(open(path, encoding="utf-8").read())
         payload["version"] = 999
@@ -414,7 +414,7 @@ class TestAnytime:
         phi, box = annulus()
         events = []
         with progress_scope(sink=events.append):
-            DeltaSolver(delta=1e-3, anytime=True).solve(phi, box)
+            DeltaSolver(delta=1e-3, anytime=True)._solve_impl(phi, box)
         stream = [e for e in events if e.stage == "anytime"]
         assert len(stream) >= 2
         # first snapshot arrives before any box is settled
@@ -451,10 +451,10 @@ class TestAnytime:
     def test_warm_hit_still_reports_terminal_snapshot(self, tmp_path):
         store = PavingStore(tmp_path)
         phi, box = annulus()
-        DeltaSolver(delta=1e-3, paving_store=store).solve(phi, box)
+        DeltaSolver(delta=1e-3, paving_store=store)._solve_impl(phi, box)
         events = []
         with progress_scope(sink=events.append):
-            DeltaSolver(delta=1e-3, paving_store=store, anytime=True).solve(
+            DeltaSolver(delta=1e-3, paving_store=store, anytime=True)._solve_impl(
                 phi, box
             )
         stream = [e for e in events if e.stage == "anytime"]
@@ -465,7 +465,7 @@ class TestAnytime:
         phi, box = annulus()
         events = []
         with progress_scope(sink=events.append):
-            DeltaSolver(delta=1e-3).solve(phi, box)
+            DeltaSolver(delta=1e-3)._solve_impl(phi, box)
         assert not [e for e in events if e.stage == "anytime"]
 
 

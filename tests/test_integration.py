@@ -4,11 +4,8 @@ import math
 
 import pytest
 
-from repro.apps import (
-    SMTCalibrator,
-    TimeSeriesData,
-    check_robustness,
-)
+from repro.apps import SMTCalibrator, TimeSeriesData
+from repro.apps.robustness import _check_robustness_impl
 from repro.bmc import BMCChecker, BMCOptions, BMCStatus, ReachSpec
 from repro.expr import parse_expr, var
 from repro.hybrid import simulate_hybrid
@@ -49,7 +46,7 @@ class TestSBMLToAnalysis:
         calib = SMTCalibrator(
             model.system, data, {"k": (0.2, 2.0)}, model.initial, delta=0.02
         )
-        res = calib.calibrate()
+        res = calib._calibrate_impl()
         assert res.params["k"] == pytest.approx(k_true, abs=0.1)
 
     def test_sbml_smc(self):
@@ -79,8 +76,8 @@ class TestJSONRoundtripAnalysis:
         back = hybrid_from_dict(hybrid_to_dict(h))
         spec = ReachSpec(goal=(var("x") >= 31.0), max_jumps=1, time_bound=2.0)
         opt = BMCOptions(enclosure_step=0.2, max_boxes_per_path=50)
-        r1 = BMCChecker(h, opt).check(spec)
-        r2 = BMCChecker(back, opt).check(spec)
+        r1 = BMCChecker(h, opt)._check_impl(spec)
+        r2 = BMCChecker(back, opt)._check_impl(spec)
         assert r1.status == r2.status == BMCStatus.UNSAT
 
 
@@ -90,7 +87,7 @@ class TestSolverOdeCoupling:
         attractor by simulating toward it."""
         sys_ = ODESystem({"x": var("r") * var("x") * (1 - var("x") / 10.0)}, {"r": 1.0})
         phi = sys_.equilibria_conditions().subs({"r": 1.0}) & (var("x") >= 5.0)
-        res = DeltaSolver(delta=1e-4).solve(phi, Box.from_bounds({"x": (0.5, 20.0)}))
+        res = DeltaSolver(delta=1e-4)._solve_impl(phi, Box.from_bounds({"x": (0.5, 20.0)}))
         assert res.status is Status.DELTA_SAT
         eq = res.witness["x"]
         assert eq == pytest.approx(10.0, abs=0.1)
@@ -112,11 +109,11 @@ class TestHybridSmcBmcAgreement:
             max_jumps=1, time_bound=2.0,
         )
         opt = BMCOptions(enclosure_step=0.1, max_boxes_per_path=100)
-        res = BMCChecker(h, opt).check(spec_sat)
+        res = BMCChecker(h, opt)._check_impl(spec_sat)
         assert res.status is BMCStatus.DELTA_SAT
 
         spec_unsat = ReachSpec(goal=(var("x") >= 35.0), max_jumps=3, time_bound=3.0)
-        res2 = BMCChecker(h, opt).check(spec_unsat)
+        res2 = BMCChecker(h, opt)._check_impl(spec_unsat)
         assert res2.status is BMCStatus.UNSAT
         temps = traj.flatten().column("x")
         assert temps.max() < 35.0
@@ -140,7 +137,7 @@ class TestHybridSmcBmcAgreement:
             "rest",
             Box.from_bounds({"u": (0.0, 0.1)}),
         )
-        cert = check_robustness(
+        cert = _check_robustness_impl(
             h, {"u": (0.0, 0.1)}, bad=(u >= 0.8), time_bound=10.0, max_jumps=2,
             options=BMCOptions(enclosure_step=0.2, max_boxes_per_path=60),
         )
@@ -156,7 +153,7 @@ class TestParserToSolver:
     def test_parsed_constraint_solved(self):
         phi_expr = parse_expr("x^3 - 2*x - 5")
         phi = in_range(phi_expr, -1e-3, 1e-3)
-        res = DeltaSolver(delta=1e-4).solve(phi, Box.from_bounds({"x": (0.0, 3.0)}))
+        res = DeltaSolver(delta=1e-4)._solve_impl(phi, Box.from_bounds({"x": (0.0, 3.0)}))
         assert res.status is Status.DELTA_SAT
         # classic Wallis cubic root ~ 2.0946
         assert res.witness["x"] == pytest.approx(2.0946, abs=0.01)

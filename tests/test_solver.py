@@ -6,16 +6,16 @@ import math
 import pytest
 
 from repro.expr import exp, parse_expr, sin, variables
-from repro.intervals import Box
+from repro.intervals import Box, BoxArray
 from repro.logic import And, Atom, Exists, Forall, Or, equals_within, in_range
 from repro.solver import (
     Certainty,
     DeltaSolver,
     ExistsForallSolver,
     Status,
-    eval_formula,
-    solve,
+    compile_formula,
 )
+from repro.solver.eval3 import _eval_formula_impl
 
 x, y, p = variables("x y p")
 
@@ -24,48 +24,67 @@ def box(**bounds) -> Box:
     return Box.from_bounds({k: tuple(v) for k, v in bounds.items()})
 
 
+def tape_judge(phi, b: Box, delta: float = 0.0) -> Certainty:
+    """The one-box tape judgment of ``phi^delta`` over ``b``."""
+    return Certainty(int(compile_formula(phi).judge(BoxArray.from_box(b), delta)[0]))
+
+
 class TestEval3:
-    def test_certainly_true(self):
-        assert eval_formula(x >= 0, box(x=(1, 2))) is Certainty.CERTAIN_TRUE
+    """Hand-made three-valued judgments on the tape kernel."""
 
-    def test_certainly_false(self):
-        assert eval_formula(x > 0, box(x=(-2, -1))) is Certainty.CERTAIN_FALSE
+    @pytest.fixture
+    def judge(self):
+        return tape_judge
 
-    def test_unknown(self):
-        assert eval_formula(x > 0, box(x=(-1, 1))) is Certainty.UNKNOWN
+    def test_certainly_true(self, judge):
+        assert judge(x >= 0, box(x=(1, 2))) is Certainty.CERTAIN_TRUE
 
-    def test_boundary_strict_vs_weak(self):
-        assert eval_formula(x >= 0, box(x=(0, 1))) is Certainty.CERTAIN_TRUE
-        assert eval_formula(x > 0, box(x=(0, 1))) is Certainty.UNKNOWN
+    def test_certainly_false(self, judge):
+        assert judge(x > 0, box(x=(-2, -1))) is Certainty.CERTAIN_FALSE
 
-    def test_delta_relaxation(self):
+    def test_unknown(self, judge):
+        assert judge(x > 0, box(x=(-1, 1))) is Certainty.UNKNOWN
+
+    def test_boundary_strict_vs_weak(self, judge):
+        assert judge(x >= 0, box(x=(0, 1))) is Certainty.CERTAIN_TRUE
+        assert judge(x > 0, box(x=(0, 1))) is Certainty.UNKNOWN
+
+    def test_delta_relaxation(self, judge):
         # x >= 0 over [-0.05, -0.01] is false, but 0.1-weakened is true
         b = box(x=(-0.05, -0.01))
-        assert eval_formula(x >= 0, b) is Certainty.CERTAIN_FALSE
-        assert eval_formula(x >= 0, b, delta=0.1) is Certainty.CERTAIN_TRUE
+        assert judge(x >= 0, b) is Certainty.CERTAIN_FALSE
+        assert judge(x >= 0, b, delta=0.1) is Certainty.CERTAIN_TRUE
 
-    def test_and_or(self):
+    def test_and_or(self, judge):
         b = box(x=(1, 2), y=(-3, -2))
-        assert eval_formula(And(x > 0, y < 0), b) is Certainty.CERTAIN_TRUE
-        assert eval_formula(Or(x < 0, y > 0), b) is Certainty.CERTAIN_FALSE
+        assert judge(And(x > 0, y < 0), b) is Certainty.CERTAIN_TRUE
+        assert judge(Or(x < 0, y > 0), b) is Certainty.CERTAIN_FALSE
 
-    def test_forall_judgment(self):
+    def test_forall_judgment(self, judge):
         phi = Forall("x", 0, 1, x * (1 - x) + 0.1 >= 0)
-        assert eval_formula(phi, Box({})) is Certainty.CERTAIN_TRUE
+        assert judge(phi, Box({})) is Certainty.CERTAIN_TRUE
 
-    def test_forall_false(self):
+    def test_forall_false(self, judge):
         phi = Forall("x", 2, 3, 1 - x > 0)
-        assert eval_formula(phi, Box({})) is Certainty.CERTAIN_FALSE
+        assert judge(phi, Box({})) is Certainty.CERTAIN_FALSE
+
+
+class TestEval3Scalar(TestEval3):
+    """The same judgments on the scalar AST walk (the BMC guard path)."""
+
+    @pytest.fixture
+    def judge(self):
+        return _eval_formula_impl
 
 
 class TestDeltaSat:
     def test_simple_sat(self):
-        r = solve(x >= 1, box(x=(0, 2)))
+        r = DeltaSolver()._solve_impl(x >= 1, box(x=(0, 2)))
         assert r.status is Status.DELTA_SAT
         assert r.witness["x"] >= 1.0 - r.delta
 
     def test_simple_unsat(self):
-        r = solve(x - 10 >= 0, box(x=(0, 2)))
+        r = DeltaSolver()._solve_impl(x - 10 >= 0, box(x=(0, 2)))
         assert r.status is Status.UNSAT
 
     def test_delta_solver_rejects_bad_knobs(self):
@@ -79,7 +98,7 @@ class TestDeltaSat:
             equals_within(x ** 2 + y ** 2, 1.0, 1e-3),
             equals_within(x - y, 0.0, 1e-3),
         )
-        r = solve(phi, box(x=(-2, 2), y=(-2, 2)), delta=1e-3)
+        r = DeltaSolver(delta=1e-3)._solve_impl(phi, box(x=(-2, 2), y=(-2, 2)))
         assert r.status is Status.DELTA_SAT
         w = r.witness
         s = 1.0 / math.sqrt(2.0)
@@ -91,19 +110,19 @@ class TestDeltaSat:
             equals_within(x ** 2 + y ** 2, 1.0, 1e-4),
             equals_within(x + y, 10.0, 1e-4),
         )
-        r = solve(phi, box(x=(-3, 3), y=(-3, 3)), delta=1e-4)
+        r = DeltaSolver(delta=1e-4)._solve_impl(phi, box(x=(-3, 3), y=(-3, 3)))
         assert r.status is Status.UNSAT
 
     def test_transcendental_root(self):
         # exp(x) = 2  ->  x = ln 2
         phi = equals_within(exp(x), 2.0, 1e-4)
-        r = solve(phi, box(x=(0, 2)), delta=1e-4)
+        r = DeltaSolver(delta=1e-4)._solve_impl(phi, box(x=(0, 2)))
         assert r.status is Status.DELTA_SAT
         assert r.witness["x"] == pytest.approx(math.log(2), abs=1e-2)
 
     def test_sin_root(self):
         phi = And(equals_within(sin(x), 0.0, 1e-4), x >= 1)
-        r = solve(phi, box(x=(1, 4)), delta=1e-4)
+        r = DeltaSolver(delta=1e-4)._solve_impl(phi, box(x=(1, 4)))
         assert r.status is Status.DELTA_SAT
         assert r.witness["x"] == pytest.approx(math.pi, abs=0.05)
 
@@ -112,13 +131,13 @@ class TestDeltaSat:
             And(in_range(x, 0.4, 0.6), x >= 10),  # infeasible conjunct
             in_range(x, 0.1, 0.2),
         )
-        r = solve(phi, box(x=(0, 1)))
+        r = DeltaSolver()._solve_impl(phi, box(x=(0, 1)))
         assert r.status is Status.DELTA_SAT
         assert 0.1 - 0.01 <= r.witness["x"] <= 0.2 + 0.01
 
     def test_witness_box_entirely_delta_sat(self):
         phi = in_range(x * x, 0.25, 0.5)
-        r = solve(phi, box(x=(0, 2)), delta=1e-3)
+        r = DeltaSolver(delta=1e-3)._solve_impl(phi, box(x=(0, 2)))
         assert r.status is Status.DELTA_SAT
         # every corner of the witness box satisfies the weakened formula
         for pt in r.witness_box.corners():
@@ -126,12 +145,12 @@ class TestDeltaSat:
 
     def test_unbounded_variable_raises(self):
         with pytest.raises(ValueError, match="free variables"):
-            solve(x + y >= 0, box(x=(0, 1)))
+            DeltaSolver()._solve_impl(x + y >= 0, box(x=(0, 1)))
 
     def test_budget_exhaustion_unknown(self):
         # a hard equality with tiny delta and tiny budget
         phi = equals_within(sin(x) * exp(x) + x ** 3, 0.3333, 1e-9)
-        r = DeltaSolver(delta=1e-9, max_boxes=5).solve(phi, box(x=(-2, 2)))
+        r = DeltaSolver(delta=1e-9, max_boxes=5)._solve_impl(phi, box(x=(-2, 2)))
         assert r.status is Status.UNKNOWN
         assert r.witness_box is not None
 
@@ -145,7 +164,7 @@ class TestOneSidedGuarantees:
         rng = random.Random(7)
         # polynomial with no roots in the box
         phi = equals_within(x ** 2 + 1, 0.0, 1e-3)
-        r = solve(phi, box(x=(-3, 3)), delta=1e-3)
+        r = DeltaSolver(delta=1e-3)._solve_impl(phi, box(x=(-3, 3)))
         assert r.status is Status.UNSAT
         for _ in range(200):
             v = rng.uniform(-3, 3)
@@ -156,7 +175,7 @@ class TestOneSidedGuarantees:
             in_range(x ** 3 - y, -0.001, 0.001),
             in_range(x + y, 0.9, 1.1),
         )
-        r = solve(phi, box(x=(-2, 2), y=(-2, 2)), delta=0.01)
+        r = DeltaSolver(delta=0.01)._solve_impl(phi, box(x=(-2, 2), y=(-2, 2)))
         assert r.status is Status.DELTA_SAT
         assert phi.delta_weaken(0.011).eval(r.witness)
 
@@ -164,13 +183,13 @@ class TestOneSidedGuarantees:
 class TestExistentialHoisting:
     def test_exists_hoisted(self):
         phi = Exists("y", 0, 1, And(equals_within(x - y, 0.0, 1e-3), x >= 0.5))
-        r = solve(phi, box(x=(0, 1)))
+        r = DeltaSolver()._solve_impl(phi, box(x=(0, 1)))
         assert r.status is Status.DELTA_SAT
         assert r.witness["x"] >= 0.45
 
     def test_exists_name_clash_freshened(self):
         phi = Exists("x", 0.8, 1.0, x >= 0.9)  # inner x shadows outer
-        r = solve(And(in_range(x, 0.0, 0.1), phi), box(x=(0, 1)))
+        r = DeltaSolver()._solve_impl(And(in_range(x, 0.0, 0.1), phi), box(x=(0, 1)))
         # outer x in [0, 0.1] and inner (renamed) x in [0.9, 1.0]
         assert r.status is Status.DELTA_SAT
         assert r.witness["x"] <= 0.11

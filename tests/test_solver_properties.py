@@ -50,7 +50,7 @@ def test_hc4_preserves_all_sampled_solutions(atom):
 def test_unsat_never_contradicts_sampling(a1, a2):
     phi = And(a1, a2)
     solver = DeltaSolver(delta=0.05, max_boxes=4000)
-    result = solver.solve(phi, BOX)
+    result = solver._solve_impl(phi, BOX)
     if result.status is Status.UNSAT:
         for pt in BOX.sample_grid(9):
             assert not phi.eval(pt), (phi, pt)
@@ -61,7 +61,7 @@ def test_unsat_never_contradicts_sampling(a1, a2):
 def test_delta_sat_witness_satisfies_weakening(a1, a2):
     phi = And(a1, a2)
     solver = DeltaSolver(delta=0.05, max_boxes=4000)
-    result = solver.solve(phi, BOX)
+    result = solver._solve_impl(phi, BOX)
     if result.status is Status.DELTA_SAT:
         # every corner of the witness box delta-satisfies
         weak = phi.delta_weaken(0.05 + 1e-9)
@@ -79,7 +79,7 @@ def test_feasible_band_always_found(center, half):
     on easy instances)."""
     lo, hi = center - half, center + half
     phi = in_range(x, max(lo, -2.0), min(hi, 2.0))
-    result = DeltaSolver(delta=1e-3, max_boxes=20_000).solve(
+    result = DeltaSolver(delta=1e-3, max_boxes=20_000)._solve_impl(
         phi, Box.from_bounds({"x": (-2.0, 2.0)})
     )
     assert result.status is Status.DELTA_SAT
@@ -92,7 +92,7 @@ def test_feasible_band_always_found(center, half):
 def test_sqrt_root_localization(target):
     """solve(x^2 = t) localizes sqrt(t) within delta tolerance."""
     phi = in_range(x * x, target - 1e-3, target + 1e-3)
-    result = DeltaSolver(delta=1e-3, max_boxes=50_000).solve(
+    result = DeltaSolver(delta=1e-3, max_boxes=50_000)._solve_impl(
         phi, Box.from_bounds({"x": (0.0, 2.0)})
     )
     if target <= 4.0:
