@@ -14,8 +14,6 @@ Reproduction:
   restricted to the normal range -- the who-wins boundary.
 """
 
-import pytest
-
 from repro.apps import Checkpoint, TimeSeriesData
 from repro.apps.falsification import _falsify_with_data_impl
 from repro.models import (

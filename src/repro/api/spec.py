@@ -36,7 +36,6 @@ class SolverOptions:
     delta: float = 0.05
     max_boxes: int = 600
     enclosure_step: float = 0.05
-    enclosure_order: int = 2
     contract_tol: float = 1e-2
     use_simulation_guidance: bool = True
     # Width K of the breadth-wise ICP frontier: how many boxes each

@@ -183,7 +183,6 @@ class CalibrateTask(Task):
             delta=o.delta,
             max_boxes=o.max_boxes,
             enclosure_step=o.enclosure_step,
-            enclosure_order=o.enclosure_order,
             use_simulation_guidance=o.use_simulation_guidance,
         )
         if spec.query.get("paving"):
@@ -296,7 +295,6 @@ def _bmc_options(o: SolverOptions) -> BMCOptions:
         delta=o.delta,
         max_boxes_per_path=o.max_boxes,
         enclosure_step=o.enclosure_step,
-        enclosure_order=o.enclosure_order,
         contract_tol=o.contract_tol,
         use_simulation_guidance=o.use_simulation_guidance,
         verify_step=o.verify_step,

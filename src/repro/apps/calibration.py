@@ -144,7 +144,6 @@ class SMTCalibrator:
     delta: float = 0.05
     max_boxes: int = 600
     enclosure_step: float = 0.05
-    enclosure_order: int = 2
     use_simulation_guidance: bool = True
 
     def __post_init__(self):
@@ -157,6 +156,11 @@ class SMTCalibrator:
             bad = set(cp.bands) - set(self.system.state_names)
             if bad:
                 raise ValueError(f"checkpoint at t={cp.t} names non-states {sorted(bad)}")
+        # "not > 0" also rejects NaN: a zero step never advances time
+        if not self.enclosure_step > 0:
+            raise ValueError(
+                f"enclosure_step must be > 0, got {self.enclosure_step}"
+            )
 
     # ------------------------------------------------------------------
     def _initial_state_box(self) -> Box:
@@ -178,7 +182,6 @@ class SMTCalibrator:
                     tube = flow_enclosure(
                         self.system, current, duration, pbox,
                         max_step=self.enclosure_step,
-                        order=self.enclosure_order,
                     )
                     start = current
                     current = tube.final()

@@ -88,12 +88,20 @@ class BMCOptions:
     delta: float = 0.1
     max_boxes_per_path: int = 400
     enclosure_step: float = 0.05
-    enclosure_order: int = 2
     max_growth: float = 1e4
     use_simulation_guidance: bool = True
     sim_dwell_halfwidth: float = 1e-4
     contract_tol: float = 1e-2
     verify_step: float | None = None  # finer step for witness verification
+
+    def __post_init__(self) -> None:
+        # "not > 0" also rejects NaN: a zero step never advances time
+        if not self.enclosure_step > 0:
+            raise ValueError(
+                f"enclosure_step must be > 0, got {self.enclosure_step}"
+            )
+        if self.verify_step is not None and not self.verify_step > 0:
+            raise ValueError(f"verify_step must be > 0, got {self.verify_step}")
 
 
 @dataclass
@@ -230,7 +238,10 @@ class BMCChecker:
         if opt.use_simulation_guidance:
             cand = self._simulate_candidate(path, spec, root, param_ranges)
             if cand is not None:
-                fine = opt.verify_step or opt.enclosure_step / 5.0
+                fine = (
+                    opt.verify_step if opt.verify_step is not None
+                    else opt.enclosure_step / 5.0
+                )
                 verified = self._propagate(
                     path, spec, cand, param_ranges, step_override=fine
                 )[0]
@@ -310,8 +321,7 @@ class BMCChecker:
                 step_b = min(step, max(window / 2.0, 1e-9))
                 tube_b = flow_enclosure(
                     system, entry, window, param_box,
-                    max_step=step_b, order=opt.enclosure_order,
-                    max_growth=opt.max_growth,
+                    max_step=step_b, max_growth=opt.max_growth,
                 )
             except EnclosureError:
                 # enclosure blow-up: cannot judge; treat as unknown split
@@ -376,7 +386,6 @@ class BMCChecker:
             duration,
             param_box,
             max_step=step if step is not None else self.options.enclosure_step,
-            order=self.options.enclosure_order,
             max_growth=self.options.max_growth,
         )
 

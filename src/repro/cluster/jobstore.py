@@ -1,9 +1,9 @@
 """Persistent job journal: ``repro serve`` survives restarts.
 
-The :class:`JobStore` is an append-only JSONL journal in the mold of
-:class:`repro.monitor.store.EventStore` -- one record per line, never
-rewritten, torn final line (a crash mid-append) tolerated on replay,
-corruption *elsewhere* refused.  Two record kinds:
+The :class:`JobStore` is a :class:`repro.store.JsonLog` -- one record
+per line, never rewritten, torn final line (a crash mid-append) skipped
+on replay and cut on reopen, corruption *elsewhere* refused.  Two
+record kinds:
 
 ``submit``
     A job entered the service: id, spec dict, tenant, timestamp.
@@ -28,11 +28,11 @@ engine's prefix).
 
 from __future__ import annotations
 
-import json
 import os
-import threading
 import time
 from typing import TYPE_CHECKING, Any
+
+from repro.store import JsonLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.jobs import JobHandle
@@ -43,45 +43,27 @@ __all__ = ["JobStore", "RERUN_STATES"]
 RERUN_STATES = frozenset({"queued", "interrupted"})
 
 
-class JobStore:
+class JobStore(JsonLog):
     """Append-only JSONL journal of job submissions and terminal reports.
 
-    Parameters
-    ----------
-    path:
-        Journal file; created (with parents) if missing, appended to
-        if present -- restarting against an existing store is the
-        recovery path, not an error.
+    Reopening an existing journal (see :class:`JsonLog`) is the recovery
+    path, not an error.
     """
 
     def __init__(self, path: str | os.PathLike):
-        self.path = os.fspath(path)
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        self._lock = threading.Lock()
-        self._fh = open(self.path, "a", encoding="utf-8")
+        super().__init__(path)
         # in-memory membership: which ids this PROCESS journaled, so the
         # engine's done-hook can distinguish service jobs (journal them)
         # from jobs the store never saw (engine-internal, skip)
         self._submitted: set[str] = set()
         self._finished: set[str] = set()
-        self.appended = 0
 
     # ------------------------------------------------------------------
-    def _append(self, record: dict) -> None:
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
-        with self._lock:
-            if self._fh is None:
-                raise ValueError("job store is closed")
-            self._fh.write(line + "\n")  # one write per record: append-atomic
-            self._fh.flush()
-            self.appended += 1
-
     def record_submit(
         self, job_id: str, spec_dict: dict, tenant: str = ""
     ) -> None:
         """Journal one accepted job (before any backend sees it)."""
-        self._append(
+        self.write(
             {
                 "kind": "submit",
                 "id": job_id,
@@ -114,33 +96,13 @@ class JobStore:
         }
         if report_dict is not None:
             record["report"] = report_dict
-        self._append(record)
+        self.write(record)
         return True
 
     def knows(self, job_id: str) -> bool:
         """Whether this process journaled a ``submit`` for ``job_id``."""
         with self._lock:
             return job_id in self._submitted
-
-    def flush(self) -> None:
-        """Flush buffered writes to the OS."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-
-    def close(self) -> None:
-        """Flush and close the journal (idempotent)."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-                self._fh.close()
-                self._fh = None
-
-    def __enter__(self) -> "JobStore":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     def recover(self) -> dict[str, dict]:
@@ -157,22 +119,8 @@ class JobStore:
         anywhere else raises ``ValueError`` -- that is damage, not an
         interrupted write.
         """
-        self.flush()
         jobs: dict[str, dict] = {}
-        if not os.path.exists(self.path):
-            return jobs
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    break  # torn tail from a crash: recoverable
-                raise ValueError(f"{self.path}: corrupt journal line {i + 1}")
+        for record in self.records():
             job_id = record.get("id")
             kind = record.get("kind")
             if kind == "submit":

@@ -4,9 +4,9 @@ The store is deliberately primitive: one :class:`~repro.monitor.stream.MonitorEv
 per line, appended in emission order, never rewritten.  That buys the
 two properties the monitoring service needs:
 
-* **Durability without coordination** -- a supervisor crash loses at
-  most the unflushed tail; a torn final line (killed mid-write) is
-  detected and ignored on read.
+* **Durability without coordination** -- a :class:`repro.store.JsonLog`
+  writes each event unbuffered, so a crash loses at most the event being
+  written; a torn final line is ignored on read and cut on reopen.
 * **Replayability** -- released samples are journaled as ``"sample"``
   events, so :meth:`EventStore.samples` can re-feed a fresh
   :class:`~repro.monitor.stream.StreamState` and regenerate the exact
@@ -18,9 +18,9 @@ two properties the monitoring service needs:
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Any, Iterator
+from typing import Iterator
+
+from repro.store import JsonLog
 
 from .stream import MonitorEvent
 
@@ -31,67 +31,13 @@ __all__ = ["EventStore", "TRANSITION_KINDS"]
 TRANSITION_KINDS = frozenset({"start", "verdict", "episode", "decision", "closed"})
 
 
-class EventStore:
-    """Append-only JSONL store for monitor events.
+class EventStore(JsonLog):
+    """Append-only JSONL store for monitor events (see :class:`JsonLog`)."""
 
-    Parameters
-    ----------
-    path:
-        Journal file; created (with parents) if missing, appended to if
-        present.
-    flush_every:
-        fsync-less flush cadence in events; ``1`` (default) flushes on
-        every append, larger values trade durability for throughput.
-
-    Usable as a context manager; :meth:`close` is idempotent.
-    """
-
-    def __init__(self, path: str | os.PathLike, flush_every: int = 1):
-        self.path = os.fspath(path)
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        self.flush_every = max(1, int(flush_every))
-        self._fh = open(self.path, "a", encoding="utf-8")
-        self._since_flush = 0
-        self.appended = 0
-
-    # ------------------------------------------------------------------
     def append(self, event: MonitorEvent) -> None:
         """Append one event to the journal."""
-        if self._fh is None:
-            raise ValueError("store is closed")
-        self._fh.write(json.dumps(event.to_dict(), separators=(",", ":")) + "\n")
-        self.appended += 1
-        self._since_flush += 1
-        if self._since_flush >= self.flush_every:
-            self._fh.flush()
-            self._since_flush = 0
+        self.write(event.to_dict())
 
-    def append_many(self, events: Iterator[MonitorEvent] | list[MonitorEvent]) -> None:
-        """Append a batch of events."""
-        for ev in events:
-            self.append(ev)
-
-    def flush(self) -> None:
-        """Flush buffered writes to the OS."""
-        if self._fh is not None:
-            self._fh.flush()
-            self._since_flush = 0
-
-    def close(self) -> None:
-        """Flush and close the journal (idempotent)."""
-        if self._fh is not None:
-            self._fh.flush()
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "EventStore":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
     def replay(self, stream: str | None = None,
                kinds: frozenset[str] | None = None) -> Iterator[MonitorEvent]:
         """Iterate journaled events in append order.
@@ -101,21 +47,7 @@ class EventStore:
         line *elsewhere* raises ``ValueError``, since that indicates
         real damage rather than an interrupted write.
         """
-        self.flush()
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    return  # torn tail from a crash: recoverable
-                raise ValueError(f"{self.path}: corrupt journal line {i + 1}")
+        for d in self.records():
             ev = MonitorEvent.from_dict(d)
             if stream is not None and ev.stream != stream:
                 continue

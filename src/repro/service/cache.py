@@ -17,6 +17,7 @@ processes and services; the in-memory LRU fronts it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -26,6 +27,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.api.report import AnalysisReport
+from repro.store import PARSE_ERRORS, read_or_quarantine, write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import TaskSpec
@@ -38,6 +40,9 @@ __all__ = ["spec_key", "ResultCache"]
 #: warnings).
 _UNCACHEABLE_WARNED: set[str] = set()
 _WARNED_LOCK = threading.Lock()
+
+#: In-memory LRU capacity of a :class:`ResultCache`, in reports.
+MAX_ENTRIES = 256
 
 
 def spec_key(spec: "TaskSpec") -> str | None:
@@ -71,17 +76,17 @@ def spec_key(spec: "TaskSpec") -> str | None:
 class ResultCache:
     """Thread-safe LRU of report JSON, optionally backed by a directory.
 
+    The in-memory LRU holds at most :data:`MAX_ENTRIES` reports
+    (eviction does not touch the disk store).
+
     Parameters
     ----------
-    max_entries:
-        In-memory LRU capacity (eviction does not touch the disk store).
     cache_dir:
         Optional directory for the persistent JSON store; created on
         first write.
     """
 
-    def __init__(self, max_entries: int = 256, cache_dir: str | os.PathLike | None = None):
-        self.max_entries = int(max_entries)
+    def __init__(self, cache_dir: str | os.PathLike | None = None):
         self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         self._mem: OrderedDict[str, str] = OrderedDict()
         self._lock = threading.Lock()
@@ -105,23 +110,19 @@ class ResultCache:
         """
         with self._lock:
             text = self._mem.get(key)
-        from_disk = False
-        if text is None and self.cache_dir is not None:
-            try:
-                with open(self._path(key), "r", encoding="utf-8") as fh:
-                    text = fh.read()
-                from_disk = True
-            except OSError:
-                text = None
         report = None
+        moved = False
         if text is not None:
-            try:
+            with contextlib.suppress(*PARSE_ERRORS):
                 report = AnalysisReport.from_json(text)
-            except (ValueError, KeyError, TypeError, AttributeError):
-                report = None  # ValueError covers json.JSONDecodeError
-        if report is None and from_disk:
-            self._quarantine(key)
+        elif self.cache_dir is not None:
+            loaded, moved = read_or_quarantine(
+                self._path(key), lambda t: (t, AnalysisReport.from_json(t))
+            )
+            if loaded is not None:
+                text, report = loaded
         with self._lock:
+            self.quarantined += moved
             if report is None:
                 self._mem.pop(key, None)
                 self.misses += 1
@@ -130,19 +131,6 @@ class ResultCache:
                 self.hits += 1
         return report
 
-    def _quarantine(self, key: str) -> None:
-        """Move an unreadable disk entry aside (mirrors the journal's
-        torn-tail tolerance: damage is preserved, not re-served)."""
-        assert self.cache_dir is not None
-        try:
-            os.replace(
-                self._path(key), os.path.join(self.cache_dir, f"{key}.corrupt")
-            )
-        except OSError:
-            return  # a concurrent writer already replaced or removed it
-        with self._lock:
-            self.quarantined += 1
-
     def put(self, key: str, report: AnalysisReport) -> None:
         """Store a report under its spec hash (memory + disk)."""
         text = report.to_json()
@@ -150,12 +138,7 @@ class ResultCache:
             self._remember(key, text)
             self.stores += 1
         if self.cache_dir is not None:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            path = self._path(key)
-            tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)  # atomic under concurrent writers
+            write_atomic(self._path(key), text)
 
     def stats(self) -> dict[str, float]:
         """Hit/miss/store counters plus current occupancy."""
@@ -182,7 +165,7 @@ class ResultCache:
         # caller holds the lock
         self._mem[key] = text
         self._mem.move_to_end(key)
-        while len(self._mem) > self.max_entries:
+        while len(self._mem) > MAX_ENTRIES:
             self._mem.popitem(last=False)
 
     def _path(self, key: str) -> str:

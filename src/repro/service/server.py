@@ -41,7 +41,7 @@ Durability
 Graceful shutdown
     :meth:`graceful_shutdown` (wired to SIGTERM/SIGINT by
     :meth:`serve_until_shutdown`) stops accepting, journals live jobs
-    as ``interrupted``, cooperatively cancels them, flushes the store,
+    as ``interrupted``, cooperatively cancels them, closes the store,
     and returns within a bounded drain timeout.
 Dedup
     The default engine enables single-flight dedup: concurrent
@@ -64,6 +64,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.quota import TenantScheduler
 
 __all__ = ["ServiceServer"]
+
+#: Solver options older builds wrote into every journaled spec.  Neither
+#: ever changed a result, so recovery drops them instead of failing.
+_RETIRED_SOLVER_OPTIONS = ("kernel", "enclosure_order")
 
 
 class ServiceServer:
@@ -244,8 +248,8 @@ class ServiceServer:
         Stops accepting requests, journals every unfinished job as
         ``interrupted`` (so a restart re-runs it), requests cooperative
         cancellation, waits up to ``timeout`` (default
-        ``drain_timeout``) for the jobs to settle, flushes and closes
-        the job store, and shuts the engine's pools down.  Concurrent
+        ``drain_timeout``) for the jobs to settle, closes the job
+        store, and shuts the engine's pools down.  Concurrent
         callers block until the first caller finishes the drain.
         """
         timeout = self.drain_timeout if timeout is None else float(timeout)
@@ -359,17 +363,35 @@ class ServiceServer:
         over there -- re-submitting it here would duplicate-execute it.
         Foreign records (finished or not) stay readable by id.
         """
+        from repro.api.report import AnalysisReport  # deferred: api imports service
         from repro.cluster.jobstore import RERUN_STATES
+        from repro.status import AnalysisStatus
 
         prefix = getattr(self.engine, "job_prefix", "")
         for job_id, record in self.job_store.recover().items():
             if record["state"] in RERUN_STATES and job_id.startswith(prefix):
+                solver = record["spec"].get("solver")
+                if isinstance(solver, dict):
+                    for key in _RETIRED_SOLVER_OPTIONS:
+                        solver.pop(key, None)
                 try:
                     job = self.engine.submit_deferred(
                         record["spec"], job_id=job_id
                     )
-                except (ValueError, KeyError, TypeError):
-                    continue  # a spec this build cannot parse anymore
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    # a spec this build cannot parse: fail it durably so
+                    # GET /jobs/<id> says why and no restart retries it
+                    report = AnalysisReport(
+                        str(record["spec"].get("task", "")),
+                        AnalysisStatus.ERROR,
+                        detail=f"journaled spec no longer parses: {exc}",
+                        name=str(record["spec"].get("name", "")),
+                    ).to_dict()
+                    self.job_store.record_done(job_id, "failed", report)
+                    self._recovered[job_id] = {
+                        **record, "state": "failed", "report": report
+                    }
+                    continue
                 job.tenant = record["tenant"]
                 job._backend_args = (self.backend, None)
                 # re-journal so THIS process's done-hook owns the id

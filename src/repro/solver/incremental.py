@@ -9,10 +9,10 @@ byte-identical specs, so a one-coefficient perturbation or a delta
 tightening pays full price.
 
 This module closes that gap with a content-addressed, on-disk
-**PavingStore** (same hashing + atomic-write + corrupt-quarantine
-idioms as ``service/cache.py``) that persists the *final frontier* of
-every completed solve and paving, keyed by the formula's structural
-**fingerprint**:
+**PavingStore** (atomic writes and corrupt-file quarantine from
+:mod:`repro.store`, as in ``service/cache.py``) that persists the
+*final frontier* of every completed solve and paving, keyed by the
+formula's structural **fingerprint**:
 
 ``formula_fingerprint(phi)``
     splits a formula into its constant-free *skeleton* (the compiled
@@ -78,6 +78,7 @@ from repro.logic import (
     Or,
     TrueFormula,
 )
+from repro.store import read_or_quarantine, write_atomic
 
 from .tape import CERTAIN_FALSE, CERTAIN_TRUE, compile_formula
 
@@ -105,6 +106,9 @@ COVER_CAP = 100_000
 
 #: Cover boxes judged per vectorized chunk during reuse checks.
 _JUDGE_CHUNK = 50_000
+
+#: Artifacts kept per store group (:meth:`PavingStore.put` drops the oldest).
+MAX_GROUP_ENTRIES = 64
 
 
 # ----------------------------------------------------------------------
@@ -323,10 +327,11 @@ class PavingStore:
     artifact a warm-start could possibly reuse for a query lives in one
     directory -- and ``ident`` hashes the exact solve configuration
     (constants, box, delta, min_width, contract_tol), so re-solving the
-    identical problem overwrites in place.  Writes are atomic
-    (tmp + ``os.replace``); unreadable or schema-incompatible artifacts
-    are quarantined to ``<ident>.corrupt`` exactly like
-    :class:`~repro.service.cache.ResultCache` entries.
+    identical problem overwrites in place.  Writes are atomic and
+    unreadable or schema-incompatible artifacts are quarantined to
+    ``<ident>.corrupt``, through the same :mod:`repro.store` helpers as
+    :class:`~repro.service.cache.ResultCache` entries.  Each group keeps
+    at most :data:`MAX_GROUP_ENTRIES` artifacts.
 
     Counters (:meth:`stats`): ``hits`` (exact-config reuse),
     ``partial`` (delta-tightened / cover-rejudge / witness-recheck /
@@ -334,9 +339,8 @@ class PavingStore:
     ``quarantined``.
     """
 
-    def __init__(self, root: str | os.PathLike, max_group_entries: int = 64):
+    def __init__(self, root: str | os.PathLike):
         self.root = os.fspath(root)
-        self.max_group_entries = int(max_group_entries)
         self._lock = threading.Lock()
         self.hits = 0
         self.partial = 0
@@ -390,23 +394,25 @@ class PavingStore:
         except OSError:
             return []
         entries.sort(key=lambda e: (-self._mtime(e), e.name))
+
+        def parse(text: str) -> dict:
+            payload = json.loads(text)
+            if (
+                payload.get("version") != ARTIFACT_VERSION
+                or payload.get("kind") != kind
+                or tuple(payload.get("names", ())) != names
+            ):
+                raise ValueError("artifact schema mismatch")
+            return payload
+
         out: list[dict] = []
         for entry in entries:
-            try:
-                with open(entry.path, "r", encoding="utf-8") as fh:
-                    payload = json.load(fh)
-                if (
-                    payload.get("version") != ARTIFACT_VERSION
-                    or payload.get("kind") != kind
-                    or tuple(payload.get("names", ())) != names
-                ):
-                    raise ValueError("artifact schema mismatch")
-            except OSError:
-                continue
-            except (ValueError, KeyError, TypeError):
-                self._quarantine(entry.path)
-                continue
-            out.append(payload)
+            payload, moved = read_or_quarantine(entry.path, parse)
+            if moved:
+                with self._lock:
+                    self.quarantined += 1
+            if payload is not None:
+                out.append(payload)
         return out
 
     @staticmethod
@@ -415,14 +421,6 @@ class PavingStore:
             return entry.stat().st_mtime
         except OSError:
             return 0.0
-
-    def _quarantine(self, path: str) -> None:
-        try:
-            os.replace(path, path[: -len(".json")] + ".corrupt")
-        except OSError:
-            return  # a concurrent writer already replaced or removed it
-        with self._lock:
-            self.quarantined += 1
 
     # -- write ---------------------------------------------------------
     def put(
@@ -435,12 +433,10 @@ class PavingStore:
     ) -> None:
         """Atomically store one artifact under its exact-config address."""
         group = self._group_dir(kind, skeleton, names)
-        os.makedirs(group, exist_ok=True)
-        path = os.path.join(group, f"{self._ident(identity)}.json")
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
-        os.replace(tmp, path)  # atomic under concurrent writers
+        write_atomic(
+            os.path.join(group, f"{self._ident(identity)}.json"),
+            json.dumps(payload, separators=(",", ":")),
+        )
         with self._lock:
             self.stores += 1
         self._prune(group)
@@ -451,7 +447,7 @@ class PavingStore:
             entries = [e for e in os.scandir(group) if e.name.endswith(".json")]
         except OSError:
             return
-        excess = len(entries) - self.max_group_entries
+        excess = len(entries) - MAX_GROUP_ENTRIES
         if excess <= 0:
             return
         entries.sort(key=lambda e: (self._mtime(e), e.name))

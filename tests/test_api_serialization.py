@@ -14,6 +14,7 @@ from repro.api.serialize import (
     timeseries_from_value,
     timeseries_to_value,
 )
+from repro.bmc import BMCOptions
 from repro.smc import Always, At, Eventually, Prop
 
 
@@ -59,7 +60,7 @@ class TestTaskSpecRoundTrip:
         assert back.model.system.state_names == ["x"]
 
     def test_unknown_solver_option_rejected(self):
-        for solver in ({"typo": 1}, {"kernel": "numpy"}):
+        for solver in ({"typo": 1}, {"kernel": "numpy"}, {"enclosure_order": 2}):
             with pytest.raises(ValueError, match="unknown solver options"):
                 TaskSpec.from_dict(
                     {"task": "calibrate", "model": {"builtin": "logistic"},
@@ -80,6 +81,11 @@ class TestTaskSpecRoundTrip:
                 SolverOptions(enclosure_step=step)
             with pytest.raises(ValueError, match="verify_step must be > 0"):
                 SolverOptions(verify_step=step)
+            # in-process BMC callers bypass SolverOptions: same checks
+            with pytest.raises(ValueError, match="enclosure_step must be > 0"):
+                BMCOptions(enclosure_step=step)
+            with pytest.raises(ValueError, match="verify_step must be > 0"):
+                BMCOptions(verify_step=step)
         with pytest.raises(ValueError, match="enclosure_step must be > 0"):
             SolverOptions.from_dict({"enclosure_step": 0})
 

@@ -55,6 +55,14 @@ class TestTimeSeriesData:
 
 
 class TestCalibration:
+    def test_rejects_non_positive_enclosure_step(self):
+        for step in (0.0, -0.05, float("nan")):
+            with pytest.raises(ValueError, match="enclosure_step must be > 0"):
+                SMTCalibrator(
+                    decay_system(), decay_data(), {"k": (0.1, 3.0)},
+                    {"x": 1.0}, enclosure_step=step,
+                )
+
     def test_recovers_true_parameter(self):
         calib = SMTCalibrator(
             decay_system(), decay_data(k_true=1.5), {"k": (0.1, 3.0)},

@@ -18,8 +18,8 @@ from repro.expr import var
 from repro.hybrid import HybridAutomaton, Jump, Mode
 from repro.intervals import Box
 from repro.logic import And, in_range
-from repro.models import ias_model, psa, tbi_model
-from repro.odes import ODESystem, rk45
+from repro.models import ias_model, tbi_model
+from repro.odes import ODESystem
 from repro.smc import G
 
 x = var("x")

@@ -373,6 +373,39 @@ class TestDurability:
         assert "mine-unfinished" in gate.calls
         assert "foreign-live" not in gate.calls  # no duplicate execution
 
+    def test_journal_with_retired_solver_options_is_rerun(self, gate, tmp_path):
+        from repro.api import TaskSpec
+
+        gate.release.set()
+        store_path = str(tmp_path / "jobs.jsonl")
+        # a submit record as older builds wrote it: to_dict() of a spec
+        # whose SolverOptions still held kernel and enclosure_order
+        old = TaskSpec.from_dict(spec("older-build")).to_dict()
+        old["solver"].update(kernel="numpy", enclosure_order=3)
+        with JobStore(store_path) as store:
+            store.record_submit("j000001", old)
+        with serve(Engine(seed=0), job_store=store_path) as server:
+            _, job = _get(f"{server.url}/jobs/j000001?wait=30")
+            assert job["state"] == "done"
+            assert job["status"] == "delta-sat"
+        assert gate.calls == ["older-build"]
+
+    def test_unparseable_journaled_spec_fails_durably(self, gate, tmp_path):
+        gate.release.set()
+        store_path = str(tmp_path / "jobs.jsonl")
+        bad = dict(spec("bad-knob"), solver={"no_such_knob": 1})
+        with JobStore(store_path) as store:
+            store.record_submit("j000001", bad)
+        for _ in range(2):  # the second restart reads the journaled failure
+            with serve(Engine(seed=0), job_store=store_path) as server:
+                _, job = _get(f"{server.url}/jobs/j000001")
+                assert job["recovered"] is True
+                assert job["state"] == "failed"
+                assert job["status"] == "error"
+                assert "no_such_knob" in job["detail"]
+        assert gate.calls == []
+        assert JobStore(store_path).recover()["j000001"]["state"] == "failed"
+
 
 # ----------------------------------------------------------------------
 # Client-side retries: repro jobs --retry

@@ -1,11 +1,11 @@
 """Docstring coverage of the public surface (repro.api, repro.apps,
 repro.bmc, repro.lyapunov, repro.monitor, repro.scenarios, repro.solver,
-repro.tools).
+repro.store, repro.tools).
 
 Mirrors the ruff pydocstyle D1 rules enabled in pyproject.toml
 (D100-D104, D106) so the check also runs where ruff is not installed:
 every module, public class, and public function/method in these
-packages must carry a docstring.
+packages and modules must carry a docstring.
 """
 
 import ast
@@ -16,15 +16,17 @@ import pytest
 import repro
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
+#: Packages (every module below them) and single modules.
 PACKAGES = (
     SRC / "api", SRC / "apps", SRC / "bmc", SRC / "lyapunov", SRC / "monitor",
-    SRC / "scenarios", SRC / "solver", SRC / "tools",
+    SRC / "scenarios", SRC / "solver", SRC / "store.py", SRC / "tools",
 )
 
 
 def _public_surface():
     for package in PACKAGES:
-        for path in sorted(package.rglob("*.py")):
+        paths = sorted(package.rglob("*.py")) if package.is_dir() else [package]
+        for path in paths:
             tree = ast.parse(path.read_text(encoding="utf-8"))
             yield path, None, tree
 

@@ -22,10 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.expr import Const, sin, var, variables
+from repro.expr import Const, sin, var
 from repro.intervals import Box
 from repro.logic import And, Atom, in_range
 from repro.progress import progress_scope
+from repro.solver import incremental
 from repro.solver import DeltaSolver, Status
 from repro.solver.incremental import (
     CoverRecorder,
@@ -387,8 +388,9 @@ class TestStoreRobustness:
         assert store.candidates("solve", fp.skeleton, tuple(box.names)) == []
         assert store.stats()["quarantined"] == 1
 
-    def test_group_prune_keeps_newest(self, tmp_path):
-        store = PavingStore(tmp_path, max_group_entries=2)
+    def test_group_prune_keeps_newest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(incremental, "MAX_GROUP_ENTRIES", 2)
+        store = PavingStore(tmp_path)
         for i in range(4):
             store.put(
                 "solve", "skel", ("x",), [i],

@@ -14,7 +14,7 @@ from repro.io import hybrid_from_dict, hybrid_to_dict, ode_from_dict, ode_to_dic
 from repro.logic import in_range
 from repro.models import thermostat
 from repro.odes import ODESystem, flow_enclosure, rk45
-from repro.smc import F, G, InitialDistribution, StatisticalModelChecker
+from repro.smc import F, InitialDistribution, StatisticalModelChecker
 from repro.solver import DeltaSolver, Status
 
 

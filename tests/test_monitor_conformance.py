@@ -407,7 +407,7 @@ class TestStreamState:
 
 class TestStoreRecovery:
     def _run_fleet(self, path, seed=3):
-        store = EventStore(path, flush_every=1)
+        store = EventStore(path)
         sup = FleetSupervisor(store=store)
         stream_scenario(sup, "logistic-growth-smc", streams=3, episodes=3,
                         seed=seed, theta=0.5)

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+import repro.service.cache as cache_mod
 from repro.api import Engine, JobState, ResultCache, TaskSpec
 from repro.progress import JobCancelled, ProgressEvent, emit, progress_scope
 from repro.service import make_backend, spec_key
@@ -276,8 +277,9 @@ class TestResultCache:
         finally:
             eng2.close()
 
-    def test_lru_eviction(self):
-        cache = ResultCache(max_entries=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(cache_mod, "MAX_ENTRIES", 2)
+        cache = ResultCache()
         from repro.api.report import AnalysisReport
 
         for i in range(3):

@@ -5,9 +5,9 @@ import math
 
 import pytest
 
-from repro.expr import exp, parse_expr, sin, variables
+from repro.expr import exp, sin, variables
 from repro.intervals import Box, BoxArray
-from repro.logic import And, Atom, Exists, Forall, Or, equals_within, in_range
+from repro.logic import And, Exists, Forall, Or, equals_within, in_range
 from repro.solver import (
     Certainty,
     DeltaSolver,

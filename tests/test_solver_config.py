@@ -92,7 +92,6 @@ class TestNoSolverOptionIsDropped:
         "delta": 0.125,
         "max_boxes": 777,
         "enclosure_step": 0.07,
-        "enclosure_order": 3,
         "contract_tol": 0.3,
         "use_simulation_guidance": False,
         "frontier_size": 5,
