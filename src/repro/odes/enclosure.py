@@ -75,6 +75,7 @@ class ReachTube:
 
     @property
     def t_end(self) -> float:
+        """End time of the last step (0.0 for an empty tube)."""
         return self.steps[-1].time.hi if self.steps else 0.0
 
     def final(self) -> Box:
@@ -97,15 +98,8 @@ class ReachTube:
         return hull
 
     def max_width(self) -> float:
+        """Widest dimension over all step endpoints."""
         return max(step.end.max_width() for step in self.steps)
-
-
-def _field_over(
-    system: ODESystem,
-    box: Box,
-    param_box: Box | None,
-) -> dict[str, Interval]:
-    return system.eval_field_interval(box, param_box)
 
 
 def _a_priori_box(
@@ -114,14 +108,18 @@ def _a_priori_box(
     h: float,
     param_box: Box | None,
     max_tries: int = 12,
-) -> Box:
-    """Picard-Lindelof rectangle: B with X0 + [0,h] f(B) inside B."""
+) -> tuple[Box, dict[str, Interval], dict[str, Interval]]:
+    """Picard-Lindelof rectangle: B with X0 + [0,h] f(B) inside B.
+
+    Returns ``(B, f(X0), f(B))``: both field enclosures are computed on
+    the way, so callers reuse them instead of evaluating them again.
+    """
     names = system.state_names
     hs = Interval(0.0, h)
     # initial guess: Euler range, inflated per-dimension proportionally
     # to the local motion scale (absolute inflation would swamp
     # small-magnitude dimensions and ruin guard pruning downstream)
-    f0 = _field_over(system, x0, param_box)
+    f0 = system.eval_field_interval(x0, param_box)
     cand = Box(
         {
             n: x0[n].hull(x0[n] + hs * f0[n]).inflate(
@@ -131,10 +129,10 @@ def _a_priori_box(
         }
     )
     for _ in range(max_tries):
-        f = _field_over(system, cand, param_box)
+        f = system.eval_field_interval(cand, param_box)
         image = Box({n: x0[n].hull(x0[n] + hs * f[n]) for n in names})
         if cand.contains_box(image):
-            return cand
+            return cand, f0, f
         # inflate each violated dimension past the image by the
         # overshoot amount (geometric progress toward a fixed point)
         new = {}
@@ -205,18 +203,16 @@ def flow_enclosure(
         # establish an a priori box, halving h on failure
         while True:
             try:
-                apriori = _a_priori_box(system, current, h, param_box)
+                apriori, fX, fB = _a_priori_box(system, current, h, param_box)
                 break
             except EnclosureError:
                 h *= 0.5
                 if h < 1e-9:
                     raise
-        fB = _field_over(system, apriori, param_box)
         hs = Interval(0.0, h)
         enclosure = Box({n: current[n].hull(current[n] + hs * fB[n]) for n in names})
 
         if order >= 2 and jac is not None:
-            fX = _field_over(system, current, param_box)
             env: dict[str, Interval] = {
                 k: Interval.point(v) for k, v in system.params.items()
             }
@@ -292,8 +288,14 @@ def _perron_weights(
     box center.  For Metzler matrices the optimal diagonal scaling of
     the infinity-log-norm achieves the spectral abscissa, with the
     positive eigenvector as weights.  Heuristic floats only -- soundness
-    is independent of the choice (see :func:`_log_norm_inf`)."""
+    is independent of the choice (see :func:`_log_norm_inf`).
+
+    A 1-D system gets ``{name: 1.0}`` straight away: every branch below
+    gives exactly that for a 1x1 matrix (eigenvector ``[[1.]]`` for a
+    finite entry, ``LinAlgError`` -> 1.0 for NaN or inf)."""
     n = len(names)
+    if n == 1:
+        return {names[0]: 1.0}
     M = np.zeros((n, n))
     for a, i in enumerate(names):
         for b, j in enumerate(names):
@@ -325,9 +327,7 @@ def _center_step(
 ) -> Box:
     """Second-order interval Taylor endpoint for a (near-point) box."""
     names = system.state_names
-    apriori = _a_priori_box(system, center, h, param_mid)
-    fB = _field_over(system, apriori, param_mid)
-    fX = _field_over(system, center, param_mid)
+    apriori, fX, fB = _a_priori_box(system, center, h, param_mid)
     env: dict[str, Interval] = {k: Interval.point(v) for k, v in system.params.items()}
     if param_mid is not None:
         env.update(dict(param_mid))
@@ -358,10 +358,7 @@ def _lognorm_tube(
     param_mid: Box | None = None
     if param_box is not None and len(param_box):
         pnames = param_box.names
-        param_jac = {
-            i: {p: system.derivatives[i].diff(p).simplify() for p in pnames}
-            for i in names
-        }
+        param_jac = system.param_jacobian(pnames)
         param_rad = {p: param_box[p].radius() for p in pnames}
         param_mid = Box.from_point(param_box.midpoint())
 
@@ -384,7 +381,7 @@ def _lognorm_tube(
         tries = 0
         while True:
             try:
-                apriori = _a_priori_box(system, current, h, param_box)
+                apriori, _, _ = _a_priori_box(system, current, h, param_box)
                 break
             except EnclosureError:
                 h *= 0.5

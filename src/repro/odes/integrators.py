@@ -94,16 +94,19 @@ class Trajectory:
 
     @property
     def t0(self) -> float:
+        """First sample time."""
         return float(self.times[0])
 
     @property
     def t_end(self) -> float:
+        """Last sample time."""
         return float(self.times[-1])
 
     def __len__(self) -> int:
         return len(self.times)
 
     def column(self, name: str) -> np.ndarray:
+        """Samples of state ``name``, one per entry of ``times``."""
         return self.states[:, self.names.index(name)]
 
     def at(self, t: float) -> dict[str, float]:
@@ -115,9 +118,11 @@ class Trajectory:
         return dict(zip(self.names, self._dense(min(max(t, lo), hi))))
 
     def value(self, name: str, t: float) -> float:
+        """Value of state ``name`` at time ``t`` (dense output)."""
         return self.at(t)[name]
 
     def final(self) -> dict[str, float]:
+        """State at the last sample time."""
         return dict(zip(self.names, map(float, self.states[-1])))
 
     def restricted(self, t_from: float, t_to: float) -> "Trajectory":

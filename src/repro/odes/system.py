@@ -57,23 +57,29 @@ class ODESystem:
             )
         self._compiled: Callable | None = None
         self._compiled_batch: Callable | None = None
+        self._jacobian: dict[str, dict[str, Expr]] | None = None
+        self._param_jacobians: dict[tuple[str, ...], dict[str, dict[str, Expr]]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def state_names(self) -> list[str]:
+        """State-variable names, in the order of ``derivatives``."""
         return list(self.derivatives)
 
     @property
     def param_names(self) -> list[str]:
+        """Parameter names, in the order of ``params``."""
         return list(self.params)
 
     @property
     def dim(self) -> int:
+        """Number of state variables."""
         return len(self.derivatives)
 
     def is_autonomous(self) -> bool:
+        """True when no derivative mentions the time variable ``t``."""
         return all("t" not in e.variables() for e in self.derivatives.values())
 
     # ------------------------------------------------------------------
@@ -128,11 +134,36 @@ class ODESystem:
     # Calculus
     # ------------------------------------------------------------------
     def jacobian(self) -> dict[str, dict[str, Expr]]:
-        """Symbolic Jacobian ``J[i][j] = d f_i / d x_j``."""
-        return {
-            i: {j: self.derivatives[i].diff(j).simplify() for j in self.state_names}
-            for i in self.state_names
-        }
+        """Symbolic Jacobian ``J[i][j] = d f_i / d x_j``.
+
+        Built once per system and shared by every caller: do not mutate
+        the returned mapping.  It is symbolic in the parameters, so a
+        later change of ``params`` values cannot make it stale.  Two
+        threads racing on the first call both build equal mappings, so
+        the cache needs no lock.
+        """
+        if self._jacobian is None:
+            self._jacobian = {
+                i: {j: self.derivatives[i].diff(j).simplify() for j in self.state_names}
+                for i in self.state_names
+            }
+        return self._jacobian
+
+    def param_jacobian(self, names: Sequence[str]) -> dict[str, dict[str, Expr]]:
+        """Symbolic parameter Jacobian ``P[i][p] = d f_i / d p`` for ``names``.
+
+        Memoized per tuple of ``names`` and shared like :meth:`jacobian`:
+        do not mutate the returned mapping.
+        """
+        key = tuple(names)
+        jac = self._param_jacobians.get(key)
+        if jac is None:
+            jac = {
+                i: {p: self.derivatives[i].diff(p).simplify() for p in key}
+                for i in self.state_names
+            }
+            self._param_jacobians[key] = jac
+        return jac
 
     def lie_derivative(self, v: ExprLike) -> Expr:
         """Lie derivative of scalar field ``v`` along the flow.

@@ -58,6 +58,7 @@ class ExecutorBackend:
     distributed: bool = False
 
     def submit(self, fn: Callable[..., Any], /, *args: Any) -> Future:
+        """Schedule ``fn(*args)``; its result or exception lands on the future."""
         raise NotImplementedError
 
     def shutdown(self, wait: bool = True) -> None:
@@ -73,6 +74,7 @@ class InlineBackend(ExecutorBackend):
     name = "inline"
 
     def submit(self, fn: Callable[..., Any], /, *args: Any) -> Future:
+        """Run ``fn(*args)`` now; return an already-completed future."""
         future: Future = Future()
         future.set_running_or_notify_cancel()
         try:
@@ -97,9 +99,11 @@ class _PooledBackend(ExecutorBackend):
         return self._pool
 
     def submit(self, fn: Callable[..., Any], /, *args: Any) -> Future:
+        """Hand ``fn(*args)`` to the pool, creating the pool on first use."""
         return self._ensure().submit(fn, *args)
 
     def shutdown(self, wait: bool = True) -> None:
+        """Shut the pool down; the next :meth:`submit` makes a fresh one."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=wait)

@@ -82,15 +82,18 @@ class JobHandle:
     # -- public surface -------------------------------------------------
     @property
     def status(self) -> JobState:
+        """Current lifecycle state."""
         with self._cond:
             return self._state
 
     def done(self) -> bool:
+        """True once the job reached a terminal state."""
         with self._cond:
             return self._state in _TERMINAL
 
     @property
     def cancel_requested(self) -> bool:
+        """True once :meth:`cancel` was called (the job may still be running)."""
         return self._cancel.is_set()
 
     def cancel(self) -> bool:

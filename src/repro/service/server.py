@@ -52,6 +52,7 @@ Dedup
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -150,6 +151,10 @@ class ServiceServer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # TCP_NODELAY: a reply goes out as a header write and a body
+            # write; with Nagle on, the body waits for the client's
+            # delayed ACK of the headers (~40 ms per reply)
+            disable_nagle_algorithm = True
 
             def log_message(self, fmt: str, *args: Any) -> None:
                 pass  # keep the server quiet; clients see JSON errors
@@ -193,9 +198,11 @@ class ServiceServer:
     # -- lifecycle ------------------------------------------------------
     @property
     def url(self) -> str:
+        """Base URL of the bound address, e.g. ``http://127.0.0.1:8080``."""
         return f"http://{self.host}:{self.port}"
 
     def serve_forever(self) -> None:
+        """Serve in this thread until :meth:`shutdown` (no signal handling)."""
         self.httpd.serve_forever()
 
     def serve_until_shutdown(self) -> None:
@@ -434,6 +441,10 @@ class ServiceServer:
                 req._error(404, f"no such job: {parts[1]}")
                 return
             wait = _query_float(query, "wait")
+            if wait is not None and math.isnan(wait):
+                # min(nan, 60.0) is nan, and a NaN timeout waits forever
+                req._error(400, "wait must be a number")
+                return
             if wait is not None:
                 try:
                     job.result(timeout=min(wait, 60.0))

@@ -1,11 +1,14 @@
 """Tests for validated flow enclosures (Picard + interval Taylor)."""
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from repro.expr import var
 from repro.intervals import Box, Interval
+from repro.models import fenton_karma_hybrid, fenton_karma_mode
 from repro.odes import EnclosureError, ODESystem, flow_enclosure, rk45
 
 
@@ -118,3 +121,122 @@ class TestFailureModes:
             decay, Box.from_bounds({"x": (1.0, 1.0), "unused": (0, 1)}), duration=0.2
         )
         assert tube.names == ["x"]
+
+
+# ----------------------------------------------------------------------
+# Pinned bits and work: the enclosure reuses the field values, Jacobians
+# and norm weights it already has, and every bound stays bit-identical
+# ----------------------------------------------------------------------
+
+
+def _tube_1d_param_box():
+    k = var("k")
+    system = ODESystem({"x": -k * var("x")}, {"k": 1.0})
+    return flow_enclosure(
+        system, {"x": (0.9, 1.1)}, duration=1.0,
+        param_box=Box.from_bounds({"k": (0.5, 1.5)}), max_step=0.1,
+    )
+
+
+def _tube_fk_lognorm():
+    return flow_enclosure(
+        fenton_karma_mode("excited"),
+        {"u": (0.9, 0.92), "v": (0.0, 0.01), "w": (0.9, 0.91)},
+        duration=1.0, max_step=0.05,
+    )
+
+
+def _tube_taylor2():
+    r, K, x = var("r"), var("K"), var("x")
+    system = ODESystem({"x": r * x * (1 - x / K)}, {"r": 1.0, "K": 2.0})
+    return flow_enclosure(
+        system, {"x": (0.4, 0.6)}, duration=1.0, max_step=0.1,
+        method="taylor", order=2,
+    )
+
+
+def _tube_digest(tube):
+    """sha256 over ``float.hex`` of every step's time and box bounds."""
+    h = hashlib.sha256()
+    for step in tube.steps:
+        bounds = [step.time.lo, step.time.hi]
+        for box in (step.enclosure, step.end):
+            for n in tube.names:
+                bounds += [box[n].lo, box[n].hi]
+        h.update(" ".join(float(b).hex() for b in bounds).encode() + b"\n")
+    return h.hexdigest()
+
+
+#: (tube function, steps, digest, eval_field_interval calls, eig calls).  The
+#: digests were taken before the enclosure reused its field values, so
+#: they pin that the reuse changed no bit.  The call counts pin the
+#: work: lognorm does 4 field evaluations per step (a priori of the
+#: whole box + of the center, each f(X0) and one f(B) when the first
+#: candidate holds), taylor order 2 does 2, and a 1-D system never
+#: calls eig.
+TUBE_CASES = {
+    "1d-param-box": (
+        _tube_1d_param_box, 10,
+        "9362dc62563a50260577923a571f64640b32823d450dcf954b1069deaef627fc", 42, 0,
+    ),
+    "fk-excited-lognorm": (
+        _tube_fk_lognorm, 20,
+        "2004b4968158767d7ac8790daf269926a4414c351e18157e8b7be312976be25c", 82, 20,
+    ),
+    "taylor-order-2": (
+        _tube_taylor2, 10,
+        "bf6dcde6cb1672ef8eee4daac72ef29dc648e5d95e5150fc42d295ab7007eb13", 20, 0,
+    ),
+}
+
+
+class TestPinnedTubes:
+    @pytest.mark.parametrize("case", sorted(TUBE_CASES))
+    def test_tube_bits(self, case):
+        build, steps, digest, _, _ = TUBE_CASES[case]
+        tube = build()
+        assert len(tube.steps) == steps
+        assert _tube_digest(tube) == digest
+
+    @pytest.mark.parametrize("case", sorted(TUBE_CASES))
+    def test_tube_work(self, case, monkeypatch):
+        build, _, _, want_field, want_eig = TUBE_CASES[case]
+        calls = {"field": 0, "eig": 0}
+        field, eig = ODESystem.eval_field_interval, np.linalg.eig
+
+        def counted_field(self, *args, **kwargs):
+            calls["field"] += 1
+            return field(self, *args, **kwargs)
+
+        def counted_eig(*args, **kwargs):
+            calls["eig"] += 1
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(ODESystem, "eval_field_interval", counted_field)
+        monkeypatch.setattr(np.linalg, "eig", counted_eig)
+        build()
+        assert calls == {"field": want_field, "eig": want_eig}
+
+
+class TestMemoizedJacobians:
+    def test_jacobian_survives_params_refresh(self):
+        automaton = fenton_karma_hybrid()
+        system = automaton.mode_system("excited")
+        jac = system.jacobian()
+        before = {i: {j: str(e) for j, e in row.items()} for i, row in jac.items()}
+        automaton.params["tau_d"] = 2.0 * automaton.params["tau_d"]
+        assert automaton.mode_system("excited") is system
+        assert system.params["tau_d"] == automaton.params["tau_d"]
+        assert system.jacobian() is jac
+        fresh = ODESystem(system.derivatives, system.params).jacobian()
+        assert before == {i: {j: str(e) for j, e in row.items()} for i, row in fresh.items()}
+
+    def test_param_jacobian_keyed_by_names(self):
+        k, c = var("k"), var("c")
+        system = ODESystem({"x": -k * var("x") + c}, {"k": 1.0, "c": 0.5})
+        pk = system.param_jacobian(["k"])
+        assert system.param_jacobian(("k",)) is pk
+        assert sorted(pk["x"]) == ["k"]
+        both = system.param_jacobian(["k", "c"])
+        assert both is not pk and sorted(both["x"]) == ["c", "k"]
+        assert both["x"]["c"].eval({}) == 1.0

@@ -1,13 +1,16 @@
 """HTTP round-trips against the ``repro serve`` job service, bound to
 an ephemeral port."""
 
+import http.client
 import json
+import socket
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
 import pytest
 
 from repro.api import Engine, ServiceServer
+from repro.cluster.quota import TenantPolicy, TenantScheduler
 
 
 def smc_spec(name="http-smc"):
@@ -146,3 +149,91 @@ class TestServe:
         assert main(["jobs", server.url]) == 0
         out = capsys.readouterr().out
         assert "id" in out and "state" in out
+
+
+class TestReplyPath:
+    """The transport under the JSON: socket options and keep-alive framing."""
+
+    def test_accepted_connection_sets_tcp_nodelay(self, server, monkeypatch):
+        # a header write then a body write with Nagle on stalls each
+        # reply on the client's delayed ACK; the option must be set
+        handler = server.httpd.RequestHandlerClass
+        seen = []
+        setup = handler.setup
+
+        def recording_setup(self):
+            setup(self)
+            seen.append(
+                self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(handler, "setup", recording_setup)
+        status, _ = _get(f"{server.url}/health")
+        assert status == 200
+        assert seen and all(flag != 0 for flag in seen)
+
+    def test_keep_alive_replies_frame_correctly(self):
+        scheduler = TenantScheduler(
+            policies={"metered": TenantPolicy(rate=1e-3, burst=1.0)}
+        )
+        engine = Engine(seed=0, cache=True)
+        with ServiceServer(engine, port=0, scheduler=scheduler) as srv:
+            conn = http.client.HTTPConnection(srv.host, srv.port, timeout=60)
+            try:
+                conn.connect()
+                sock = conn.sock
+
+                def call(method, path, payload=None, headers=None):
+                    body = None if payload is None else json.dumps(payload)
+                    conn.request(method, path, body=body, headers=headers or {})
+                    resp = conn.getresponse()
+                    raw = resp.read()
+                    assert int(resp.getheader("Content-Length")) == len(raw)
+                    assert conn.sock is sock  # still the one connection
+                    return resp, json.loads(raw)
+
+                for k in range(10):
+                    resp, sub = call("POST", "/run", smc_spec(f"keep-alive-{k % 3}"))
+                    assert resp.status == 202
+                    resp, job = call("GET", f"/jobs/{sub['job']}?wait=60")
+                    assert resp.status == 200 and job["state"] == "done"
+                resp, err = call("GET", "/jobs/j999999")
+                assert resp.status == 404 and "no such job" in err["error"]
+                headers = {"X-Tenant": "metered"}
+                resp, _ = call("POST", "/run", smc_spec("metered-0"), headers)
+                assert resp.status == 202
+                resp, err = call("POST", "/run", smc_spec("metered-1"), headers)
+                assert resp.status == 429
+                assert int(resp.getheader("Retry-After")) >= 1
+                assert err["retry_after"] > 0
+                resp, health = call("GET", "/health")
+                assert resp.status == 200 and health["ok"] is True
+            finally:
+                conn.close()
+        engine.close()
+
+
+class TestWaitParameter:
+    def test_nan_wait_is_rejected_at_once(self, running_execute):
+        # a NaN timeout would block the handler thread until the job
+        # ends; this job cannot end during the test: it is queued
+        # behind the only slot, which a gated job holds
+        engine = Engine(seed=0)
+        scheduler = TenantScheduler(max_running=1)
+        with ServiceServer(engine, port=0, scheduler=scheduler) as srv:
+            _, holder = _post(f"{srv.url}/run", smc_spec("slot-holder"))
+            assert running_execute.started.wait(timeout=30.0)
+            _, queued = _post(f"{srv.url}/run", smc_spec("queued"))
+            assert queued["state"] == "pending"
+            for wait in ("nan", "NaN", "-nan"):
+                with pytest.raises(HTTPError) as err:
+                    _get(f"{srv.url}/jobs/{queued['job']}?wait={wait}", timeout=10.0)
+                assert err.value.code == 400
+                assert json.loads(err.value.read())["error"] == "wait must be a number"
+            # a negative wait does not wait at all
+            status, job = _get(f"{srv.url}/jobs/{queued['job']}?wait=-5", timeout=10.0)
+            assert status == 200 and job["state"] == "pending"
+            running_execute.release.set()
+            _, done = _get(f"{srv.url}/jobs/{holder['job']}?wait=60")
+            assert done["state"] == "done"
+        engine.close()
