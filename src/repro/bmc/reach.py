@@ -379,7 +379,7 @@ class BMCChecker:
         step: float | None = None,
     ) -> ReachTube:
         if duration <= 1e-12:
-            return ReachTube([], system.state_names)
+            return ReachTube((), tuple(system.state_names))
         return flow_enclosure(
             system,
             start,

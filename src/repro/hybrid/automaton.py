@@ -73,6 +73,8 @@ class Jump:
     def apply_reset(
         self, state: Mapping[str, float], params: Mapping[str, float]
     ) -> dict[str, float]:
+        """Post-jump state: each reset expression evaluated on the
+        pre-jump ``state`` and ``params``; other states are copied."""
         env = {**params, **state}
         out = dict(state)
         for k, e in self.reset.items():
@@ -154,21 +156,26 @@ class HybridAutomaton:
     # Accessors
     # ------------------------------------------------------------------
     def mode(self, name: str) -> Mode:
+        """The mode called ``name``; raises ``KeyError`` if there is none."""
         return self._mode_map[name]
 
     @property
     def mode_names(self) -> list[str]:
+        """Mode names, in declaration order."""
         return [m.name for m in self.modes]
 
     def jumps_from(self, mode_name: str) -> list[Jump]:
+        """The jumps whose source is ``mode_name``, in declaration order."""
         return [j for j in self.jumps if j.source == mode_name]
 
     def mode_system(self, mode_name: str) -> ODESystem:
         """The mode's flow as an :class:`ODESystem` (params inherited).
 
         One system per mode is kept, so its vector field compiles once
-        per automaton; its ``params`` are refreshed to the automaton's
-        current ones on every call.
+        per automaton; its ``params`` are refreshed in place to the
+        automaton's current ones on every call.  Code that caches work
+        per system must therefore read ``params`` at use time, as
+        :func:`repro.odes.flow_enclosure` keys its tube table by them.
         """
         system = self._systems.get(mode_name)
         if system is None:
@@ -197,6 +204,8 @@ class HybridAutomaton:
     # Transformation
     # ------------------------------------------------------------------
     def with_params(self, **overrides: float) -> "HybridAutomaton":
+        """Copy with some default parameters replaced; an unknown name
+        raises ``KeyError``."""
         unknown = set(overrides) - set(self.params)
         if unknown:
             raise KeyError(f"unknown parameters: {sorted(unknown)}")

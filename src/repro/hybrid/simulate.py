@@ -60,10 +60,12 @@ class HybridSegment:
 
     @property
     def t0(self) -> float:
+        """Time the dwell starts (entry into the mode)."""
         return self.trajectory.t0
 
     @property
     def t_end(self) -> float:
+        """Time the dwell ends (a jump, a stop, or the horizon)."""
         return self.trajectory.t_end
 
 
@@ -81,10 +83,12 @@ class HybridTrajectory:
 
     @property
     def t_end(self) -> float:
+        """End time of the last segment (0.0 with no segments)."""
         return self.segments[-1].t_end if self.segments else 0.0
 
     @property
     def t0(self) -> float:
+        """Start time of the first segment (0.0 with no segments)."""
         return self.segments[0].t0 if self.segments else 0.0
 
     def mode_path(self) -> list[str]:
@@ -92,6 +96,8 @@ class HybridTrajectory:
         return [seg.mode for seg in self.segments]
 
     def mode_at(self, t: float) -> str:
+        """Mode at time ``t`` (the first segment covering it); raises
+        ``ValueError`` outside the trajectory."""
         for seg in self.segments:
             if seg.t0 - 1e-12 <= t <= seg.t_end + 1e-12:
                 return seg.mode
@@ -105,12 +111,15 @@ class HybridTrajectory:
         raise ValueError(f"time {t} outside trajectory")
 
     def value(self, name: str, t: float) -> float:
+        """Value of state variable ``name`` at time ``t`` (see :meth:`at`)."""
         return self.at(t)[name]
 
     def final(self) -> dict[str, float]:
+        """Continuous state at the end of the last segment."""
         return self.segments[-1].trajectory.final()
 
     def dwell_times(self) -> list[float]:
+        """Duration of each segment, in order."""
         return [seg.t_end - seg.t0 for seg in self.segments]
 
     def flatten(self) -> Trajectory:

@@ -31,11 +31,17 @@ that avoids the exponential wrapping of direct interval Taylor on
 
 Both are sound; ``taylor`` can be tighter for very short horizons,
 ``lognorm`` is dramatically tighter for long stable horizons.
+
+A tube is a pure function of its inputs, so :func:`flow_enclosure`
+computes each one once per process: successful tubes are kept in a
+bounded table keyed by the exact bits of every input (see
+:data:`MAX_TUBE_STEPS`).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -53,7 +59,7 @@ class EnclosureError(RuntimeError):
     """Raised when no valid a priori enclosure can be established."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TubeStep:
     """One step of a reach tube.
 
@@ -66,12 +72,16 @@ class TubeStep:
     end: Box
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReachTube:
-    """A validated flow pipe: consecutive :class:`TubeStep` segments."""
+    """A validated flow pipe: consecutive :class:`TubeStep` segments.
 
-    steps: list[TubeStep]
-    names: list[str]
+    Immutable, because :func:`flow_enclosure` hands one tube to every
+    caller with the same inputs.
+    """
+
+    steps: tuple[TubeStep, ...]
+    names: tuple[str, ...]
 
     @property
     def t_end(self) -> float:
@@ -146,6 +156,51 @@ def _a_priori_box(
     )
 
 
+#: Most tube steps the table holds; the oldest tubes are evicted first.
+#: The 18 catalog jobs store 48 tubes of 31 steps on average (80 at
+#: most), and a stored step takes about 1 kB: a full table is ~4 MB.
+MAX_TUBE_STEPS = 4096
+
+_tubes: dict[tuple, ReachTube] = {}
+_tube_steps = 0
+_tubes_lock = threading.Lock()
+
+
+def _bits(x) -> object:
+    """Exact key of a number: a float by its ``float.hex`` (``-0.0`` and
+    ``0.0`` differ, where ``==`` merges them), anything else by its type
+    and ``repr``."""
+    return x.hex() if type(x) is float else (type(x).__name__, repr(x))
+
+
+def _box_bits(box: Box, names) -> tuple:
+    return tuple((n, _bits(box[n].lo), _bits(box[n].hi)) for n in names)
+
+
+def _remember(key: tuple, tube: ReachTube) -> None:
+    """Store ``tube`` under ``key``, evicting the oldest tubes over the cap.
+
+    Two threads that race on one key both computed the same bits, so
+    the first one stored wins and the other is dropped.
+    """
+    global _tube_steps
+    with _tubes_lock:
+        if key in _tubes:
+            return
+        _tubes[key] = tube
+        _tube_steps += len(tube.steps)
+        while _tube_steps > MAX_TUBE_STEPS:
+            _tube_steps -= len(_tubes.pop(next(iter(_tubes))).steps)
+
+
+def _clear_tubes() -> None:
+    """Empty the tube table (tests that count the work of a cold call)."""
+    global _tube_steps
+    with _tubes_lock:
+        _tubes.clear()
+        _tube_steps = 0
+
+
 def flow_enclosure(
     system: ODESystem,
     x0: Box | Mapping[str, tuple[float, float]],
@@ -157,6 +212,12 @@ def flow_enclosure(
     method: str = "lognorm",
 ) -> ReachTube:
     """Validated reach tube of ``system`` from the initial box ``x0``.
+
+    A tube is computed once per process and then shared, bit for bit,
+    with every later call whose inputs have the same bits: the field's
+    structure and constants, the ``params`` values at call time, the
+    state bounds, the parameter box and every argument.  Failures
+    (:class:`EnclosureError`) are not kept, so a repeat raises again.
 
     Parameters
     ----------
@@ -180,6 +241,8 @@ def flow_enclosure(
     """
     if not max_step > 0:  # also rejects NaN; zero would never advance t
         raise ValueError("max_step must be positive")
+    if method not in ("lognorm", "taylor"):
+        raise ValueError(f"unknown enclosure method {method!r}")
     if not isinstance(x0, Box):
         x0 = Box.from_bounds(dict(x0))
     names = system.state_names
@@ -187,11 +250,36 @@ def flow_enclosure(
     if missing:
         raise ValueError(f"initial box misses state dimensions {sorted(missing)}")
     x0 = x0.restrict(names)
-    if method == "lognorm":
-        return _lognorm_tube(system, x0, duration, param_box, max_step, max_growth)
-    if method != "taylor":
-        raise ValueError(f"unknown enclosure method {method!r}")
+    key = (
+        system.fingerprint(),
+        tuple((k, _bits(v)) for k, v in system.params.items()),
+        _box_bits(x0, names),
+        _bits(duration),
+        None if param_box is None else _box_bits(param_box, param_box),
+        _bits(max_step), _bits(order), _bits(max_growth), method,
+    )
+    tube = _tubes.get(key)
+    if tube is None:
+        if method == "lognorm":
+            tube = _lognorm_tube(system, x0, duration, param_box, max_step, max_growth)
+        else:
+            tube = _taylor_tube(system, x0, duration, param_box, max_step, order, max_growth)
+        if tube.steps:  # an empty tube costs nothing to rebuild
+            _remember(key, tube)
+    return tube
 
+
+def _taylor_tube(
+    system: ODESystem,
+    x0: Box,
+    duration: float,
+    param_box: Box | None,
+    max_step: float,
+    order: int,
+    max_growth: float,
+) -> ReachTube:
+    """Picard a priori box plus an interval Taylor endpoint per step."""
+    names = system.state_names
     jac: dict[str, dict[str, Expr]] | None = system.jacobian() if order >= 2 else None
 
     steps: list[TubeStep] = []
@@ -246,7 +334,7 @@ def flow_enclosure(
             )
         # gentle step growth back toward max_step
         h = min(max_step, h * 1.5)
-    return ReachTube(steps, names)
+    return ReachTube(tuple(steps), tuple(names))
 
 
 # ----------------------------------------------------------------------
@@ -439,4 +527,4 @@ def _lognorm_tube(
         steps.append(TubeStep(Interval(t, t + h), enclosure, endpoint))
         t += h
         h = min(max_step, h * 1.5)
-    return ReachTube(steps, names)
+    return ReachTube(tuple(steps), tuple(names))

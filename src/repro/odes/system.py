@@ -23,6 +23,14 @@ from repro.intervals import Box, Interval
 __all__ = ["ODESystem"]
 
 
+def _exact(key: tuple) -> tuple:
+    """``Expr._key()`` with every float replaced by its ``float.hex``."""
+    return tuple(
+        _exact(k) if isinstance(k, tuple) else k.hex() if isinstance(k, float) else k
+        for k in key
+    )
+
+
 @dataclass
 class ODESystem:
     """A parameterized system of ODEs ``dx_i/dt = f_i(x, p, t)``.
@@ -59,6 +67,7 @@ class ODESystem:
         self._compiled_batch: Callable | None = None
         self._jacobian: dict[str, dict[str, Expr]] | None = None
         self._param_jacobians: dict[tuple[str, ...], dict[str, dict[str, Expr]]] = {}
+        self._fingerprint: tuple | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -81,6 +90,20 @@ class ODESystem:
     def is_autonomous(self) -> bool:
         """True when no derivative mentions the time variable ``t``."""
         return all("t" not in e.variables() for e in self.derivatives.values())
+
+    def fingerprint(self) -> tuple:
+        """Bit-exact structural key of the vector field, in state order.
+
+        Constants are keyed by ``float.hex``, so ``Const(-0.0)`` and
+        ``Const(0.0)`` differ, where ``Expr`` equality merges them.
+        Parameter values are not part of it.  Built once per system: the
+        derivatives are fixed after construction.
+        """
+        if self._fingerprint is None:
+            self._fingerprint = tuple(
+                (name, _exact(e._key())) for name, e in self.derivatives.items()
+            )
+        return self._fingerprint
 
     # ------------------------------------------------------------------
     # Evaluation

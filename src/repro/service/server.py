@@ -457,7 +457,16 @@ class ServiceServer:
     def _post(self, req: Any) -> None:
         # always drain the body first: unread bytes would be parsed as
         # the next request line on an HTTP/1.1 keep-alive connection
-        length = int(req.headers.get("Content-Length") or 0)
+        try:
+            length = int(req.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # read(-1) would wait for EOF; with no usable length the body
+            # cannot be drained either, so the connection closes
+            req._reply(400, {"error": "Content-Length must be a non-negative integer"},
+                       headers={"Connection": "close"})
+            return
         body = req.rfile.read(length) if length else b""
         parts = [p for p in req.path.split("/") if p]
         if parts == ["run"]:

@@ -3,9 +3,10 @@
 The job journal, the monitor event log, the result cache and the paving
 store keep their crash-safety rules here, once.  :class:`JsonLog` writes
 each record as one ``os.write`` on an ``O_APPEND`` descriptor, skips a
-torn final line on replay and cuts it on reopen.  :func:`write_atomic`
-renames a private tmp file into place, and :func:`read_or_quarantine`
-moves a blob that fails to parse to ``<name>.corrupt``.
+torn final line on replay and cuts it on reopen and before each append.
+:func:`write_atomic` renames a private tmp file into place, and
+:func:`read_or_quarantine` moves a blob that fails to parse to
+``<name>.corrupt``.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ class JsonLog:
     """Append-only JSONL file, shared safely by threads and processes.
 
     ``path`` is created (with parents) if missing and appended to if
-    present.  Opening cuts a torn final line (a crash mid-append) back
-    to the last newline under an exclusive ``flock``; every append holds
-    a shared one, so a reopen never cuts a live sibling's record.
-    Usable as a context manager; :meth:`close` is idempotent.
+    present.  Opening and every append hold an exclusive ``flock`` and
+    first cut a torn final line (a crash mid-append) back to the last
+    newline, so no record is glued onto a fragment and none is cut
+    while a live sibling is still writing it.  Usable as a context
+    manager; :meth:`close` is idempotent.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -44,12 +46,7 @@ class JsonLog:
         self.appended = 0
         try:
             fcntl.flock(self._fd, fcntl.LOCK_EX)
-            size = os.fstat(self._fd).st_size
-            if size:
-                with mmap.mmap(self._fd, size, access=mmap.ACCESS_READ) as m:
-                    keep = m.rfind(b"\n") + 1
-                if keep < size:
-                    os.ftruncate(self._fd, keep)
+            _cut_torn_tail(self._fd)
             fcntl.flock(self._fd, fcntl.LOCK_UN)
         except BaseException:
             self.close()
@@ -59,17 +56,18 @@ class JsonLog:
         """Append one record as one line; raises ``ValueError`` once closed.
 
         A short write (a full disk) leaves a fragment, so it closes the
-        log: no later append glues onto it, and the next open cuts it.
+        log; the next open, or a sibling's next append, cuts it.
         """
         line = json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
         data = line.encode("utf-8")
         # the thread lock also stops one thread's LOCK_UN from dropping
-        # the shared lock that another thread's append still needs
+        # the flock that another thread's append still needs
         with self._lock:
             if self._fd is None:
                 raise ValueError(f"{self.path}: log is closed")
-            fcntl.flock(self._fd, fcntl.LOCK_SH)
+            fcntl.flock(self._fd, fcntl.LOCK_EX)
             try:
+                _cut_torn_tail(self._fd)  # a crashed sibling's fragment
                 written = os.write(self._fd, data)
             finally:
                 fcntl.flock(self._fd, fcntl.LOCK_UN)
@@ -111,6 +109,15 @@ class JsonLog:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
+
+
+def _cut_torn_tail(fd: int) -> None:
+    """Cut a final line with no newline back to the last newline; the
+    caller holds an exclusive ``flock``."""
+    size = os.fstat(fd).st_size
+    if size and os.pread(fd, 1, size - 1) != b"\n":
+        with mmap.mmap(fd, size, access=mmap.ACCESS_READ) as m:
+            os.ftruncate(fd, m.rfind(b"\n") + 1)
 
 
 def write_atomic(path: str, text: str) -> None:

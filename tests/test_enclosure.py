@@ -1,15 +1,20 @@
 """Tests for validated flow enclosures (Picard + interval Taylor)."""
 
+import dataclasses
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.expr import var
+from repro.expr import Binary, Const, Unary, var
+from repro.hybrid import HybridAutomaton, Mode
 from repro.intervals import Box, Interval
 from repro.models import fenton_karma_hybrid, fenton_karma_mode
 from repro.odes import EnclosureError, ODESystem, flow_enclosure, rk45
+from repro.odes import enclosure as enclosure_module
 
 
 @pytest.fixture
@@ -120,7 +125,7 @@ class TestFailureModes:
         tube = flow_enclosure(
             decay, Box.from_bounds({"x": (1.0, 1.0), "unused": (0, 1)}), duration=0.2
         )
-        assert tube.names == ["x"]
+        assert tube.names == ("x",)
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +195,25 @@ TUBE_CASES = {
 }
 
 
+def _count_field_calls(monkeypatch):
+    """Count ``eval_field_interval`` calls: zero means a table hit."""
+    calls = {"field": 0}
+    field = ODESystem.eval_field_interval
+
+    def counted_field(self, *args, **kwargs):
+        calls["field"] += 1
+        return field(self, *args, **kwargs)
+
+    monkeypatch.setattr(ODESystem, "eval_field_interval", counted_field)
+    return calls
+
+
 class TestPinnedTubes:
+    @pytest.fixture(autouse=True)
+    def cold_table(self):
+        # the work counts below measure a computation, not a table hit
+        enclosure_module._clear_tubes()
+
     @pytest.mark.parametrize("case", sorted(TUBE_CASES))
     def test_tube_bits(self, case):
         build, steps, digest, _, _ = TUBE_CASES[case]
@@ -240,3 +263,199 @@ class TestMemoizedJacobians:
         both = system.param_jacobian(["k", "c"])
         assert both is not pk and sorted(both["x"]) == ["c", "k"]
         assert both["x"]["c"].eval({}) == 1.0
+
+
+# ----------------------------------------------------------------------
+# The tube table: one computation per exact input, bounded, immutable
+# ----------------------------------------------------------------------
+
+
+def _up(v):
+    """The next float above ``v``: the smallest change of a key bit."""
+    return math.nextafter(v, math.inf)
+
+
+def _memo_automaton(cx=0.125, cy=0.25):
+    """One-mode automaton whose ``mode_system`` refreshes params in place."""
+    x, y = var("x"), var("y")
+    mode = Mode("m", {"x": -var("k") * x + var("c") * y + cx, "y": x - y + cy})
+    return HybridAutomaton(
+        ["x", "y"], [mode], [], "m",
+        Box.from_bounds({"x": (0.0, 1.0), "y": (0.0, 1.0)}),
+        {"k": 1.0, "c": 0.5},
+    )
+
+
+def _memo_call(automaton=None, **overrides):
+    automaton = automaton or _memo_automaton()
+    kwargs = {
+        "x0": {"x": (0.9, 1.1), "y": (0.4, 0.5)},
+        "duration": 0.5,
+        "param_box": Box.from_bounds({"k": (0.9, 1.1)}),
+        "max_step": 0.1,
+        "order": 2,
+        "max_growth": 1e3,
+        "method": "lognorm",
+        **overrides,
+    }
+    return flow_enclosure(automaton.mode_system("m"), **kwargs)
+
+
+def _refresh(name):
+    def call():
+        automaton = _memo_automaton()
+        system = automaton.mode_system("m")
+        automaton.params[name] = _up(automaton.params[name])
+        assert automaton.mode_system("m") is system  # refreshed in place
+        return _memo_call(automaton)
+    return call
+
+
+#: One variant per key component; each differs from the base call in
+#: exactly one input, by one ulp where the input is a float.
+KEY_VARIANTS = {
+    "derivative-x": lambda: _memo_call(_memo_automaton(cx=_up(0.125))),
+    "derivative-y": lambda: _memo_call(_memo_automaton(cy=_up(0.25))),
+    "param-k": _refresh("k"),
+    "param-c": _refresh("c"),
+    "x0-x-lo": lambda: _memo_call(x0={"x": (_up(0.9), 1.1), "y": (0.4, 0.5)}),
+    "x0-x-hi": lambda: _memo_call(x0={"x": (0.9, _up(1.1)), "y": (0.4, 0.5)}),
+    "x0-y-lo": lambda: _memo_call(x0={"x": (0.9, 1.1), "y": (_up(0.4), 0.5)}),
+    "x0-y-hi": lambda: _memo_call(x0={"x": (0.9, 1.1), "y": (0.4, _up(0.5))}),
+    "param-box-lo": lambda: _memo_call(param_box=Box.from_bounds({"k": (_up(0.9), 1.1)})),
+    "param-box-hi": lambda: _memo_call(param_box=Box.from_bounds({"k": (0.9, _up(1.1))})),
+    "param-box-name": lambda: _memo_call(param_box=Box.from_bounds({"c": (0.9, 1.1)})),
+    "param-box-none": lambda: _memo_call(param_box=None),
+    "duration": lambda: _memo_call(duration=_up(0.5)),
+    "max_step": lambda: _memo_call(max_step=_up(0.1)),
+    "order": lambda: _memo_call(order=1),
+    "max_growth": lambda: _memo_call(max_growth=_up(1e3)),
+    "method": lambda: _memo_call(method="taylor"),
+}
+
+
+class TestTubeTable:
+    @pytest.fixture(autouse=True)
+    def cold_table(self):
+        enclosure_module._clear_tubes()
+        yield
+        enclosure_module._clear_tubes()
+
+    def test_warm_call_does_no_field_work_and_keeps_the_bits(self, monkeypatch):
+        cold = _memo_call()
+        calls = _count_field_calls(monkeypatch)
+        warm = _memo_call(_memo_automaton())  # a fresh, equal system
+        assert calls["field"] == 0
+        assert warm is cold and _tube_digest(warm) == _tube_digest(cold)
+
+    def test_table_hit_matches_a_cold_computation(self):
+        warm_twice = (_memo_call(), _memo_call())
+        enclosure_module._clear_tubes()
+        assert _tube_digest(_memo_call()) == _tube_digest(warm_twice[1])
+
+    @pytest.mark.parametrize("variant", sorted(KEY_VARIANTS))
+    def test_each_key_component_misses(self, variant, monkeypatch):
+        _memo_call()
+        calls = _count_field_calls(monkeypatch)
+        KEY_VARIANTS[variant]()
+        assert calls["field"] > 0, f"{variant} hit the base call's tube"
+        calls["field"] = 0
+        _memo_call()  # the base tube is still there
+        assert calls["field"] == 0
+
+    def test_signed_zeros_do_not_collide(self, monkeypatch):
+        x = var("x")
+        pos = ODESystem({"x": Binary("add", Unary("neg", x), Const(0.0))})
+        neg = ODESystem({"x": Binary("add", Unary("neg", x), Const(-0.0))})
+        assert pos.derivatives == neg.derivatives  # Expr equality merges them
+        assert pos.fingerprint() != neg.fingerprint()
+        cases = [
+            (pos, {"x": (0.5, 1.0)}), (neg, {"x": (0.5, 1.0)}),
+            (ODESystem({"x": -x + var("c")}, {"c": 0.0}), {"x": (0.5, 1.0)}),
+            (ODESystem({"x": -x + var("c")}, {"c": -0.0}), {"x": (0.5, 1.0)}),
+            (ODESystem({"x": -x}), {"x": (0.0, 1.0)}),
+            (ODESystem({"x": -x}), {"x": (-0.0, 1.0)}),
+        ]
+        calls = _count_field_calls(monkeypatch)
+        tubes = []
+        for system, x0 in cases:
+            calls["field"] = 0
+            tubes.append(flow_enclosure(system, x0, duration=0.3, max_step=0.1))
+            assert calls["field"] > 0, f"{system!r} from {x0} hit another tube"
+        assert len({id(t) for t in tubes}) == len(cases)
+
+    def test_failure_is_not_kept(self, monkeypatch):
+        system = ODESystem({"x": var("x") * var("x")})
+        calls = _count_field_calls(monkeypatch)
+        for _ in range(2):
+            calls["field"] = 0
+            with pytest.raises(EnclosureError):
+                flow_enclosure(system, {"x": (5.0, 5.0)}, duration=1.0,
+                               max_step=0.05, max_growth=100.0)
+            assert calls["field"] > 0
+        assert enclosure_module._tube_steps == 0
+
+    def test_eviction_keeps_the_total_under_the_cap(self, monkeypatch):
+        monkeypatch.setattr(enclosure_module, "MAX_TUBE_STEPS", 25)
+        decay = ODESystem({"x": -var("x")})
+
+        def tube(i):
+            return flow_enclosure(decay, {"x": (1.0 + i, 1.0 + i)}, duration=1.0,
+                                  max_step=0.1)
+
+        for i in range(4):
+            assert len(tube(i).steps) == 10
+            assert enclosure_module._tube_steps <= 25
+            assert enclosure_module._tube_steps == sum(
+                len(t.steps) for t in enclosure_module._tubes.values()
+            )
+        calls = _count_field_calls(monkeypatch)
+        tube(3)
+        tube(2)
+        assert calls["field"] == 0  # the two newest are kept
+        tube(0)
+        assert calls["field"] > 0  # the oldest went first
+
+    def test_threads_keep_the_step_count_exact(self, monkeypatch):
+        # 8 threads on 6 keys under a cap of 3 tubes: every put races
+        # with a hit or an eviction, and a lost update of the step
+        # count would break the invariant
+        monkeypatch.setattr(enclosure_module, "MAX_TUBE_STEPS", 15)
+        decay = ODESystem({"x": -var("x")})
+        digests = {}
+
+        def work(t):
+            for i in range(12):
+                k = (t + i) % 6
+                tube = flow_enclosure(decay, {"x": (1.0 + k, 1.0 + k)}, duration=0.5,
+                                      max_step=0.1)
+                digests.setdefault(k, set()).add(_tube_digest(tube))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(w.is_alive() for w in workers)
+        assert sorted(digests) == list(range(6))
+        assert all(len(d) == 1 for d in digests.values())  # one set of bits per key
+        assert enclosure_module._tube_steps == sum(
+            len(t.steps) for t in enclosure_module._tubes.values()
+        ) <= 15
+
+    def test_tubes_reject_mutation(self):
+        tube = _memo_call()
+        assert isinstance(tube.steps, tuple) and isinstance(tube.names, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tube.steps = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tube.names = ("x",)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tube.steps[0].end = tube.steps[0].enclosure
+        with pytest.raises(AttributeError):
+            tube.steps.append(tube.steps[0])

@@ -237,3 +237,20 @@ class TestWaitParameter:
             _, done = _get(f"{srv.url}/jobs/{holder['job']}?wait=60")
             assert done["state"] == "done"
         engine.close()
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5"])
+    def test_bad_length_gets_400_at_once(self, server, length):
+        # read(-1) would hold the handler thread until the client hangs up
+        with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /run HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n{}"
+            )
+            raw = b""
+            while chunk := sock.recv(4096):  # the server closes the connection
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"] == "Content-Length must be a non-negative integer"

@@ -56,6 +56,20 @@ def test_torn_tail_then_two_restarts_keeps_every_record(tmp_path, factory, appen
     assert read(factory(path)) == ["j0", "j1", "j2", "j3"]
 
 
+def test_live_append_cuts_a_crashed_siblings_fragment_first(tmp_path):
+    # replica b dies mid-append while replica a keeps journaling: a's
+    # next record must not be glued onto b's fragment
+    path = tmp_path / "jobs.jsonl"
+    with JobStore(path) as a:
+        a.record_submit("a-1", {"task": "smc"})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind":"submit","id":"b-1","sp')
+        a.record_submit("a-2", {"task": "smc"})
+        assert list(a.recover()) == ["a-1", "a-2"]
+        a.record_submit("a-3", {"task": "smc"})
+        assert list(a.recover()) == ["a-1", "a-2", "a-3"]
+
+
 def test_reopen_leaves_a_whole_log_byte_identical(tmp_path):
     # lines as an older writer left them: insertion-ordered keys
     path = tmp_path / "events.jsonl"
