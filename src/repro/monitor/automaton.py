@@ -27,7 +27,8 @@ equals :func:`repro.smc.bltl.robustness` -- bit for bit.  This holds by
 construction: window discretization is shared
 (:func:`repro.smc.bltl.window_times`), and the moment a (sub)window's
 horizon is covered by the watermark its value is computed by the batch
-recursion over the buffered prefix.  Early (pre-horizon) decisions use
+evaluator (the array pass behind :func:`repro.smc.bltl.monitor`) over
+the buffered prefix.  Early (pre-horizon) decisions use
 only samples that are guaranteed to appear in the final window instant
 sets, so they are *sound*: a decided verdict never changes when more
 samples arrive (the monitor raises ``RuntimeError`` if it ever would --
@@ -67,8 +68,8 @@ from repro.smc.bltl import (
     Prop,
     Until,
     _as_bltl,
-    _rob,
-    _sat,
+    _margin,
+    _truth,
 )
 
 __all__ = ["Verdict", "MonitorResult", "OnlineMonitor"]
@@ -450,7 +451,7 @@ class OnlineMonitor:
     def _finalize(self) -> None:
         traj = self._prefix()
         t0 = float(self._times[0])
-        exact = Verdict.of(_sat(self.phi, traj, t0, dict(self.extra_env)))
+        exact = Verdict.of(bool(_truth(self.phi, traj, [t0], self.extra_env)[0]))
         if self.verdict.decided and exact is not self.verdict:
             raise RuntimeError(
                 f"online monitor early verdict {self.verdict} diverged from "
@@ -459,7 +460,7 @@ class OnlineMonitor:
         self.verdict = exact
         if self.decided_at is None:
             self.decided_at = self.watermark
-        self.final_margin = float(_rob(self.phi, traj, t0, dict(self.extra_env)))
+        self.final_margin = float(_margin(self.phi, traj, [t0], self.extra_env)[0])
         self.finished = True
 
     # -- three-valued early evaluation ---------------------------------
@@ -471,8 +472,8 @@ class OnlineMonitor:
         t0 = self._times[0]
         if u + node.horizon <= wm and u >= t0 - WINDOW_EPS:
             # horizon covered: the value is exact and irrevocable
-            sat = _sat(node.phi, self._prefix(), u, dict(self.extra_env))
-            v = Verdict.of(sat)
+            sat = _truth(node.phi, self._prefix(), [u], self.extra_env)[0]
+            v = Verdict.of(bool(sat))
             node.decided[u] = v
             node.wins.pop(u, None)
             return v
@@ -596,7 +597,7 @@ class OnlineMonitor:
         wm = self._times[self._n - 1]
         t0 = self._times[0]
         if u + node.horizon <= wm and u >= t0 - WINDOW_EPS:
-            m = float(_rob(node.phi, self._prefix(), u, dict(self.extra_env)))
+            m = float(_margin(node.phi, self._prefix(), [u], self.extra_env)[0])
             node.margins[u] = m
             return (m, m)
         kind = node.kind

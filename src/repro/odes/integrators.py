@@ -117,6 +117,52 @@ class Trajectory:
             raise ValueError(f"time {t} outside trajectory [{lo}, {hi}]")
         return dict(zip(self.names, self._dense(min(max(t, lo), hi))))
 
+    def at_many(self, ts) -> np.ndarray:
+        """States at many times, shape ``(len(ts), dim)`` in ``names`` order.
+
+        Row ``i`` has the bits of ``at(ts[i])``: the same ``±1e-12``
+        clamp and range error, and :meth:`_dense`'s formula applied
+        elementwise in the same association order.  The Hermite square
+        ``(1 - s) ** 2`` is Python's float power per element, as in
+        :meth:`_dense`, because numpy's array square differs from it in
+        the last bit for a few inputs.
+        """
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        lo, hi = self.t0, self.t_end
+        first, last = (ts.min(), ts.max()) if len(ts) else (lo, hi)
+        if not (first >= lo - 1e-12 and last <= hi + 1e-12):
+            outside = ~((ts >= lo - 1e-12) & (ts <= hi + 1e-12))
+            t = float(ts[outside.argmax()])
+            raise ValueError(f"time {t} outside trajectory [{lo}, {hi}]")
+        if first < lo or last > hi:
+            ts = np.where(lo > ts, lo, ts)
+            ts = np.where(hi < ts, hi, ts)
+        n = len(self.times)
+        if n == 1:
+            return np.repeat(self.states[:1], len(ts), axis=0)
+        idx = np.minimum(np.maximum(self.times.searchsorted(ts, "right") - 1, 0), n - 2)
+        t0, t1 = self.times[idx], self.times[idx + 1]
+        y0, y1 = self.states[idx], self.states[idx + 1]
+        h = t1 - t0
+        flat = h <= 0
+        with np.errstate(all="ignore"):
+            s = (ts - t0) / h
+            if self.derivs is None:
+                rows = y0 + s[:, None] * (y1 - y0)
+            else:
+                d0, d1 = self.derivs[idx], self.derivs[idx + 1]
+                u = 1 - s
+                sq = np.array([v ** 2 for v in u.tolist()], dtype=float)
+                h00 = (1 + 2 * s) * sq
+                h10h = s * sq * h
+                h01 = s * s * (3 - 2 * s)
+                h11h = s * s * (s - 1) * h
+                rows = ((h00[:, None] * y0 + h10h[:, None] * d0)
+                        + h01[:, None] * y1) + h11h[:, None] * d1
+        if np.count_nonzero(flat):
+            rows[flat] = y0[flat]
+        return rows
+
     def value(self, name: str, t: float) -> float:
         """Value of state ``name`` at time ``t`` (dense output)."""
         return self.at(t)[name]

@@ -42,6 +42,7 @@ class Discretization:
     edges: Mapping[str, tuple[float, ...]]  # sorted inner edges per variable
 
     def n_levels(self, name: str) -> int:
+        """Number of discrete levels of variable ``name``."""
         return len(self.edges[name]) + 1
 
     def level(self, name: str, value: float) -> int:

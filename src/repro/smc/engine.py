@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -48,6 +49,7 @@ class InitialDistribution:
     )
 
     def sample(self, rng: random.Random) -> dict[str, float]:
+        """One draw of every entry, in entry order, from ``rng``."""
         out: dict[str, float] = {}
         for name, spec in self.entries.items():
             if callable(spec):
@@ -88,6 +90,16 @@ class StatisticalModelChecker:
     and :meth:`sample_trajectory`.  Set ``max_step`` smaller (or
     ``batch_size=1``-equivalent accuracy via a tiny ``max_step``) for
     stiff models where step-size control matters.
+
+    A population's trajectories are buffered and each is monitored only
+    when the test draws it, so a sequential test (SPRT) that stops
+    after a dozen draws checks a dozen trajectories, not the whole
+    population.  The RNG order and the trajectories are those of
+    monitoring every particle up front, so results are unchanged; only
+    an evaluation error in a draw the test never consumes no longer
+    fails the query.  Each check is :func:`repro.smc.bltl.monitor`, one
+    bottom-up array pass over the trajectory that gives the verdict of
+    the per-instant BLTL semantics bit for bit.
     """
 
     def __init__(
@@ -178,14 +190,13 @@ class StatisticalModelChecker:
 
             return draw
 
-        buffer: list[bool] = []
+        buffer: deque = deque()
 
         def draw_batched() -> bool:
             _progress("smc", "sampling", samples=next(counter))
             if not buffer:
-                trajs = self._propagate_population(self.batch_size)
-                buffer.extend(monitor(phi, t) for t in trajs)
-            return buffer.pop(0)
+                buffer.extend(self._propagate_population(self.batch_size))
+            return monitor(phi, buffer.popleft())
 
         return draw_batched
 

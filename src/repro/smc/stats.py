@@ -34,6 +34,7 @@ class SPRTResult:
 
     @property
     def decision(self) -> str:
+        """``"H0"`` when the test accepted ``p >= p0``, else ``"H1"``."""
         return "H0" if self.accept else "H1"
 
 

@@ -258,6 +258,32 @@ class TestDenseOutputBits:
                 with pytest.raises(ValueError, match="outside trajectory"):
                     traj.at(t)
 
+    def test_at_many_matches_reference(self):
+        rng = np.random.default_rng(10)
+        for traj in self._trajectories(rng):
+            lo, hi = traj.t0, traj.t_end
+            queries = np.array([
+                *rng.uniform(lo, hi, 200), *traj.times, *traj.times[::-1],
+                lo - 1e-12, hi + 1e-12,
+            ])
+            rows = traj.at_many(queries)
+            assert rows.shape == (len(queries), traj.states.shape[1])
+            for t, row in zip(queries, rows):
+                clamped = min(max(float(t), lo), hi)
+                assert _bits(row) == _bits(_reference_row(traj, clamped))
+            assert traj.at_many([]).shape == (0, traj.states.shape[1])
+
+    def test_at_many_range_error(self):
+        rng = np.random.default_rng(11)
+        for traj in self._trajectories(rng):
+            lo, hi = traj.t0, traj.t_end
+            for bad in (lo - 1e-9, hi + 1e-9):
+                with pytest.raises(ValueError, match="outside trajectory") as exc:
+                    traj.at_many([lo, bad, hi])
+                with pytest.raises(ValueError) as want:
+                    traj.at(bad)
+                assert str(exc.value) == str(want.value)
+
     def test_restricted_matches_reference(self):
         rng = np.random.default_rng(9)
         for traj in self._trajectories(rng):

@@ -167,6 +167,58 @@ class TestEngine:
         traj = checker.sample_trajectory()
         assert 4.0 < traj.value("x", 0.0) < 6.0
 
+    def test_monitors_only_consumed_draws(self, monkeypatch):
+        import repro.smc.engine as smc_engine
+
+        sys_ = ODESystem({"x": -var("k") * x}, {"k": 1.0})
+        init = InitialDistribution({"x": (0.8, 1.2)})
+        phi = G(2.0, x >= 0.0)
+
+        # the previous rule: monitor the whole population when it is drawn
+        eager = StatisticalModelChecker(sys_, init, horizon=3.0, seed=42)
+        verdicts: list[bool] = []
+
+        def eager_draw():
+            if not verdicts:
+                trajs = eager._propagate_population(eager.batch_size)
+                verdicts.extend(smc_engine.monitor(phi, t) for t in trajs)
+            return verdicts.pop(0)
+
+        want = sprt(eager_draw, theta=0.9)
+
+        calls = []
+        real = smc_engine.monitor
+        monkeypatch.setattr(
+            smc_engine, "monitor", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+        checker = StatisticalModelChecker(sys_, init, horizon=3.0, seed=42)
+        got = checker.hypothesis_test(phi, theta=0.9)
+        assert got == want
+        assert got.samples_used < checker.batch_size
+        assert len(calls) == got.samples_used
+
+    def test_unconsumed_draw_error_does_not_fail(self, monkeypatch):
+        import repro.smc.engine as smc_engine
+
+        sys_ = ODESystem({"x": -var("k") * x}, {"k": 1.0})
+        checker = StatisticalModelChecker(
+            sys_, InitialDistribution({"x": (0.8, 1.2)}), horizon=3.0, seed=42
+        )
+        real = smc_engine.monitor
+        seen = []
+
+        def fails_after_first(phi, traj):
+            seen.append(traj)
+            if len(seen) > 1:
+                raise ArithmeticError("a draw the test never consumes")
+            return real(phi, traj)
+
+        monkeypatch.setattr(smc_engine, "monitor", fails_after_first)
+        draw = checker._bernoulli(G(2.0, x >= 0.0))
+        assert draw() is True
+        with pytest.raises(ArithmeticError):
+            draw()
+
     def test_reproducible_with_seed(self):
         sys_ = ODESystem({"x": -x})
         init = InitialDistribution({"x": (0.0, 1.0)})
