@@ -73,7 +73,9 @@ def kernel_ops(calls: int = 200) -> dict:
     """Best-of-5 microseconds per call of the hot interval ops.
 
     Operands have bounds drawn uniformly from [-3, 3] (seed 0), so about
-    half the denominator rows span zero at 64 rows.
+    half the denominator rows span zero at 64 rows.  The ops run under
+    one ``np.errstate(all="ignore")``, the state a tape call enters once
+    for all of its ops.
     """
     import numpy as np
 
@@ -92,7 +94,8 @@ def kernel_ops(calls: int = 200) -> dict:
             ("safe_div", lambda: _safe_div(x, y)),
             ("add", lambda: x + y),
         ):
-            best = min(timeit.repeat(op, number=calls, repeat=5)) / calls
+            with np.errstate(all="ignore"):
+                best = min(timeit.repeat(op, number=calls, repeat=5)) / calls
             ops.setdefault(name, {})[f"rows_{rows}"] = round(best * 1e6, 2)
     return {"unit": "us_per_call", "best_of": 5, "calls": calls, "ops": ops}
 

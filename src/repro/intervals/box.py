@@ -57,6 +57,7 @@ class Box(Mapping[str, Interval]):
 
     @property
     def names(self) -> list[str]:
+        """The dimension names, in insertion order."""
         return list(self._ivs)
 
     # ------------------------------------------------------------------
@@ -64,6 +65,7 @@ class Box(Mapping[str, Interval]):
     # ------------------------------------------------------------------
     @property
     def is_empty(self) -> bool:
+        """True when any dimension is empty."""
         return any(iv.is_empty for iv in self._ivs.values())
 
     def max_width(self) -> float:
@@ -96,20 +98,24 @@ class Box(Mapping[str, Interval]):
         return all(self._ivs[k].contains(v) for k, v in point.items())
 
     def contains_box(self, other: "Box") -> bool:
+        """True when every dimension of ``other`` lies inside this box's."""
         return all(self._ivs[k].contains_interval(iv) for k, iv in other._ivs.items())
 
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
     def with_interval(self, name: str, iv: Interval) -> "Box":
+        """New box with dimension ``name`` set to ``iv`` (added if new)."""
         new = dict(self._ivs)
         new[name] = iv
         return Box(new)
 
     def without(self, *names: str) -> "Box":
+        """New box without the given dimensions."""
         return Box({k: v for k, v in self._ivs.items() if k not in names})
 
     def restrict(self, names: Iterable[str]) -> "Box":
+        """New box with only the given dimensions (in this box's order)."""
         keep = set(names)
         return Box({k: v for k, v in self._ivs.items() if k in keep})
 
@@ -127,6 +133,7 @@ class Box(Mapping[str, Interval]):
         return Box(new)
 
     def hull(self, other: "Box") -> "Box":
+        """Componentwise hull over shared names; unshared names kept."""
         new = dict(self._ivs)
         for k, iv in dict(other).items():
             new[k] = new[k].hull(iv) if k in new else iv
@@ -140,6 +147,7 @@ class Box(Mapping[str, Interval]):
         return self.with_interval(name, left), self.with_interval(name, right)
 
     def midpoint(self) -> dict[str, float]:
+        """The center point, one :meth:`Interval.midpoint` per dimension."""
         return {k: iv.midpoint() for k, iv in self._ivs.items()}
 
     def corners(self) -> list[dict[str, float]]:
@@ -173,6 +181,7 @@ class Box(Mapping[str, Interval]):
         return pts
 
     def inflate(self, eps: float) -> "Box":
+        """New box with every dimension widened by ``eps`` on both sides."""
         return Box({k: iv.inflate(eps) for k, iv in self._ivs.items()})
 
     # ------------------------------------------------------------------

@@ -139,14 +139,17 @@ class Interval:
     # ------------------------------------------------------------------
     @property
     def is_empty(self) -> bool:
+        """True when ``lo > hi`` (the empty interval)."""
         return self.lo > self.hi
 
     @property
     def is_point(self) -> bool:
+        """True for a degenerate interval ``[x, x]``."""
         return self.lo == self.hi
 
     @property
     def is_bounded(self) -> bool:
+        """True when non-empty with both endpoints finite."""
         return not self.is_empty and math.isfinite(self.lo) and math.isfinite(self.hi)
 
     def width(self) -> float:
@@ -177,6 +180,7 @@ class Interval:
         return 0.0
 
     def radius(self) -> float:
+        """Half the width."""
         return 0.5 * self.width()
 
     def magnitude(self) -> float:
@@ -194,9 +198,11 @@ class Interval:
         return min(abs(self.lo), abs(self.hi))
 
     def contains(self, x: float) -> bool:
+        """True when ``x`` lies in the (non-empty) interval."""
         return (not self.is_empty) and self.lo <= x <= self.hi
 
     def contains_interval(self, other: "Interval") -> bool:
+        """True when ``other`` is a subset (the empty set is in every interval)."""
         if other.is_empty:
             return True
         if self.is_empty:
@@ -204,18 +210,23 @@ class Interval:
         return self.lo <= other.lo and other.hi <= self.hi
 
     def strictly_positive(self) -> bool:
+        """Non-empty and every point ``> 0``."""
         return (not self.is_empty) and self.lo > 0.0
 
     def strictly_negative(self) -> bool:
+        """Non-empty and every point ``< 0``."""
         return (not self.is_empty) and self.hi < 0.0
 
     def nonnegative(self) -> bool:
+        """Non-empty and every point ``>= 0``."""
         return (not self.is_empty) and self.lo >= 0.0
 
     def nonpositive(self) -> bool:
+        """Non-empty and every point ``<= 0``."""
         return (not self.is_empty) and self.hi <= 0.0
 
     def overlaps(self, other: "Interval") -> bool:
+        """True when both are non-empty and share a point."""
         if self.is_empty or other.is_empty:
             return False
         return self.lo <= other.hi and other.lo <= self.hi
@@ -224,11 +235,13 @@ class Interval:
     # Set operations
     # ------------------------------------------------------------------
     def intersect(self, other: "Interval") -> "Interval":
+        """The common part (empty when disjoint)."""
         if self.is_empty or other.is_empty:
             return EMPTY
         return Interval.make(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def hull(self, other: "Interval") -> "Interval":
+        """The smallest interval containing both (empty sides add nothing)."""
         if self.is_empty:
             return other
         if other.is_empty:
@@ -250,6 +263,7 @@ class Interval:
         return Interval(self.lo - eps, self.hi + eps)
 
     def clamp(self, lo: float, hi: float) -> "Interval":
+        """Intersection with ``[lo, hi]``."""
         return self.intersect(Interval(lo, hi))
 
     def sample(self, n: int) -> list[float]:
@@ -334,6 +348,7 @@ class Interval:
         return Interval(0.0, max(-self.lo, self.hi))
 
     def sqr(self) -> "Interval":
+        """Square (tighter than ``self * self``: never negative)."""
         a = abs(self)
         if a.is_empty:
             return EMPTY
@@ -377,12 +392,14 @@ class Interval:
         return self.pow(n)
 
     def sqrt(self) -> "Interval":
+        """Square root over the non-negative part."""
         s = self.intersect(Interval(0.0, _INF))
         if s.is_empty:
             return EMPTY
         return Interval(_down(math.sqrt(s.lo)), _up(math.sqrt(s.hi)))
 
     def exp(self) -> "Interval":
+        """Exponential; an overflowing bound becomes ``+inf``."""
         if self.is_empty:
             return EMPTY
         try:
@@ -396,6 +413,7 @@ class Interval:
         return Interval(max(0.0, _down(lo)), _up(hi))
 
     def log(self) -> "Interval":
+        """Natural log over the non-negative part (``log 0 = -inf``)."""
         s = self.intersect(Interval(0.0, _INF))
         if s.is_empty:
             return EMPTY
@@ -404,12 +422,15 @@ class Interval:
         return Interval.make(lo, hi)
 
     def sin(self) -> "Interval":
+        """Sine, with the extrema the interval crosses."""
         return _periodic_trig(self, math.sin, offset=0.0)
 
     def cos(self) -> "Interval":
+        """Cosine, with the extrema the interval crosses."""
         return _periodic_trig(self, math.cos, offset=math.pi / 2.0)
 
     def tan(self) -> "Interval":
+        """Tangent; the whole line when a pole lies inside."""
         if self.is_empty:
             return EMPTY
         if not self.is_bounded or self.width() >= math.pi:
@@ -422,6 +443,7 @@ class Interval:
         return Interval(_down(math.tan(self.lo)), _up(math.tan(self.hi)))
 
     def tanh(self) -> "Interval":
+        """Hyperbolic tangent, clamped to ``[-1, 1]``."""
         if self.is_empty:
             return EMPTY
         return Interval(
@@ -443,12 +465,14 @@ class Interval:
         return Interval(max(0.0, _down(sig(self.lo))), min(1.0, _up(sig(self.hi))))
 
     def min_with(self, other: "Interval | float") -> "Interval":
+        """Enclosure of ``min(x, y)`` over both intervals."""
         other = _as_interval(other)
         if self.is_empty or other.is_empty:
             return EMPTY
         return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
 
     def max_with(self, other: "Interval | float") -> "Interval":
+        """Enclosure of ``max(x, y)`` over both intervals."""
         other = _as_interval(other)
         if self.is_empty or other.is_empty:
             return EMPTY

@@ -65,7 +65,7 @@ from repro.progress import emit as _progress
 from repro.service.backends import ExecutorBackend, make_backend
 
 from .incremental import shell_slabs
-from .tape import CERTAIN_FALSE, CERTAIN_TRUE, CompiledFormula, compile_formula
+from .tape import CERTAIN_FALSE, CERTAIN_TRUE, CompiledFormula, _quiet, compile_formula
 
 if TYPE_CHECKING:
     from .icp import DeltaSolver
@@ -84,8 +84,12 @@ def lex_key(lo, hi) -> tuple:
     This is the tie-breaker that makes every ordering decision of the
     sharded search -- heap ties, witness selection among simultaneous
     certifications, merged paving order -- independent of arrival order.
+    Bound arrays convert with one ``tolist()`` each: the same Python
+    floats as a per-element ``float()``, ``-0.0`` included.
     """
-    return tuple(float(v) for v in lo) + tuple(float(v) for v in hi)
+    if isinstance(lo, np.ndarray):
+        return tuple(lo.tolist()) + tuple(hi.tolist())
+    return tuple(map(float, lo)) + tuple(map(float, hi))
 
 
 def box_sort_key(box: Box) -> tuple:
@@ -149,6 +153,7 @@ def _compiled(phi_blob: bytes) -> CompiledFormula:
     return tape
 
 
+@_quiet
 def _solve_epoch(
     phi_blob: bytes,
     names: tuple[str, ...],
@@ -165,7 +170,9 @@ def _solve_epoch(
     Returns certified witness rows, too-narrow unresolved rows, the
     split children that go back on the shard's queue, and counters.
     Pure function of its arguments -- the coordinator's determinism
-    rests on that.
+    rests on that.  The contraction fixpoint runs first, then one
+    judgment pass decides every row at both thresholds: ``0`` prunes,
+    ``delta`` certifies.
 
     With ``record_cover`` the chunk's contribution to the UNSAT cover
     (:mod:`repro.solver.incremental`) ships back too: pruned boxes plus
@@ -174,7 +181,7 @@ def _solve_epoch(
     compiled = _compiled(phi_blob)
     frontier = BoxArray(names, lo, hi)
     contracted = compiled.fixpoint_contract(frontier, tol=contract_tol)
-    judgment = compiled.judge(contracted, 0.0)
+    judgment, at_delta = compiled.judge(contracted, (0.0, delta))
     dead = contracted.is_empty | (judgment == CERTAIN_FALSE)
     cover: list | None = [] if record_cover else None
     if record_cover:
@@ -200,7 +207,7 @@ def _solve_epoch(
     if not live_idx.size:
         return out
     live = contracted.take(live_idx)
-    certified = compiled.judge(live, delta) == CERTAIN_TRUE
+    certified = at_delta[live_idx] == CERTAIN_TRUE
     for i in np.flatnonzero(certified):
         out["witnesses"].append((live.lo[i].copy(), live.hi[i].copy()))
     if certified.any():
@@ -227,6 +234,7 @@ def _solve_epoch(
     return out
 
 
+@_quiet
 def _pave_epoch(
     phi_blob: bytes,
     names: tuple[str, ...],
@@ -236,12 +244,13 @@ def _pave_epoch(
     contract_tol: float,
     min_width: float,
 ) -> dict:
-    """One paving pass over a chunk: classify rows or split them."""
+    """One paving pass over a chunk: classify rows or split them
+    (contraction fixpoint, then one judgment pass at ``0`` and ``delta``)."""
     compiled = _compiled(phi_blob)
     frontier = BoxArray(names, lo, hi)
     contracted = compiled.fixpoint_contract(frontier, tol=contract_tol)
-    judgment = compiled.judge(contracted, 0.0)
-    certified = compiled.judge(contracted, delta) == CERTAIN_TRUE
+    judgment, at_delta = compiled.judge(contracted, (0.0, delta))
+    certified = at_delta == CERTAIN_TRUE
     widths = contracted.max_width()
     empty = contracted.is_empty
     sat, unsat, undecided = [], [], []
@@ -302,11 +311,12 @@ class _ShardQueue:
         with np.errstate(invalid="ignore"):
             w = hi - lo
         widths = np.where(np.isnan(w), 0.0, w).max(axis=1, initial=0.0)
-        for j in range(lo.shape[0]):
+        # one tolist() per array for the whole chunk, not per row
+        rows = zip(widths.tolist(), lo.tolist(), hi.tolist(), np.asarray(depths).tolist())
+        for j, (width, lo_j, hi_j, depth) in enumerate(rows):
             heapq.heappush(
                 self.entries,
-                (-float(widths[j]), lex_key(lo[j], hi[j]), next(self._tie),
-                 lo[j], hi[j], int(depths[j])),
+                (-width, lex_key(lo_j, hi_j), next(self._tie), lo[j], hi[j], depth),
             )
 
     def __len__(self) -> int:

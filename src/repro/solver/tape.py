@@ -17,7 +17,8 @@ and then evaluates the whole batch of boxes (a
 
 * :meth:`CompiledFormula.judge` is the batched three-valued interval
   judgment of :mod:`repro.solver.eval3` (``-1`` certainly false, ``0``
-  unknown, ``+1`` certainly true, per row);
+  unknown, ``+1`` certainly true, per row), at one ``delta`` or at
+  several from one forward pass;
 * :meth:`CompiledFormula.contract` is the batched HC4-revise sweep of
   :mod:`repro.solver.contractor` (forward enclosures up the tape, the
   output constraint pushed back down, all rows at once);
@@ -27,10 +28,20 @@ and then evaluates the whole batch of boxes (a
 Soundness is inherited row-wise from the vectorized kernel's inclusion
 property: judgments are conservative and contraction only removes
 points that cannot satisfy the constraint.
+
+The kernel's operations run under the caller's numpy error state, so
+every public entry point here (:meth:`ExprTape.forward`,
+:meth:`~ExprTape.eval`, :meth:`~ExprTape.hc4`,
+:meth:`CompiledFormula.judge`, :meth:`~CompiledFormula.contract`,
+:meth:`~CompiledFormula.fixpoint_contract` and :func:`judge_batch`)
+enters ``np.errstate(all="ignore")`` once per call: the infinities,
+``0 * inf`` and empty-row NaNs of outward rounding raise no warning, and
+the caller's error state is restored on return or raise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -57,6 +68,18 @@ _INF = math.inf
 CERTAIN_FALSE = -1
 UNKNOWN = 0
 CERTAIN_TRUE = 1
+
+
+def _quiet(fn):
+    """Run ``fn`` under a fresh ``np.errstate(all="ignore")``: the error
+    state of one public tape call (see the module docstring)."""
+
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return fn(*args, **kwargs)
+
+    return quiet
 
 
 def _inflate(ia: IntervalArray, eps: float) -> IntervalArray:
@@ -127,6 +150,7 @@ class ExprTape:
         return dst
 
     # ------------------------------------------------------------------
+    @_quiet
     def forward(self, boxes: BoxArray) -> list[IntervalArray]:
         """Bottom-up interval enclosures of every register over the batch.
 
@@ -155,6 +179,7 @@ class ExprTape:
         return self.forward(boxes)[self.root]
 
     # ------------------------------------------------------------------
+    @_quiet
     def hc4(self, boxes: BoxArray, strict: bool) -> BoxArray:
         """Batched HC4-revise of ``term >= 0`` (closure covers strict).
 
@@ -288,16 +313,14 @@ def _invert_unary(op: str, want: IntervalArray, arg: IntervalArray) -> IntervalA
         return IntervalArray(-w.hi, w.hi)  # empty w stays empty (-(-inf) > -inf)
     if op == "tanh":
         w = want.intersect(IntervalArray(np.full(n, -1.0), np.full(n, 1.0)))
-        with np.errstate(all="ignore"):
-            lo = np.where(w.lo <= -1.0, -_INF, np.arctanh(w.lo))
-            hi = np.where(w.hi >= 1.0, _INF, np.arctanh(w.hi))
+        lo = np.where(w.lo <= -1.0, -_INF, np.arctanh(w.lo))
+        hi = np.where(w.hi >= 1.0, _INF, np.arctanh(w.hi))
         out = _inflate(IntervalArray(lo, hi), 1e-12)
         return out._propagate_empty(w)
     if op == "sigmoid":
         w = want.intersect(IntervalArray(np.zeros(n), np.full(n, 1.0)))
-        with np.errstate(all="ignore"):
-            lo = np.where(w.lo <= 0.0, -_INF, np.log(w.lo / (1.0 - w.lo)))
-            hi = np.where(w.hi >= 1.0, _INF, np.log(w.hi / (1.0 - w.hi)))
+        lo = np.where(w.lo <= 0.0, -_INF, np.log(w.lo / (1.0 - w.lo)))
+        hi = np.where(w.hi >= 1.0, _INF, np.log(w.hi / (1.0 - w.hi)))
         out = _inflate(IntervalArray(lo, hi), 1e-12)
         return out._propagate_empty(w)
     # sin / cos / tan: multivalued inverse -- no contraction (sound identity)
@@ -375,23 +398,22 @@ def _invert_int_pow(want: IntervalArray, base: IntervalArray, n: int) -> Interva
         )
     if n < 0:
         return _invert_int_pow(want.inverse(), base, -n)
-    with np.errstate(all="ignore"):
-        if n % 2 == 1:
-            root_lo = np.where(
-                np.isfinite(want.lo),
-                np.copysign(np.abs(want.lo) ** (1.0 / n), want.lo),
-                want.lo,
-            )
-            root_hi = np.where(
-                np.isfinite(want.hi),
-                np.copysign(np.abs(want.hi) ** (1.0 / n), want.hi),
-                want.hi,
-            )
-            return _inflate(IntervalArray(root_lo, root_hi), 1e-12)
-        w = want.intersect(IntervalArray(np.zeros(rows), np.full(rows, _INF)))
-        hi_root = np.where(np.isfinite(w.hi), w.hi ** (1.0 / n), _INF)
-        lo_root = w.lo ** (1.0 / n)
-        pos = _inflate(IntervalArray(lo_root, hi_root), 1e-12)
+    if n % 2 == 1:
+        root_lo = np.where(
+            np.isfinite(want.lo),
+            np.copysign(np.abs(want.lo) ** (1.0 / n), want.lo),
+            want.lo,
+        )
+        root_hi = np.where(
+            np.isfinite(want.hi),
+            np.copysign(np.abs(want.hi) ** (1.0 / n), want.hi),
+            want.hi,
+        )
+        return _inflate(IntervalArray(root_lo, root_hi), 1e-12)
+    w = want.intersect(IntervalArray(np.zeros(rows), np.full(rows, _INF)))
+    hi_root = np.where(np.isfinite(w.hi), w.hi ** (1.0 / n), _INF)
+    lo_root = w.lo ** (1.0 / n)
+    pos = _inflate(IntervalArray(lo_root, hi_root), 1e-12)
     neg = -pos
     both = neg.hull(pos)
     out = _where_ia(base.lo >= 0.0, pos, _where_ia(base.hi <= 0.0, neg, both))
@@ -408,8 +430,10 @@ class _CNode:
 
     __slots__ = ()
 
-    def judge(self, boxes: BoxArray, delta: float) -> np.ndarray:
-        """Row-wise three-valued judgment of the node's ``phi^delta``."""
+    def judge(self, boxes: BoxArray, deltas: Sequence[float]) -> np.ndarray:
+        """Three-valued judgment of the node's ``phi^delta`` for each
+        ``delta`` in ``deltas``: an ``int8`` array of one row per
+        threshold and one column per box, from one forward pass."""
         raise NotImplementedError
 
     def contract(self, boxes: BoxArray) -> BoxArray:
@@ -420,9 +444,9 @@ class _CNode:
 class _CTrue(_CNode):
     __slots__ = ()
 
-    def judge(self, boxes, delta):
+    def judge(self, boxes, deltas):
         """Certainly true on every row."""
-        return np.full(len(boxes), CERTAIN_TRUE, dtype=np.int8)
+        return np.full((len(deltas), len(boxes)), CERTAIN_TRUE, dtype=np.int8)
 
     def contract(self, boxes):
         """Identity: ``true`` removes nothing."""
@@ -432,9 +456,9 @@ class _CTrue(_CNode):
 class _CFalse(_CNode):
     __slots__ = ()
 
-    def judge(self, boxes, delta):
+    def judge(self, boxes, deltas):
         """Certainly false on every row."""
-        return np.full(len(boxes), CERTAIN_FALSE, dtype=np.int8)
+        return np.full((len(deltas), len(boxes)), CERTAIN_FALSE, dtype=np.int8)
 
     def contract(self, boxes):
         """Empty every row: ``false`` has no solutions."""
@@ -450,18 +474,18 @@ class _CAtom(_CNode):
         self.tape = ExprTape(atom.term)
         self.strict = atom.strict
 
-    def judge(self, boxes, delta):
-        """Compare the term's enclosure with ``-delta``."""
+    def judge(self, boxes, deltas):
+        """Compare the term's one enclosure with each ``-delta``."""
         iv = self.tape.eval(boxes)
-        threshold = -delta
-        out = np.zeros(len(boxes), dtype=np.int8)
+        threshold = -np.array(deltas, dtype=float)[:, None]
+        out = np.zeros((len(deltas), len(boxes)), dtype=np.int8)
         if self.strict:
             out[iv.lo > threshold] = CERTAIN_TRUE
             out[iv.hi <= threshold] = CERTAIN_FALSE
         else:
             out[iv.lo >= threshold] = CERTAIN_TRUE
             out[iv.hi < threshold] = CERTAIN_FALSE
-        out[iv.is_empty] = CERTAIN_FALSE
+        out[:, iv.is_empty] = CERTAIN_FALSE
         return out
 
     def contract(self, boxes):
@@ -475,13 +499,14 @@ class _CAnd(_CNode):
     def __init__(self, parts):
         self.parts = parts
 
-    def judge(self, boxes, delta):
-        """Row-wise minimum of the conjuncts' judgments."""
-        out = self.parts[0].judge(boxes, delta)
+    def judge(self, boxes, deltas):
+        """Row-wise minimum of the conjuncts' judgments (the rest are
+        skipped once every row of every threshold is certainly false)."""
+        out = self.parts[0].judge(boxes, deltas)
         for p in self.parts[1:]:
             if (out == CERTAIN_FALSE).all():
                 break
-            out = np.minimum(out, p.judge(boxes, delta))
+            out = np.minimum(out, p.judge(boxes, deltas))
         return out
 
     def contract(self, boxes):
@@ -499,13 +524,14 @@ class _COr(_CNode):
     def __init__(self, parts):
         self.parts = parts
 
-    def judge(self, boxes, delta):
-        """Row-wise maximum of the disjuncts' judgments."""
-        out = self.parts[0].judge(boxes, delta)
+    def judge(self, boxes, deltas):
+        """Row-wise maximum of the disjuncts' judgments (the rest are
+        skipped once every row of every threshold is certainly true)."""
+        out = self.parts[0].judge(boxes, deltas)
         for p in self.parts[1:]:
             if (out == CERTAIN_TRUE).all():
                 break
-            out = np.maximum(out, p.judge(boxes, delta))
+            out = np.maximum(out, p.judge(boxes, deltas))
         return out
 
     def contract(self, boxes):
@@ -531,7 +557,7 @@ class _CQuant(_CNode):
         self.hi_tape = ExprTape(phi.hi)
         self.body = body
 
-    def judge(self, boxes, delta):
+    def judge(self, boxes, deltas):
         """Judge the body over the bound variable's whole domain."""
         lo_iv = self.lo_tape.eval(boxes)
         hi_iv = self.hi_tape.eval(boxes)
@@ -541,7 +567,7 @@ class _CQuant(_CNode):
         # judge the body on every row; vacuous rows get a dummy domain
         safe = _where_ia(domain.is_empty, IntervalArray.point(np.zeros(len(boxes))), domain)
         inner = boxes.with_column(self.name, safe)
-        out = self.body.judge(inner, delta)
+        out = self.body.judge(inner, deltas)
         out = np.where(
             vacuous,
             np.int8(CERTAIN_TRUE if self.is_forall else CERTAIN_FALSE),
@@ -581,17 +607,30 @@ class CompiledFormula:
         self.root = _compile_node(phi)
 
     # ------------------------------------------------------------------
-    def judge(self, boxes: BoxArray, delta: float = 0.0) -> np.ndarray:
+    @_quiet
+    def judge(
+        self, boxes: BoxArray, delta: float | Sequence[float] = 0.0
+    ) -> np.ndarray:
         """Row-wise three-valued judgment of ``phi^delta``: an ``int8``
         array of ``-1`` (certainly false) / ``0`` / ``+1`` (certainly
         true), matching the scalar reference
-        ``repro.solver.eval3._eval_formula_impl``."""
-        return self.root.judge(boxes, delta)
+        ``repro.solver.eval3._eval_formula_impl``.
 
+        Given a sequence of thresholds, returns one such row per
+        threshold (shape ``(len(delta), len(boxes))``) from one forward
+        pass of each tape, bit-identical to judging each ``delta`` in a
+        separate call.
+        """
+        if np.ndim(delta):
+            return self.root.judge(boxes, delta)
+        return self.root.judge(boxes, (delta,))[0]
+
+    @_quiet
     def contract(self, boxes: BoxArray) -> BoxArray:
         """One batched contraction sweep (HC4 through the structure)."""
         return self.root.contract(boxes)
 
+    @_quiet
     def fixpoint_contract(
         self, boxes: BoxArray, tol: float = 1e-3, max_sweeps: int = 30
     ) -> BoxArray:

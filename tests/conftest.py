@@ -1,8 +1,10 @@
-"""Fixtures shared by the job-service test modules."""
+"""Fixtures shared by the test modules: the job service's and the
+interval kernel's."""
 
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import repro.api.engine as engine_mod
@@ -42,3 +44,14 @@ def running_execute(monkeypatch):
     monkeypatch.setattr(engine_mod, "_execute", gate)
     yield gate
     gate.release.set()
+
+
+@pytest.fixture(scope="module")
+def kernel_errstate():
+    """The error state a caller of the interval kernel enters: its ops run
+    under the caller's numpy error state, which ``repro.solver.tape``
+    sets to ``all="ignore"`` once per call.  A module that calls
+    ``IntervalArray`` ops (or the tape's private helpers) directly
+    enters it through this fixture."""
+    with np.errstate(all="ignore"):
+        yield

@@ -399,6 +399,9 @@ def test_paving_survives_worker_death():
             # let the first epochs get leased before striking
             time.sleep(0.3)
             backend.procs[0].kill()
+            # reap it: SIGKILL lands asynchronously, and a paving that
+            # already finished would read the status before it does
+            backend.procs[0].wait(timeout=10)
             killed.set()
 
         hitman = threading.Thread(target=assassinate, daemon=True)

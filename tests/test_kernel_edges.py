@@ -12,6 +12,9 @@ import pytest
 
 from repro.intervals import EMPTY, Interval, IntervalArray
 
+#: ops run under the caller's error state (see conftest.py)
+pytestmark = pytest.mark.usefixtures("kernel_errstate")
+
 INF = math.inf
 
 

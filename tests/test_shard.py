@@ -1,20 +1,27 @@
 """Unit tests of the sharded work-stealing ICP driver."""
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.expr import var, variables
 from repro.intervals import Box
-from repro.logic import And, Or, in_range
+from repro.logic import And, Atom, Or, in_range
+from repro.models import fenton_karma_mode
 from repro.progress import progress_scope
 from repro.service.backends import ExecutorBackend, ThreadBackend
 from repro.solver import DeltaSolver, Status, split_into_shards
 from repro.solver.shard import (
     ShardPlan,
+    _pave_epoch,
     _rebalance,
     _ShardQueue,
+    _solve_epoch,
     box_sort_key,
     lex_key,
+    solve_sharded,
 )
 
 x, y = variables("x y")
@@ -307,3 +314,148 @@ class TestShardPlan:
         owned.shutdown()
         owned.shutdown()  # idempotent
         assert backend._pool is None
+
+
+# ----------------------------------------------------------------------
+# Pinned bits of the solver path: the epoch passes and a budget-bound
+# search over the Fenton-Karma dome query (the ``solver`` benchmark's
+# fk-dome jobs), so a change to the epoch's work cannot move a bit
+# ----------------------------------------------------------------------
+
+_FK_PARAMS = {"tau_r": (10.0, 38.0), "tau_si": (28.0, 130.0)}
+
+
+def _fk_dome(to_level, v):
+    """The falsify-ascent barrier query of ``cardiac-fk-dome`` and its box."""
+    system = fenton_karma_mode("excited")
+    fixed = [p for p in system.params if p not in _FK_PARAMS]
+    field = system.substitute_params(fixed).derivatives["u"]
+    phi = (var("u") >= 0.75) & (var("u") <= to_level) & Atom(field, strict=False)
+    box = Box.from_bounds(
+        {"u": (0.75, to_level), "v": v, "w": (0.0, 1.0), **_FK_PARAMS}
+    )
+    return phi, box
+
+
+def _seeded_frontier(box, n, seed):
+    """``n`` sub-boxes of ``box``: per dimension a width of 1/64 to all
+    of the range, half of them flush with the upper bound (where the
+    dome query's solutions sit)."""
+    rng = np.random.default_rng(seed)
+    names = tuple(box.names)
+    lo0 = np.array([box[k].lo for k in names])
+    hi0 = np.array([box[k].hi for k in names])
+    frac = rng.choice([1 / 64, 1 / 8, 1 / 2, 1.0], size=(n, len(names)))
+    start = rng.random((n, len(names))) * (1 - frac)
+    start = np.where(rng.random((n, len(names))) < 0.5, 1 - frac, start)
+    lo = lo0 + start * (hi0 - lo0)
+    return names, lo, np.minimum(lo + frac * (hi0 - lo0), hi0)
+
+
+def _bits(obj, out):
+    """Append a canonical text of ``obj`` with every float as ``float.hex``."""
+    if isinstance(obj, dict):
+        for k in sorted(obj):
+            out.append(f"{k}:")
+            _bits(obj[k], out)
+    elif isinstance(obj, (list, tuple)):
+        out.append(f"[{len(obj)}")
+        for v in obj:
+            _bits(v, out)
+        out.append("]")
+    elif isinstance(obj, np.ndarray):
+        out.append(f"{obj.dtype.kind}{obj.shape}")
+        out.extend(
+            float(v).hex() if obj.dtype.kind == "f" else str(int(v))
+            for v in obj.ravel().tolist()
+        )
+    elif isinstance(obj, float):
+        out.append(obj.hex())
+    else:
+        out.append(repr(obj))
+
+
+def _digest(obj) -> str:
+    out: list[str] = []
+    _bits(obj, out)
+    return hashlib.sha256(" ".join(out).encode()).hexdigest()
+
+
+#: (to_level, v bounds, delta, min_width): the budget job's query, whose
+#: frontier splits; the same with leaves wider than tau_r's smallest
+#: pieces, so rows end unresolved; and the gated job's query.
+EPOCH_CASES = {
+    "budget": (0.88, (0.0, 0.01), 1e-6, 1e-12),
+    "budget-wide-leaves": (0.88, (0.0, 0.01), 1e-6, 5.0),
+    "gated": (0.82, (0.0, 0.05), 1e-4, 1e-12),
+}
+
+#: sha256 of the ``_solve_epoch`` (with its UNSAT cover) and
+#: ``_pave_epoch`` outputs over a 64-row seeded frontier, taken before
+#: the epoch judged both thresholds in one pass.
+EPOCH_DIGESTS = {
+    "budget": (
+        "9b013d090bc52922aef920a1526de5a05938a3af8e663203655dd724f99c398f",
+        "82decb3df76f2b4cc4743e2a9b6d73bb9cc08daa0628c6f50925266193a13b81",
+    ),
+    "budget-wide-leaves": (
+        "1b10329b215cbf01b0529d3597dc9c95d35594c93534c313a34e114a7264d161",
+        "78933e6e5e9bd1b934bff6573ca177b581eea5c25910e8e792539b387197c9d0",
+    ),
+    "gated": (
+        "05735f22dbd73fd80ab0d361ca0f91f432ab09a611445a7b8d6e7f1e24e46d66",
+        "62a4443ea77b657d12bbaf531317b8a446c93d24f84a46958ddf3c06f7840c82",
+    ),
+}
+
+#: Taken with EPOCH_DIGESTS: the certifying epoch over a frontier near
+#: the gated job's witness, and the fk-dome-budget search at
+#: ``max_boxes=2000`` (its fallback box bits and counters).
+GATED_LOCAL_DIGESTS = (
+    "17629f41e3cb95ef289a6d0e6652f2a7d466bfbee1addd7078bcdbbdba1ddfe2",
+    "ffb0f07727806b277fadbe6d15998e50b8d6918c7506a39e4df193bf38be53d0",
+)
+BUDGET_COUNTERS = (2000, 1, 1999)
+BUDGET_DIGEST = "00d947792b89696d4c7c97c8a2441f8ca0192e8398339cc340332938495ee7a0"
+
+
+class TestPinnedSolverPath:
+    @pytest.mark.parametrize("case", sorted(EPOCH_CASES))
+    def test_epoch_bits(self, case):
+        to_level, v, delta, min_width = EPOCH_CASES[case]
+        phi, box = _fk_dome(to_level, v)
+        names, lo, hi = _seeded_frontier(box, 64, seed=0)
+        blob = pickle.dumps(phi)
+        depths = np.arange(64) % 5
+        solved = _solve_epoch(blob, names, lo, hi, depths, delta, 1e-2, min_width, True)
+        paved = _pave_epoch(blob, names, lo, hi, delta, 1e-2, min_width)
+        assert (_digest(solved), _digest(paved)) == EPOCH_DIGESTS[case]
+
+    def test_gated_frontier_certifies(self):
+        # a frontier near the gated job's witness: the early-exit path
+        phi, _ = _fk_dome(0.82, (0.0, 0.05))
+        local = Box.from_bounds({
+            "u": (0.75, 0.76), "v": (0.045, 0.05), "w": (0.45, 0.55),
+            "tau_r": (30.0, 33.0), "tau_si": (115.0, 125.0),
+        })
+        names, lo, hi = _seeded_frontier(local, 64, seed=1)
+        blob = pickle.dumps(phi)
+        solved = _solve_epoch(
+            blob, names, lo, hi, np.zeros(64, dtype=int), 1e-4, 1e-2, 1e-12, True
+        )
+        paved = _pave_epoch(blob, names, lo, hi, 1e-4, 1e-2, 1e-12)
+        assert solved["witnesses"] and solved["children"] is None
+        assert paved["sat"]
+        assert (_digest(solved), _digest(paved)) == GATED_LOCAL_DIGESTS
+
+    def test_budget_search_bits(self):
+        phi, box = _fk_dome(0.88, (0.0, 0.01))
+        r = solve_sharded(phi, box, DeltaSolver(delta=1e-6, max_boxes=2000))
+        s = r.stats
+        got = (
+            r.status.value,
+            [(k, r.witness_box[k].lo, r.witness_box[k].hi) for k in box.names],
+            s.boxes_processed, s.boxes_pruned, s.splits,
+        )
+        assert got[0] == "unknown" and got[2:] == BUDGET_COUNTERS
+        assert _digest(got) == BUDGET_DIGEST

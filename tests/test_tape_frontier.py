@@ -1,20 +1,48 @@
 """The compiled tape against the scalar AST walkers (same judgments,
 sound contraction), and wide ICP frontiers against the one-box frontier
-(same verdicts and pavings).
+(same verdicts and pavings).  Also the tape's call contracts: one
+judgment pass for several thresholds, and one numpy error state per
+public call.
 """
 
+import math
+import operator
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.expr import abs_, exp, sin, variables
+from repro.expr import (
+    abs_,
+    cos,
+    exp,
+    log,
+    maximum,
+    minimum,
+    sigmoid,
+    sin,
+    sqrt,
+    tanh,
+    var,
+    variables,
+)
 from repro.intervals import Box, BoxArray, Interval
-from repro.logic import And, Exists, Forall, Or, equals_within, in_range
+from repro.logic import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    Exists,
+    Forall,
+    Or,
+    equals_within,
+    in_range,
+)
 from repro.solver import DeltaSolver, Status
 from repro.solver.contractor import fixpoint_contract
 from repro.solver.eval3 import _eval_formula_impl
-from repro.solver.tape import compile_formula
+from repro.solver.tape import CERTAIN_FALSE, ExprTape, compile_formula, judge_batch
 
 x, y = variables("x y")
 
@@ -204,3 +232,152 @@ class TestBoxArray:
         b2 = Box({"x": Interval(1.0, -1.0), "y": Interval(0.0, 1.0)})
         ba = BoxArray.from_boxes([b1, b2])
         assert list(ba.is_empty) == [False, True]
+
+
+# ----------------------------------------------------------------------
+# One judgment pass for several thresholds
+# ----------------------------------------------------------------------
+
+_UNARY_FNS = (sin, cos, exp, log, sqrt, abs_, tanh, sigmoid)
+_BINARY_FNS = (
+    operator.add, operator.sub, operator.mul, operator.truediv, minimum, maximum,
+)
+
+
+def _random_term(rng: random.Random, names, depth: int):
+    if depth == 0 or rng.random() < 0.25:
+        return var(rng.choice(names))
+    r = rng.random()
+    if r < 0.3:
+        return rng.choice(_UNARY_FNS)(_random_term(rng, names, depth - 1))
+    if r < 0.4:
+        return _random_term(rng, names, depth - 1) ** rng.choice((2, 3, -1, 0.5))
+    if r < 0.55:
+        return _random_term(rng, names, depth - 1) + round(rng.uniform(-2, 2), 2)
+    op = rng.choice(_BINARY_FNS)
+    return op(_random_term(rng, names, depth - 1), _random_term(rng, names, depth - 1))
+
+
+def _random_formula(rng: random.Random, names, depth: int):
+    """A seeded random formula over every compiled node kind."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        if r < 0.03:
+            return TRUE
+        if r < 0.06:
+            return FALSE
+        return Atom(_random_term(rng, names, 3), strict=rng.random() < 0.5)
+    if r < 0.55:
+        return And(*[_random_formula(rng, names, depth - 1) for _ in range(rng.randint(2, 3))])
+    if r < 0.8:
+        return Or(*[_random_formula(rng, names, depth - 1) for _ in range(rng.randint(2, 3))])
+    quant = rng.choice((Exists, Forall))
+    name = f"z{depth}"
+    lo = round(rng.uniform(-1, 1), 2) if rng.random() < 0.8 else var(names[0])
+    hi = round(rng.uniform(-1.2, 1.5), 2)  # below lo now and then: a vacuous domain
+    return quant(name, lo, hi, _random_formula(rng, names + (name,), depth - 1))
+
+
+def _random_batch(rng: random.Random, n: int) -> BoxArray:
+    """Random boxes over x, y with point, empty and narrow rows mixed in."""
+    lo, hi = np.empty((n, 2)), np.empty((n, 2))
+    for i in range(n):
+        for j in range(2):
+            lo[i, j], hi[i, j] = sorted(rng.uniform(-3, 3) for _ in range(2))
+        if i % 7 == 0:
+            hi[i] = lo[i]  # point row
+        elif i % 7 == 1:
+            lo[i, i % 2], hi[i, i % 2] = 1.0, -1.0  # empty row
+        elif i % 7 == 2:
+            hi[i] = lo[i] + 1e-3
+    return BoxArray(("x", "y"), lo, hi)
+
+
+class TestOnePassJudgment:
+    def test_thresholds_match_separate_judgments(self):
+        rng = random.Random(20261019)
+        kinds = set()
+        for _ in range(400):
+            phi = _random_formula(rng, ("x", "y"), 3)
+            kinds.add(type(phi).__name__)
+            compiled = compile_formula(phi)
+            boxes = _random_batch(rng, 21)
+            delta = rng.choice((1e-6, 0.05, 0.5, 2.0))
+            both = compiled.judge(boxes, (0.0, delta))
+            assert both.dtype == np.int8 and both.shape == (2, len(boxes))
+            at_zero = compiled.judge(boxes, 0.0)
+            assert at_zero.shape == (len(boxes),)
+            assert np.array_equal(both[0], at_zero), str(phi)
+            assert np.array_equal(both[1], compiled.judge(boxes, delta)), str(phi)
+            # the epoch's old second pass: the live rows alone, at delta
+            live = np.flatnonzero(~boxes.is_empty & (at_zero != CERTAIN_FALSE))
+            if live.size:
+                alone = compiled.judge(boxes.take(live), delta)
+                assert np.array_equal(both[1][live], alone), str(phi)
+            # neither the order nor the number of thresholds matters
+            three = compiled.judge(boxes, (delta, 0.0, delta))
+            assert np.array_equal(three, both[[1, 0, 1]]), str(phi)
+        assert kinds >= {"Atom", "And", "Or", "Exists", "Forall"}
+
+    def test_constant_formulas(self):
+        boxes = _random_batch(random.Random(3), 8)
+        for phi, verdict in ((TRUE, 1), (FALSE, -1)):
+            out = compile_formula(phi).judge(boxes, (0.0, 0.5))
+            assert out.shape == (2, 8) and (out == verdict).all()
+
+
+# ----------------------------------------------------------------------
+# The error-state contract of the tape's public entry points
+# ----------------------------------------------------------------------
+
+#: x * y meets 0 * inf, 1 / y divides by a y that touches zero, and
+#: exp(x) overflows -- each a numpy warning under the default state.
+_FP_TERM = x * y + 1 / y + exp(x)
+_FP_ROWS = np.array([
+    (0.0, 0.0, 1.0, math.inf),
+    (-1.0, 1.0, 0.0, 1.0),
+    (700.0, 800.0, -1.0, 1.0),
+    (1.0, 2.0, 1.0, 2.0),
+])
+
+
+def _entry_points():
+    tape = ExprTape(_FP_TERM)
+    phi = Atom(_FP_TERM, strict=False)
+    compiled = compile_formula(phi)
+    return {
+        "ExprTape.forward": tape.forward,
+        "ExprTape.eval": tape.eval,
+        "ExprTape.hc4": lambda b: tape.hc4(b, False),
+        "CompiledFormula.judge": lambda b: compiled.judge(b, 0.1),
+        "CompiledFormula.judge-thresholds": lambda b: compiled.judge(b, (0.0, 0.1)),
+        "CompiledFormula.contract": compiled.contract,
+        "CompiledFormula.fixpoint_contract": compiled.fixpoint_contract,
+        "judge_batch": lambda b: judge_batch(phi, b, 0.1),
+    }
+
+
+ENTRY_POINTS = sorted(_entry_points())
+
+
+class TestErrorState:
+    @pytest.mark.parametrize("caller", [{}, {"all": "raise"}], ids=["default", "raise"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_no_warning_and_state_restored(self, entry, caller):
+        boxes = BoxArray(("x", "y"), _FP_ROWS[:, [0, 2]], _FP_ROWS[:, [1, 3]])
+        call = _entry_points()[entry]
+        with np.errstate(**caller), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            before = np.geterr()
+            call(boxes)
+            assert np.geterr() == before
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_state_restored_when_the_call_raises(self, entry):
+        no_y = BoxArray(("x",), _FP_ROWS[:, [0]], _FP_ROWS[:, [1]])
+        call = _entry_points()[entry]
+        with np.errstate(all="raise"):
+            before = np.geterr()
+            with pytest.raises(KeyError):
+                call(no_y)
+            assert np.geterr() == before

@@ -19,9 +19,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.expr import Var
+from repro.expr import (
+    Var,
+    abs_,
+    cos,
+    exp,
+    log,
+    maximum,
+    minimum,
+    sigmoid,
+    sin,
+    sqrt,
+    tan,
+    tanh,
+)
 from repro.intervals import EMPTY, BoxArray, Interval, IntervalArray
+from repro.logic import And, Atom, Exists
 from repro.solver import contractor, tape
+
+#: ops run under the caller's error state (see conftest.py)
+pytestmark = pytest.mark.usefixtures("kernel_errstate")
 
 N = 10_000
 SEED = 20260728
@@ -387,3 +404,91 @@ def test_hc4_shared_operands_match_per_operand_bits(monkeypatch):
                 m.setattr(tape, "_invert_binary", _per_operand_preimages)
                 ref = t.hc4(boxes, strict)
             assert _same_bits(got, ref), (term, strict)
+
+
+# ----------------------------------------------------------------------
+# Trusted construction: ``IntervalArray(lo, hi)`` converts nothing, so
+# every constructor and op must hand it 1-D float64 arrays
+# ----------------------------------------------------------------------
+
+
+def _assert_float_rows(iv: IntervalArray, n: int, what: str):
+    for bound in (iv.lo, iv.hi):
+        assert type(bound) is np.ndarray, what
+        assert bound.dtype == np.float64 and bound.shape == (n,), what
+
+
+def test_init_stores_its_arguments():
+    lo, hi = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+    iv = IntervalArray(lo, hi)
+    assert iv.lo is lo and iv.hi is hi
+    raw = [0, 1]
+    assert IntervalArray(raw, raw).lo is raw  # no conversion: use make()
+
+
+@pytest.mark.parametrize("name,build", [
+    ("make-list", lambda: IntervalArray.make([0, 1, math.nan], [1, 2, 3])),
+    ("make-int-array", lambda: IntervalArray.make(np.arange(3), np.arange(3) + 1)),
+    ("point-list", lambda: IntervalArray.point([1, 2, 3])),
+    ("point-int-array", lambda: IntervalArray.point(np.arange(3))),
+    ("constant-int", lambda: IntervalArray.constant(2, 3)),
+    ("empty", lambda: IntervalArray.empty(3)),
+    ("entire", lambda: IntervalArray.entire(3)),
+    ("from_intervals", lambda: IntervalArray.from_intervals(
+        [Interval(0, 1), Interval(1, 2), EMPTY])),
+])
+def test_converting_constructors(name, build):
+    _assert_float_rows(build(), 3, name)
+
+
+def test_every_op_returns_float64_rows():
+    a = IntervalArray.make([-1, 0, 2, 1, 0.5], [1, 0, 3, -1, 4])  # row 3 empty
+    b = IntervalArray.make([0.5, -2, 1, 0, 0], [2, 2, 1, 1, 0])
+    ops = {
+        "add": a + b, "sub": a - b, "neg": -a, "mul": a * b, "div": a / b,
+        "inverse": a.inverse(), "zero_free_inverse": b.zero_free_inverse(),
+        "abs": abs(a), "sqr": a.sqr(), "pow_int": a.pow_int(3),
+        "pow_int_neg": a.pow_int(-2), "pow_int_zero": a.pow_int(0),
+        "pow_scalar": a.pow_scalar(0.5), "pow_scalar_neg": a.pow_scalar(-1.5),
+        "sqrt": a.sqrt(), "exp": a.exp(), "log": a.log(), "sin": a.sin(),
+        "cos": a.cos(), "tan": a.tan(), "tanh": a.tanh(), "sigmoid": a.sigmoid(),
+        "min_with": a.min_with(b), "max_with": a.max_with(b),
+        "intersect": a.intersect(b), "hull": a.hull(b),
+        "replace_hi": a.replace_hi(3.0), "copy": a.copy(),
+        "take": a.take(np.array([0, 2, 3, 4, 1])),
+        "take_mask": a.take(np.ones(5, dtype=bool)),
+    }
+    for name, out in ops.items():
+        _assert_float_rows(out, 5, name)
+
+
+def test_tape_builds_only_float64_rows(monkeypatch):
+    """Every ``IntervalArray`` the tape builds -- forward, backward and
+    judgment, over every operator -- gets 1-D float64 arrays."""
+    built = []
+    init = IntervalArray.__init__
+
+    def checked(self, lo, hi):
+        n = len(lo)
+        for bound in (lo, hi):
+            assert type(bound) is np.ndarray and bound.dtype == np.float64
+            assert bound.shape == (n,)
+        built.append(n)
+        init(self, lo, hi)
+
+    monkeypatch.setattr(IntervalArray, "__init__", checked)
+    x, y = Var("x"), Var("y")
+    terms = [
+        sin(x) + cos(y) - tan(x * 0.1), exp(x) / (y - 0.5), log(x + 4) * sqrt(y + 4),
+        tanh(x) - sigmoid(y), minimum(x, y) + maximum(x, -y), abs_(x) - y,
+        x ** 2 + y ** 3 - x ** -1, (x + 4) ** 0.5 - y ** 0, (x + 4) ** y, -x + y,
+    ]
+    phi = And(*[Atom(t, strict=bool(i % 2)) for i, t in enumerate(terms)])
+    phi = And(phi, Exists("z", 0, 1, Atom(x * Var("z") - y, strict=False)))
+    boxes = _hc4_edge_boxes(random.Random(EDGE_SEED + 2), 64)
+    compiled = tape.compile_formula(phi)
+    compiled.fixpoint_contract(boxes)
+    compiled.judge(boxes, (0.0, 0.1))
+    for t in terms:
+        tape.ExprTape(t).hc4(boxes, False)
+    assert built
