@@ -11,6 +11,9 @@ by an ICP branch-and-prune over
 with the ODE flow constraints discharged by validated interval
 enclosures (:mod:`repro.odes.enclosure`) instead of a symbolic ODE
 theory -- the same role dReal's ODE solver plays inside dReach [54].
+Guards, invariants and the goal are judged and contracted on the same
+compiled tapes (:mod:`repro.solver.tape`) as the ICP solver's
+constraints, each compiled once per check.
 
 Soundness mirrors Theorem 1's one-sided contract:
 
@@ -33,13 +36,19 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from repro.hybrid import HybridAutomaton, formula_margin
 from repro.hybrid.simulate import _crossing_stop, _guard_time
-from repro.intervals import Box, Interval
+from repro.intervals import Box, BoxArray, Interval
 from repro.logic import Formula, TrueFormula
 from repro.odes import EnclosureError, ReachTube, flow_enclosure, rk45
-from repro.solver import Certainty, fixpoint_contract
-from repro.solver.eval3 import _eval_formula_impl as eval_formula
+from repro.solver.tape import (
+    CERTAIN_FALSE,
+    CERTAIN_TRUE,
+    CompiledFormula,
+    compile_formula,
+)
 
 from .paths import Path, enumerate_paths
 
@@ -157,6 +166,21 @@ class BMCChecker:
         self.automaton = automaton
         self.options = options or BMCOptions()
         self._defaults = Box.from_point(dict(automaton.params))
+        self._tapes: dict[int, CompiledFormula] = {}
+
+    def _tape(self, phi: Formula) -> CompiledFormula:
+        """``phi`` compiled, once per check.  The memo is keyed by
+        identity and cleared when a check starts: every formula a check
+        judges stays alive until it ends, so no id is reused within it."""
+        tape = self._tapes.get(id(phi))
+        if tape is None:
+            tape = self._tapes[id(phi)] = compile_formula(phi)
+        return tape
+
+    def _judge(self, phi: Formula, env: Box) -> np.ndarray:
+        """Judgments of ``phi`` over ``env`` at 0 and at delta."""
+        rows = self._tape(phi).judge(BoxArray.from_box(env), (0.0, self.options.delta))
+        return rows[:, 0]
 
     def _env(self, box: Box, param_box: Box | None) -> Box:
         """State box extended with parameter values (searched parameter
@@ -182,6 +206,7 @@ class BMCChecker:
         dwell schedule, path), unsat, or unknown on budget exhaustion.
         """
         t0 = time.perf_counter()
+        self._tapes.clear()
         param_ranges = dict(param_ranges or {})
         unknown = set(param_ranges) - set(self.automaton.params)
         if unknown:
@@ -311,7 +336,8 @@ class BMCChecker:
 
             # cheap rejection: the invariant must hold already at entry
             if not isinstance(mode.invariant, TrueFormula):
-                if eval_formula(mode.invariant, self._env(current, param_box)) is Certainty.CERTAIN_FALSE:
+                at_entry = self._judge(mode.invariant, self._env(current, param_box))
+                if at_entry[0] == CERTAIN_FALSE:
                     return _Judgment.PRUNED, box_out
 
             try:
@@ -343,12 +369,14 @@ class BMCChecker:
 
             if i < len(path.jumps):
                 jump = path.jumps[i]
-                c = eval_formula(jump.guard, exit_env)
-                if c is Certainty.CERTAIN_FALSE:
+                at_zero, at_delta = self._judge(jump.guard, exit_env)
+                if at_zero == CERTAIN_FALSE:
                     return _Judgment.PRUNED, box_out
-                if eval_formula(jump.guard, exit_env, opt.delta) is not Certainty.CERTAIN_TRUE:
+                if at_delta != CERTAIN_TRUE:
                     all_delta_ok = False
-                contracted = fixpoint_contract(jump.guard, exit_env, tol=opt.contract_tol)
+                contracted = self._tape(jump.guard).fixpoint_contract(
+                    BoxArray.from_box(exit_env), tol=opt.contract_tol
+                ).row(0)
                 if contracted.is_empty:
                     return _Judgment.PRUNED, box_out
                 if params:
@@ -366,10 +394,10 @@ class BMCChecker:
                 if current.is_empty:
                     return _Judgment.PRUNED, box_out
             else:
-                c = eval_formula(spec.goal, exit_env)
-                if c is Certainty.CERTAIN_FALSE:
+                at_zero, at_delta = self._judge(spec.goal, exit_env)
+                if at_zero == CERTAIN_FALSE:
                     return _Judgment.PRUNED, box_out
-                if eval_formula(spec.goal, exit_env, opt.delta) is not Certainty.CERTAIN_TRUE:
+                if at_delta != CERTAIN_TRUE:
                     all_delta_ok = False
 
         return (_Judgment.VERIFIED if all_delta_ok else _Judgment.UNKNOWN), box_out
@@ -398,23 +426,29 @@ class BMCChecker:
         param_box: Box | None,
     ) -> _Judgment:
         """PRUNED if the invariant certainly fails before any feasible
-        exit; UNKNOWN if delta-truth cannot be certified; VERIFIED else."""
-        delta_ok = True
-        for tube, offset in ((tube_a, 0.0), (tube_b, dwell.lo)):
-            for step in tube.steps:
-                env = self._env(step.enclosure, param_box)
-                c = eval_formula(inv, env)
-                if c is Certainty.CERTAIN_FALSE:
-                    # violation starting at absolute time offset+step.time.lo
-                    t_violate = offset + step.time.lo
-                    if t_violate <= dwell.lo + 1e-12:
-                        return _Judgment.PRUNED
-                    # dwell times beyond t_violate are infeasible, but the
-                    # box may still contain feasible shorter dwells
-                    return _Judgment.UNKNOWN
-                if eval_formula(inv, env, self.options.delta) is not Certainty.CERTAIN_TRUE:
-                    delta_ok = False
-        return _Judgment.VERIFIED if delta_ok else _Judgment.UNKNOWN
+        exit; UNKNOWN if delta-truth cannot be certified; VERIFIED else.
+
+        Every step of both tubes is judged in one batched pass.
+        """
+        steps = [(0.0, s) for s in tube_a.steps] + [(dwell.lo, s) for s in tube_b.steps]
+        if not steps:
+            return _Judgment.VERIFIED
+        envs = BoxArray.from_boxes(
+            [self._env(s.enclosure, param_box) for _, s in steps]
+        )
+        at_zero, at_delta = self._tape(inv).judge(envs, (0.0, self.options.delta))
+        false_rows = np.flatnonzero(at_zero == CERTAIN_FALSE)
+        if false_rows.size:
+            # violation starting at absolute time offset + step.time.lo
+            offset, step = steps[false_rows[0]]
+            if offset + step.time.lo <= dwell.lo + 1e-12:
+                return _Judgment.PRUNED
+            # dwell times beyond the violation are infeasible, but the
+            # box may still contain feasible shorter dwells
+            return _Judgment.UNKNOWN
+        if (at_delta == CERTAIN_TRUE).all():
+            return _Judgment.VERIFIED
+        return _Judgment.UNKNOWN
 
     # ------------------------------------------------------------------
     # Simulation guidance

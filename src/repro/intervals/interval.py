@@ -189,14 +189,6 @@ class Interval:
             return 0.0
         return max(abs(self.lo), abs(self.hi))
 
-    def mignitude(self) -> float:
-        """min(|x| : x in self)."""
-        if self.is_empty:
-            return 0.0
-        if self.contains(0.0):
-            return 0.0
-        return min(abs(self.lo), abs(self.hi))
-
     def contains(self, x: float) -> bool:
         """True when ``x`` lies in the (non-empty) interval."""
         return (not self.is_empty) and self.lo <= x <= self.hi

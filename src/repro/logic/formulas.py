@@ -78,6 +78,7 @@ class Formula:
         return self.negate()
 
     def implies(self, other: "Formula") -> "Formula":
+        """``self -> other`` (see :func:`Implies`)."""
         return Implies(self, other)
 
     def __eq__(self, other: object) -> bool:
@@ -98,21 +99,27 @@ class TrueFormula(Formula):
     __slots__ = ()
 
     def variables(self) -> frozenset[str]:
+        """No free variables."""
         return frozenset()
 
     def negate(self) -> Formula:
+        """``false``."""
         return FALSE
 
     def delta_weaken(self, delta: float) -> Formula:
+        """Itself: ``true`` has no atom to relax."""
         return self
 
     def eval(self, env: Mapping[str, float]) -> bool:
+        """Always true."""
         return True
 
     def subs(self, env: Mapping[str, ExprLike]) -> Formula:
+        """Itself: ``true`` has no variable to replace."""
         return self
 
     def atoms(self) -> list["Atom"]:
+        """No atoms."""
         return []
 
     def __str__(self) -> str:
@@ -128,21 +135,27 @@ class FalseFormula(Formula):
     __slots__ = ()
 
     def variables(self) -> frozenset[str]:
+        """No free variables."""
         return frozenset()
 
     def negate(self) -> Formula:
+        """``true``."""
         return TRUE
 
     def delta_weaken(self, delta: float) -> Formula:
+        """Itself: ``false`` has no atom to relax."""
         return self
 
     def eval(self, env: Mapping[str, float]) -> bool:
+        """Always false."""
         return False
 
     def subs(self, env: Mapping[str, ExprLike]) -> Formula:
+        """Itself: ``false`` has no variable to replace."""
         return self
 
     def atoms(self) -> list["Atom"]:
+        """No atoms."""
         return []
 
     def __str__(self) -> str:
@@ -166,9 +179,11 @@ class Atom(Formula):
         self.strict = bool(strict)
 
     def variables(self) -> frozenset[str]:
+        """The variables of the term."""
         return self.term.variables()
 
     def negate(self) -> Formula:
+        """``-t >= 0`` for ``t > 0`` and ``-t > 0`` for ``t >= 0``."""
         # not(t > 0) == -t >= 0 ; not(t >= 0) == -t > 0   (paper Sec. III-A)
         return Atom(-self.term, strict=not self.strict)
 
@@ -177,18 +192,22 @@ class Atom(Formula):
         return Atom(-self.term, strict=self.strict)
 
     def delta_weaken(self, delta: float) -> "Atom":
+        """``t + delta`` under the same relation (itself at ``delta = 0``)."""
         if delta == 0.0:
             return self
         return Atom(self.term + Const(float(delta)), strict=self.strict)
 
     def eval(self, env: Mapping[str, float]) -> bool:
+        """The relation of the term's value to 0."""
         v = self.term.eval(env)
         return v > 0.0 if self.strict else v >= 0.0
 
     def subs(self, env: Mapping[str, ExprLike]) -> Formula:
+        """The atom over the substituted term."""
         return Atom(self.term.subs(env), strict=self.strict)
 
     def atoms(self) -> list["Atom"]:
+        """Itself."""
         return [self]
 
     def __str__(self) -> str:
@@ -228,24 +247,30 @@ class And(Formula):
         return obj
 
     def variables(self) -> frozenset[str]:
+        """Union of the conjuncts' free variables."""
         out: frozenset[str] = frozenset()
         for p in self.parts:
             out |= p.variables()
         return out
 
     def negate(self) -> Formula:
+        """Disjunction of the negated conjuncts (De Morgan)."""
         return Or(*[p.negate() for p in self.parts])
 
     def delta_weaken(self, delta: float) -> Formula:
+        """Conjunction of the weakened conjuncts."""
         return And(*[p.delta_weaken(delta) for p in self.parts])
 
     def eval(self, env: Mapping[str, float]) -> bool:
+        """True when every conjunct holds."""
         return all(p.eval(env) for p in self.parts)
 
     def subs(self, env: Mapping[str, ExprLike]) -> Formula:
+        """Conjunction of the substituted conjuncts."""
         return And(*[p.subs(env) for p in self.parts])
 
     def atoms(self) -> list[Atom]:
+        """The conjuncts' atoms, in order."""
         return [a for p in self.parts for a in p.atoms()]
 
     def __reduce__(self):
@@ -281,24 +306,30 @@ class Or(Formula):
         return obj
 
     def variables(self) -> frozenset[str]:
+        """Union of the disjuncts' free variables."""
         out: frozenset[str] = frozenset()
         for p in self.parts:
             out |= p.variables()
         return out
 
     def negate(self) -> Formula:
+        """Conjunction of the negated disjuncts (De Morgan)."""
         return And(*[p.negate() for p in self.parts])
 
     def delta_weaken(self, delta: float) -> Formula:
+        """Disjunction of the weakened disjuncts."""
         return Or(*[p.delta_weaken(delta) for p in self.parts])
 
     def eval(self, env: Mapping[str, float]) -> bool:
+        """True when some disjunct holds."""
         return any(p.eval(env) for p in self.parts)
 
     def subs(self, env: Mapping[str, ExprLike]) -> Formula:
+        """Disjunction of the substituted disjuncts."""
         return Or(*[p.subs(env) for p in self.parts])
 
     def atoms(self) -> list[Atom]:
+        """The disjuncts' atoms, in order."""
         return [a for p in self.parts for a in p.atoms()]
 
     def __reduce__(self):
@@ -339,9 +370,11 @@ class _Quantifier(Formula):
             )
 
     def variables(self) -> frozenset[str]:
+        """The body's free variables except the bound one, plus the bounds'."""
         return (self.body.variables() - {self.name}) | self.lo.variables() | self.hi.variables()
 
     def atoms(self) -> list[Atom]:
+        """The body's atoms."""
         return self.body.atoms()
 
     def _grid(self, env: Mapping[str, float], n: int = 64) -> list[float]:
@@ -359,12 +392,17 @@ class Exists(_Quantifier):
     """Bounded existential ``exists x in [lo, hi]. body``."""
 
     def negate(self) -> Formula:
+        """``forall`` over the same domain with the body negated."""
         return Forall(self.name, self.lo, self.hi, self.body.negate())
 
     def delta_weaken(self, delta: float) -> Formula:
+        """The same quantifier over the weakened body."""
         return Exists(self.name, self.lo, self.hi, self.body.delta_weaken(delta))
 
     def eval(self, env: Mapping[str, float]) -> bool:
+        """True when the body holds at some point of a 64-point grid
+        over the domain (an approximation for testing; the solvers
+        judge quantifiers over interval domains)."""
         # Grid check: sound only as an approximation; the solver handles
         # quantifiers rigorously, this is for testing/ground-truthing.
         return any(
@@ -372,6 +410,8 @@ class Exists(_Quantifier):
         )
 
     def subs(self, env: Mapping[str, ExprLike]) -> Formula:
+        """Substitute into the bounds and body; the bound variable
+        itself is never replaced."""
         env2 = {k: v for k, v in env.items() if k != self.name}
         return Exists(self.name, self.lo.subs(env2), self.hi.subs(env2), self.body.subs(env2))
 
@@ -386,17 +426,24 @@ class Forall(_Quantifier):
     """Bounded universal ``forall x in [lo, hi]. body``."""
 
     def negate(self) -> Formula:
+        """``exists`` over the same domain with the body negated."""
         return Exists(self.name, self.lo, self.hi, self.body.negate())
 
     def delta_weaken(self, delta: float) -> Formula:
+        """The same quantifier over the weakened body."""
         return Forall(self.name, self.lo, self.hi, self.body.delta_weaken(delta))
 
     def eval(self, env: Mapping[str, float]) -> bool:
+        """True when the body holds at every point of a 64-point grid
+        over the domain (an approximation for testing; the solvers
+        judge quantifiers over interval domains)."""
         return all(
             self.body.eval({**env, self.name: v}) for v in self._grid(env)
         )
 
     def subs(self, env: Mapping[str, ExprLike]) -> Formula:
+        """Substitute into the bounds and body; the bound variable
+        itself is never replaced."""
         env2 = {k: v for k, v in env.items() if k != self.name}
         return Forall(self.name, self.lo.subs(env2), self.hi.subs(env2), self.body.subs(env2))
 

@@ -10,22 +10,17 @@ parallel workers with work stealing and a deterministic merge, plus a
 CEGIS exists-forall solver used for Lyapunov synthesis (Section IV-C).
 """
 
-from .contractor import contract_formula, fixpoint_contract, hc4_revise
 from .eval3 import Certainty
 from .icp import DeltaSolver, Result, SolverStats, Status
 from .exists_forall import EFResult, ExistsForallSolver
 from .shard import ShardPlan, pave_sharded, solve_sharded, split_into_shards
-from .tape import CompiledFormula, ExprTape, compile_formula, judge_batch
+from .tape import CompiledFormula, ExprTape, compile_formula
 
 __all__ = [
-    "hc4_revise",
-    "contract_formula",
-    "fixpoint_contract",
     "Certainty",
     "CompiledFormula",
     "ExprTape",
     "compile_formula",
-    "judge_batch",
     "DeltaSolver",
     "Result",
     "SolverStats",

@@ -9,7 +9,9 @@ For a box ``B`` and formula ``phi`` we compute one of
 This is the "theory solver" judgment used both for pruning (certainly
 false boxes are discarded) and for delta-sat verification: a box on
 which the delta-weakening ``phi^delta`` is CERTAIN_TRUE witnesses
-delta-satisfiability (paper Theorem 1's delta-sat case).
+delta-satisfiability (paper Theorem 1's delta-sat case).  The solvers
+run its batched twin, :meth:`repro.solver.tape.CompiledFormula.judge`;
+this scalar form is the reference the twin is tested against.
 """
 
 from __future__ import annotations
@@ -61,11 +63,11 @@ def _eval_atom(atom: Atom, box: Box, delta: float) -> Certainty:
 def _eval_formula_impl(phi: Formula, box: Box, delta: float = 0.0) -> Certainty:
     """Scalar three-valued judgment of ``phi^delta`` over ``box``.
 
-    Kept as the single-box AST reference: the BMC layer's per-box guard
-    checks use it, and the tape tests compare the tape's judgments
-    against it.  Batch callers compile once with
-    :func:`repro.solver.tape.compile_formula` and judge whole
-    :class:`~repro.intervals.BoxArray` frontiers instead.
+    Kept as the single-box AST reference that the tape tests compare
+    the compiled judgments against bit for bit; no solver path calls
+    it.  Solvers (the ICP epochs and bounded reachability) compile once
+    with :func:`repro.solver.tape.compile_formula` and judge whole
+    :class:`~repro.intervals.BoxArray` batches instead.
 
     ``delta=0`` judges the formula itself.  Quantified subformulas are
     judged by extending the box with the quantifier's full domain

@@ -1,9 +1,8 @@
 """Flat evaluation tapes: compile a formula once, run it over box batches.
 
-The scalar theory solver re-walks the expression AST for every box it
-judges or contracts, which makes Python call overhead the dominant cost
-of the whole delta-decision procedure.  This module compiles each
-``L_RF`` formula *once* into
+Re-walking the expression AST for every box judged or contracted makes
+Python call overhead the dominant cost of the delta-decision procedure.
+This module compiles each ``L_RF`` formula *once* into
 
 * one flat register **tape** per distinct expression term (a linear
   instruction list over a register file, shared subterms deduplicated),
@@ -16,14 +15,18 @@ and then evaluates the whole batch of boxes (a
 :class:`~repro.intervals.IntervalArray` operations:
 
 * :meth:`CompiledFormula.judge` is the batched three-valued interval
-  judgment of :mod:`repro.solver.eval3` (``-1`` certainly false, ``0``
-  unknown, ``+1`` certainly true, per row), at one ``delta`` or at
-  several from one forward pass;
-* :meth:`CompiledFormula.contract` is the batched HC4-revise sweep of
-  :mod:`repro.solver.contractor` (forward enclosures up the tape, the
-  output constraint pushed back down, all rows at once);
-* :meth:`CompiledFormula.fixpoint_contract` iterates contraction with
-  the scalar contractor's per-row progress threshold.
+  judgment (``-1`` certainly false, ``0`` unknown, ``+1`` certainly
+  true, per row), at one ``delta`` or at several from one forward pass;
+  each row is bit-identical to the scalar reference
+  :func:`repro.solver.eval3._eval_formula_impl`;
+* :meth:`CompiledFormula.contract` is one HC4-revise sweep (forward
+  enclosures up the tape, the output constraint ``[0, +inf)`` pushed
+  back down through per-operator preimages, all rows at once);
+* :meth:`CompiledFormula.fixpoint_contract` iterates contraction per
+  row until a sweep's relative progress drops below ``tol``.
+
+The ICP epochs (:mod:`repro.solver.shard`) and bounded reachability
+(:mod:`repro.bmc.reach`) both judge and contract through this module.
 
 Soundness is inherited row-wise from the vectorized kernel's inclusion
 property: judgments are conservative and contraction only removes
@@ -32,11 +35,11 @@ points that cannot satisfy the constraint.
 The kernel's operations run under the caller's numpy error state, so
 every public entry point here (:meth:`ExprTape.forward`,
 :meth:`~ExprTape.eval`, :meth:`~ExprTape.hc4`,
-:meth:`CompiledFormula.judge`, :meth:`~CompiledFormula.contract`,
-:meth:`~CompiledFormula.fixpoint_contract` and :func:`judge_batch`)
-enters ``np.errstate(all="ignore")`` once per call: the infinities,
-``0 * inf`` and empty-row NaNs of outward rounding raise no warning, and
-the caller's error state is restored on return or raise.
+:meth:`CompiledFormula.judge`, :meth:`~CompiledFormula.contract` and
+:meth:`~CompiledFormula.fixpoint_contract`) enters
+``np.errstate(all="ignore")`` once per call: the infinities, ``0 * inf``
+and empty-row NaNs of outward rounding raise no warning, and the
+caller's error state is restored on return or raise.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.expr import Binary, Const, Expr, Unary, Var
-from repro.intervals import Box
 from repro.intervals.array import BoxArray, IntervalArray
 from repro.logic import (
     And,
@@ -61,7 +63,7 @@ from repro.logic import (
     TrueFormula,
 )
 
-__all__ = ["ExprTape", "CompiledFormula", "compile_formula", "judge_batch"]
+__all__ = ["ExprTape", "CompiledFormula", "compile_formula"]
 
 _INF = math.inf
 
@@ -196,7 +198,7 @@ class ExprTape:
         # Per-register accumulated targets, narrowed by every consumer
         # before the register's own instruction is inverted (registers
         # are in topological order, so a reverse sweep visits consumers
-        # first -- the DAG analogue of the scalar top-down recursion).
+        # first: HC4's top-down pass over the term's DAG).
         # Narrowing always builds a new array, so the targets start as
         # the forward registers themselves, uncopied.
         want: list[IntervalArray] = list(fwd)
@@ -634,8 +636,10 @@ class CompiledFormula:
     def fixpoint_contract(
         self, boxes: BoxArray, tol: float = 1e-3, max_sweeps: int = 30
     ) -> BoxArray:
-        """Iterate contraction per row until progress drops below ``tol``
-        (the scalar fixed-point loop, applied to every row independently)."""
+        """Iterate contraction per row until a sweep removes less than
+        ``tol`` of the row's total width (the classic ICP fixed-point
+        loop with a progress threshold, applied to every row
+        independently); at most ``max_sweeps`` sweeps."""
         out = boxes.copy()
         active = np.arange(len(boxes))
         for _ in range(max_sweeps):
@@ -659,10 +663,3 @@ class CompiledFormula:
 def compile_formula(phi: Formula) -> CompiledFormula:
     """Compile ``phi`` into its batched tape form."""
     return CompiledFormula(phi)
-
-
-def judge_batch(phi: Formula, boxes: Sequence[Box] | BoxArray, delta: float = 0.0) -> np.ndarray:
-    """One-shot convenience: compile ``phi`` and judge a batch of boxes."""
-    if not isinstance(boxes, BoxArray):
-        boxes = BoxArray.from_boxes(list(boxes))
-    return compile_formula(phi).judge(boxes, delta)

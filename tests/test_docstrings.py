@@ -1,7 +1,7 @@
 """Docstring coverage of the public surface (repro.api, repro.apps,
-repro.bmc, repro.hybrid, repro.intervals, repro.lyapunov, repro.monitor,
-repro.odes, repro.scenarios, repro.service, repro.smc, repro.solver,
-repro.store, repro.tools).
+repro.bmc, repro.hybrid, repro.intervals, repro.logic, repro.lyapunov,
+repro.monitor, repro.odes, repro.scenarios, repro.service, repro.smc,
+repro.solver, repro.store, repro.tools).
 
 Mirrors the ruff pydocstyle D1 rules enabled in pyproject.toml
 (D100-D104, D106) so the check also runs where ruff is not installed:
@@ -20,8 +20,9 @@ SRC = pathlib.Path(repro.__file__).resolve().parent
 #: Packages (every module below them) and single modules.
 PACKAGES = (
     SRC / "api", SRC / "apps", SRC / "bmc", SRC / "hybrid", SRC / "intervals",
-    SRC / "lyapunov", SRC / "monitor", SRC / "odes", SRC / "scenarios",
-    SRC / "service", SRC / "smc", SRC / "solver", SRC / "store.py", SRC / "tools",
+    SRC / "logic", SRC / "lyapunov", SRC / "monitor", SRC / "odes",
+    SRC / "scenarios", SRC / "service", SRC / "smc", SRC / "solver",
+    SRC / "store.py", SRC / "tools",
 )
 
 

@@ -55,7 +55,8 @@ class TestQuantifierJudgments:
 
 
 class TestQuantifierJudgmentsScalar(TestQuantifierJudgments):
-    """The same judgments on the scalar AST walk (the BMC guard path)."""
+    """The same judgments on the scalar AST walk (the reference the tape
+    judgment is tested against)."""
 
     @pytest.fixture
     def judge(self):

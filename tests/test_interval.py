@@ -81,9 +81,6 @@ class TestMeasures:
 
     def test_magnitude_mignitude(self):
         assert Interval(-3, 2).magnitude() == 3.0
-        assert Interval(-3, 2).mignitude() == 0.0
-        assert Interval(1, 2).mignitude() == 1.0
-        assert Interval(-5, -2).mignitude() == 2.0
 
 
 class TestSetOps:

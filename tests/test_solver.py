@@ -70,7 +70,8 @@ class TestEval3:
 
 
 class TestEval3Scalar(TestEval3):
-    """The same judgments on the scalar AST walk (the BMC guard path)."""
+    """The same judgments on the scalar AST walk (the reference the tape
+    judgment is tested against)."""
 
     @pytest.fixture
     def judge(self):

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.expr import Const, var
-from repro.intervals import Box
+from repro.intervals import Box, BoxArray
 from repro.logic import And, Atom, in_range
-from repro.solver import DeltaSolver, Status, hc4_revise
+from repro.solver import DeltaSolver, Status, compile_formula
 
 x, y = var("x"), var("y")
 
@@ -38,7 +38,7 @@ BOX = Box.from_bounds({"x": (-2.0, 2.0), "y": (-2.0, 2.0)})
 @given(quadratic_atom())
 @settings(max_examples=60, deadline=None)
 def test_hc4_preserves_all_sampled_solutions(atom):
-    contracted = hc4_revise(atom, BOX)
+    contracted = compile_formula(atom).contract(BoxArray.from_box(BOX)).row(0)
     # every grid point satisfying the atom must survive contraction
     for pt in BOX.sample_grid(7):
         if atom.eval(pt):

@@ -1,8 +1,8 @@
-"""The compiled tape against the scalar AST walkers (same judgments,
-sound contraction), and wide ICP frontiers against the one-box frontier
-(same verdicts and pavings).  Also the tape's call contracts: one
-judgment pass for several thresholds, and one numpy error state per
-public call.
+"""The compiled tape against the scalar judgment reference (same
+judgments) and against sampled solutions (sound contraction), and wide
+ICP frontiers against the one-box frontier (same verdicts and pavings).
+Also the tape's call contracts: one judgment pass for several
+thresholds, and one numpy error state per public call.
 """
 
 import math
@@ -40,9 +40,8 @@ from repro.logic import (
     in_range,
 )
 from repro.solver import DeltaSolver, Status
-from repro.solver.contractor import fixpoint_contract
 from repro.solver.eval3 import _eval_formula_impl
-from repro.solver.tape import CERTAIN_FALSE, ExprTape, compile_formula, judge_batch
+from repro.solver.tape import CERTAIN_FALSE, ExprTape, compile_formula
 
 x, y = variables("x y")
 
@@ -94,6 +93,9 @@ class TestTapeJudgment:
 
 
 class TestTapeContraction:
+    # The name predates the removal of the scalar contractor this test
+    # also compared against; it keeps the name so its history stays
+    # continuous, and now checks soundness only.
     @pytest.mark.parametrize(
         "phi", [f for f in FORMULAS if not isinstance(f, (Forall, Exists))],
         ids=lambda f: str(f)[:50],
@@ -104,12 +106,8 @@ class TestTapeContraction:
         compiled = compile_formula(phi)
         contracted = compiled.fixpoint_contract(BoxArray.from_boxes(boxes), tol=1e-2)
         for i, b in enumerate(boxes):
-            scal = fixpoint_contract(phi, b, tol=1e-2)
             vec = contracted.row(i)
-            # never wider than the scalar contraction...
-            if not vec.is_empty:
-                assert scal.contains_box(vec), f"row {i}"
-            # ...and sound: satisfying sample points survive
+            # sound: satisfying sample points survive
             for _ in range(20):
                 pt = {
                     "x": rng.uniform(b["x"].lo, b["x"].hi),
@@ -353,7 +351,6 @@ def _entry_points():
         "CompiledFormula.judge-thresholds": lambda b: compiled.judge(b, (0.0, 0.1)),
         "CompiledFormula.contract": compiled.contract,
         "CompiledFormula.fixpoint_contract": compiled.fixpoint_contract,
-        "judge_batch": lambda b: judge_batch(phi, b, 0.1),
     }
 
 

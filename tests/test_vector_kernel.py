@@ -35,7 +35,7 @@ from repro.expr import (
 )
 from repro.intervals import EMPTY, BoxArray, Interval, IntervalArray
 from repro.logic import And, Atom, Exists
-from repro.solver import contractor, tape
+from repro.solver import tape
 
 #: ops run under the caller's error state (see conftest.py)
 pytestmark = pytest.mark.usefixtures("kernel_errstate")
@@ -331,6 +331,27 @@ def _assert_rows_match_scalar(vec: IntervalArray, scal: list[Interval], what: st
                 assert got == want or (math.isnan(got) and math.isnan(want)), (what, i)
 
 
+def _scalar_safe_div(num: Interval, den: Interval) -> Interval:
+    """The scalar HC4 quotient rule: ``num / den``, or the entire line
+    when ``den`` contains 0."""
+    return Interval.entire() if den.contains(0.0) else num / den
+
+
+def _per_operand_preimages(op, want, a, b):
+    """The two HC4 preimages of ``want = a op b``, one call per operand:
+    over scalar :class:`Interval` rows (the reference rules) or over an
+    :class:`IntervalArray` batch (one kernel call each)."""
+    safe_div = _scalar_safe_div if isinstance(want, Interval) else tape._safe_div
+    if op == "add":
+        return want - b, want - a
+    if op == "sub":
+        return want + b, a - want
+    if op == "mul":
+        return safe_div(want, b), safe_div(want, a)
+    assert op == "div", op
+    return want * b, safe_div(a, want)
+
+
 def test_safe_div_rows(edge):
     X, Y = edge["X"], edge["Y"]
     out = tape._safe_div(edge["Xa"], edge["Ya"])
@@ -339,7 +360,7 @@ def test_safe_div_rows(edge):
             assert (out.lo[i], out.hi[i]) == (-math.inf, math.inf), i
         elif x.is_empty or y.is_empty:
             assert out.lo[i] > out.hi[i], i
-    _assert_rows_match_scalar(out, [contractor._safe_div(x, y) for x, y in zip(X, Y)],
+    _assert_rows_match_scalar(out, [_scalar_safe_div(x, y) for x, y in zip(X, Y)],
                               "_safe_div")
 
 
@@ -347,19 +368,9 @@ def test_safe_div_rows(edge):
 def test_invert_binary_rows(edge, op):
     want, a, b = edge["X"], edge["Y"], edge["Z"]
     inv_a, inv_b = tape._invert_binary(op, edge["Xa"], edge["Ya"], edge["Za"])
-    scal = [contractor._invert_binary(op, w, x, y) for w, x, y in zip(want, a, b)]
+    scal = [_per_operand_preimages(op, w, x, y) for w, x, y in zip(want, a, b)]
     _assert_rows_match_scalar(inv_a, [s[0] for s in scal], f"{op} inv_a")
     _assert_rows_match_scalar(inv_b, [s[1] for s in scal], f"{op} inv_b")
-
-
-def _per_operand_preimages(op, want, a, b):
-    """The two HC4 preimages of ``add``/``sub``/``mul``, one kernel call each."""
-    if op == "add":
-        return want - b, want - a
-    if op == "sub":
-        return want + b, a - want
-    assert op == "mul", op
-    return tape._safe_div(want, b), tape._safe_div(want, a)
 
 
 def _same_bits(x, y) -> bool:
