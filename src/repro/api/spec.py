@@ -15,6 +15,8 @@ from dataclasses import asdict, dataclass, field, fields
 from dataclasses import replace as _dataclass_replace
 from typing import Any, Mapping
 
+from repro.solver.icp import check_search_knobs
+
 from .model import Model
 
 __all__ = ["SolverOptions", "SimOptions", "TaskSpec"]
@@ -67,12 +69,7 @@ class SolverOptions:
     anytime: bool = False
 
     def __post_init__(self) -> None:
-        if self.frontier_size < 1:
-            raise ValueError(
-                f"frontier_size must be >= 1, got {self.frontier_size}"
-            )
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
+        check_search_knobs(self.delta, self.frontier_size, self.shards)
         # "not > 0" also rejects NaN: a zero step never advances time
         if not self.enclosure_step > 0:
             raise ValueError(

@@ -95,6 +95,8 @@ class ClusterBackend(ExecutorBackend):
         return self._coordinator
 
     def submit(self, fn: Callable[..., Any], /, *args: Any) -> Future:
+        """Lease ``fn(*args)`` to a cluster worker (starting the
+        coordinator on first use); the future resolves with its result."""
         return self._ensure().submit(fn, *args)
 
     def status(self) -> dict[str, Any]:
@@ -117,6 +119,8 @@ class ClusterBackend(ExecutorBackend):
         raise TimeoutError(f"fewer than {n} workers joined within {timeout}s")
 
     def shutdown(self, wait: bool = True) -> None:
+        """Stop the coordinator and any locally spawned workers
+        (idempotent); ``wait=False`` gives the workers less time to exit."""
         coordinator, self._coordinator = self._coordinator, None
         procs, self._procs = self._procs, []
         if coordinator is not None:

@@ -505,13 +505,16 @@ class BoxArray:
     @staticmethod
     def from_boxes(boxes: Sequence[Box], names: Sequence[str] | None = None) -> "BoxArray":
         """One row per :class:`Box`, columns in ``names`` order (default:
-        the first box's)."""
-        if not boxes:
-            raise ValueError("empty box list")
-        names = tuple(names if names is not None else boxes[0].names)
+        the first box's; an empty list needs ``names``)."""
+        if names is None:
+            if not boxes:
+                raise ValueError("empty box list")
+            names = boxes[0].names
+        names = tuple(names)
+        shape = (len(boxes), len(names))
         lo = np.array([[b[k].lo for k in names] for b in boxes], dtype=float)
         hi = np.array([[b[k].hi for k in names] for b in boxes], dtype=float)
-        return BoxArray(names, lo, hi)
+        return BoxArray(names, lo.reshape(shape), hi.reshape(shape))
 
     @staticmethod
     def from_box(box: Box, names: Sequence[str] | None = None) -> "BoxArray":
@@ -520,8 +523,8 @@ class BoxArray:
 
     def row(self, i: int) -> Box:
         """Row ``i`` as a scalar :class:`Box`."""
-        return Box({k: Interval(float(self.lo[i, j]), float(self.hi[i, j]))
-                    for j, k in enumerate(self.names)})
+        return Box({k: Interval(a, b) for k, a, b
+                    in zip(self.names, self.lo[i].tolist(), self.hi[i].tolist())})
 
     def to_boxes(self) -> list[Box]:
         """Every row as a scalar :class:`Box`."""

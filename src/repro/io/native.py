@@ -44,6 +44,7 @@ __all__ = [
 
 
 def formula_to_dict(phi: Formula) -> dict[str, Any]:
+    """A quantifier-free formula as a JSON-ready dict (atoms as text)."""
     if isinstance(phi, TrueFormula):
         return {"op": "true"}
     if isinstance(phi, FalseFormula):
@@ -58,6 +59,7 @@ def formula_to_dict(phi: Formula) -> dict[str, Any]:
 
 
 def formula_from_dict(d: dict[str, Any]) -> Formula:
+    """The formula :func:`formula_to_dict` serialized."""
     op = d["op"]
     if op == "true":
         return TRUE
@@ -83,6 +85,7 @@ def _parse(text: str) -> Expr:
 
 
 def ode_to_dict(system: ODESystem) -> dict[str, Any]:
+    """An ODE system as a JSON-ready dict (right-hand sides as text)."""
     return {
         "type": "ode",
         "name": system.name,
@@ -92,6 +95,7 @@ def ode_to_dict(system: ODESystem) -> dict[str, Any]:
 
 
 def ode_from_dict(d: dict[str, Any]) -> ODESystem:
+    """The ODE system :func:`ode_to_dict` serialized."""
     if d.get("type") != "ode":
         raise ValueError(f"expected type 'ode', got {d.get('type')!r}")
     return ODESystem(
@@ -107,6 +111,8 @@ def ode_from_dict(d: dict[str, Any]) -> ODESystem:
 
 
 def hybrid_to_dict(automaton: HybridAutomaton) -> dict[str, Any]:
+    """A hybrid automaton with a :class:`Box` initial set as a JSON-ready
+    dict: modes, jumps, guards, resets and invariants."""
     if not isinstance(automaton.init, Box):
         raise TypeError("only Box initial sets are serializable")
     return {
@@ -137,6 +143,7 @@ def hybrid_to_dict(automaton: HybridAutomaton) -> dict[str, Any]:
 
 
 def hybrid_from_dict(d: dict[str, Any]) -> HybridAutomaton:
+    """The hybrid automaton :func:`hybrid_to_dict` serialized."""
     if d.get("type") != "hybrid":
         raise ValueError(f"expected type 'hybrid', got {d.get('type')!r}")
     modes = [

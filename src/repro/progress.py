@@ -93,9 +93,11 @@ class ProgressEvent:
     time: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
+        """Every field as a JSON-ready dict."""
         return asdict(self)
 
     def describe(self) -> str:
+        """One human-readable line: ``source/stage [counters] message``."""
         parts = ", ".join(f"{k}={v:g}" for k, v in self.counters.items())
         text = f"{self.source}/{self.stage}"
         if parts:

@@ -13,7 +13,7 @@ CEGIS exists-forall solver used for Lyapunov synthesis (Section IV-C).
 from .eval3 import Certainty
 from .icp import DeltaSolver, Result, SolverStats, Status
 from .exists_forall import EFResult, ExistsForallSolver
-from .shard import ShardPlan, pave_sharded, solve_sharded, split_into_shards
+from .shard import ShardPlan, pave_sharded, solve_sharded
 from .tape import CompiledFormula, ExprTape, compile_formula
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "EFResult",
     "ExistsForallSolver",
     "ShardPlan",
-    "split_into_shards",
     "solve_sharded",
     "pave_sharded",
 ]

@@ -18,16 +18,20 @@ The search is *breadth-wise*: the formula is compiled once into a flat
 evaluation tape (:mod:`repro.solver.tape`) and each iteration pops a
 frontier of up to ``frontier_size`` of the widest pending boxes,
 contracting, judging, certifying and splitting all of them in
-vectorized array passes.  That loop lives in :mod:`repro.solver.shard`;
-an unsharded search is its one-shard case, run in-process.  This module
-adds the entry points around it: existential hoisting, warm starts from
-the paving store, and anytime snapshots.
+vectorized array passes.  That loop lives in :mod:`repro.solver.shard`
+(one driver for solves and pavings); an unsharded search is its
+one-shard case, run in-process.  This module adds the entry points
+around it: knob validation, existential hoisting, warm starts from the
+paving store, the one lexicographic sort of a paving (after a cold
+paving or a warm-resume merge, before the artifact is recorded), and
+anytime snapshots.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -48,7 +52,7 @@ from .incremental import (
 )
 from .shard import _resolve_plan, box_sort_key, pave_sharded, solve_sharded
 
-__all__ = ["Status", "Result", "SolverStats", "DeltaSolver"]
+__all__ = ["Status", "Result", "SolverStats", "DeltaSolver", "check_search_knobs"]
 
 
 class Status(enum.Enum):
@@ -136,6 +140,22 @@ def _hoist_existentials(phi: Formula, box: Box) -> tuple[Formula, Box]:
     return phi2, box
 
 
+def check_search_knobs(delta: float, frontier_size: int, shards: int) -> None:
+    """Reject search knobs no ICP search can honour, naming the field.
+
+    A NaN, negative or infinite ``delta`` weakens no formula in any
+    usable way: the search spends its whole budget and answers
+    ``UNKNOWN``.  Shared by :class:`DeltaSolver` and
+    :class:`~repro.api.spec.SolverOptions`.
+    """
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    if frontier_size < 1:
+        raise ValueError(f"frontier_size must be >= 1, got {frontier_size}")
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+
+
 @dataclass(frozen=True)
 class DeltaSolver:
     """A delta-complete decision procedure for bounded L_RF sentences.
@@ -215,12 +235,7 @@ class DeltaSolver:
     anytime: bool = False
 
     def __post_init__(self) -> None:
-        if self.frontier_size < 1:
-            raise ValueError(
-                f"frontier_size must be >= 1, got {self.frontier_size}"
-            )
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
+        check_search_knobs(self.delta, self.frontier_size, self.shards)
 
     @contextmanager
     def pooled(self) -> Iterator[DeltaSolver]:
@@ -318,36 +333,33 @@ class DeltaSolver:
             _progress("icp", "anytime", message="paving",
                       sat=0, unsat=0, undecided=0, final=0)
         store = self._resolved_store()
-        if store is None:
-            sat, unsat, und, _, _ = pave_sharded(phi, box, self, min_width)
-            return self._finish_pave(sat, unsat, und)
-        fp = formula_fingerprint(phi)
-        if self.warm_start:
-            plan = try_warm_pave(
-                store, phi, fp, box,
+        plan = None
+        if store is not None:
+            fp = formula_fingerprint(phi)
+            if self.warm_start:
+                plan = try_warm_pave(
+                    store, phi, fp, box,
+                    delta=self.delta, contract_tol=self.contract_tol,
+                    min_width=min_width, max_boxes=self.max_boxes,
+                )
+        if plan is None:
+            *parts, processed, truncated = pave_sharded(phi, box, self, min_width)
+        else:
+            parts = [plan.sat, plan.unsat, plan.undecided]
+            if plan.seeds:
+                resumed = pave_sharded(phi, box, self, min_width, plan.seeds)
+                parts = [kept + new for kept, new in zip(parts, resumed[:3])]
+        # the one sort of a paving: shard count, frontier size and the
+        # warm-resume merge do not show in the result
+        sat, unsat, und = (sorted(part, key=box_sort_key) for part in parts)
+        if store is not None and plan is None:
+            record_pave(
+                store, fp, box,
                 delta=self.delta, contract_tol=self.contract_tol,
                 min_width=min_width, max_boxes=self.max_boxes,
+                paving=(sat, unsat, und), processed=processed,
+                truncated=truncated,
             )
-            if plan is not None:
-                if not plan.seeds:
-                    return self._finish_pave(plan.sat, plan.unsat, plan.undecided)
-                n_sat, n_unsat, n_und, _, _ = pave_sharded(
-                    phi, box, self, min_width, plan.seeds
-                )
-                sat, unsat, und = _sorted_paving(
-                    plan.sat + n_sat, plan.unsat + n_unsat, plan.undecided + n_und
-                )
-                return self._finish_pave(sat, unsat, und)
-        sat, unsat, und, processed, truncated = pave_sharded(
-            phi, box, self, min_width
-        )
-        record_pave(
-            store, fp, box,
-            delta=self.delta, contract_tol=self.contract_tol,
-            min_width=min_width, max_boxes=self.max_boxes,
-            sat=sat, unsat=unsat, undecided=und,
-            processed=processed, truncated=truncated,
-        )
         return self._finish_pave(sat, unsat, und)
 
     def _finish_pave(
@@ -361,18 +373,3 @@ class DeltaSolver:
             )
         return sat, unsat, undecided
 
-
-def _sorted_paving(
-    sat: list[Box], unsat: list[Box], undecided: list[Box]
-) -> tuple[list[Box], list[Box], list[Box]]:
-    """Deterministic paving order: box lists sorted lexicographically.
-
-    The warm-resume merge concatenates stored leaves with freshly paved
-    ones; sorting makes the serialized result a pure function of the
-    classification itself.
-    """
-    return (
-        sorted(sat, key=box_sort_key),
-        sorted(unsat, key=box_sort_key),
-        sorted(undecided, key=box_sort_key),
-    )

@@ -58,6 +58,7 @@ from budget-bound runs are never reused).
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import os
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.expr import Binary, Const, Expr, Unary, Var
-from repro.intervals import Box, BoxArray, Interval
+from repro.intervals import Box, BoxArray
 from repro.logic import (
     And,
     Atom,
@@ -294,24 +295,12 @@ def _unpack_rows(payload: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pack_boxes(boxes: list[Box], names: tuple[str, ...]) -> dict:
-    lo = np.array([[b[k].lo for k in names] for b in boxes], dtype=float)
-    hi = np.array([[b[k].hi for k in names] for b in boxes], dtype=float)
-    if not boxes:
-        lo = lo.reshape(0, len(names))
-        hi = hi.reshape(0, len(names))
-    return _pack_rows(lo, hi)
+    rows = BoxArray.from_boxes(boxes, names)
+    return _pack_rows(rows.lo, rows.hi)
 
 
 def _unpack_boxes(payload: dict, names: tuple[str, ...]) -> list[Box]:
-    lo, hi = _unpack_rows(payload, len(names))
-    return [
-        Box({k: Interval(float(a), float(b)) for k, a, b in zip(names, row_lo, row_hi)})
-        for row_lo, row_hi in zip(lo, hi)
-    ]
-
-
-def _box_bounds(box: Box, names: tuple[str, ...]) -> tuple[list[float], list[float]]:
-    return [box[k].lo for k in names], [box[k].hi for k in names]
+    return BoxArray(names, *_unpack_rows(payload, len(names))).to_boxes()
 
 
 # ----------------------------------------------------------------------
@@ -483,6 +472,50 @@ def get_store(path: str | os.PathLike | PavingStore) -> PavingStore:
 # ----------------------------------------------------------------------
 
 
+def _problem(fp: Fingerprint, box: Box, contract_tol: float) -> list:
+    """What makes two solves or pavings the same problem up to ``delta``
+    and ``min_width``: constants, box bounds and ``contract_tol``."""
+    root = BoxArray.from_box(box)
+    return [list(fp.constants), root.lo[0].tolist(), root.hi[0].tolist(),
+            float(contract_tol)]
+
+
+def _same_problem(art: dict, problem: list, max_boxes: int) -> bool:
+    """Whether stored artifact ``art`` answers ``problem`` (up to ``delta``
+    and ``min_width``) within a budget of ``max_boxes``."""
+    stored = [art["constants"], art["box_lo"], art["box_hi"], art["contract_tol"]]
+    return stored == problem and max_boxes >= art["processed"]
+
+
+def _record(
+    store: PavingStore, kind: str, fp: Fingerprint, box: Box, *,
+    delta: float, contract_tol: float, min_width: float,
+    processed: int, budget_bound: bool, **body,
+) -> None:
+    """Store one artifact: the header every artifact carries, then
+    ``body``, under the address of its exact configuration."""
+    names = tuple(box.names)
+    constants, box_lo, box_hi, contract_tol = _problem(fp, box, contract_tol)
+    payload = {
+        "version": ARTIFACT_VERSION,
+        "kind": kind,
+        "skeleton": fp.skeleton,
+        "constants": constants,
+        "names": list(names),
+        "box_lo": box_lo,
+        "box_hi": box_hi,
+        "delta": float(delta),
+        "contract_tol": contract_tol,
+        "min_width": float(min_width),
+        "processed": int(processed),
+        "budget_bound": bool(budget_bound),
+        **body,
+    }
+    identity = [constants, box_lo, box_hi, float(delta), contract_tol,
+                float(min_width)]
+    store.put(kind, fp.skeleton, names, identity, payload)
+
+
 def record_solve(
     store: PavingStore,
     fp: Fingerprint,
@@ -504,46 +537,26 @@ def record_solve(
 
     if result.status is Status.UNKNOWN:
         return
-    names = tuple(box.names)
-    box_lo, box_hi = _box_bounds(box, names)
     processed = int(result.stats.boxes_processed)
-    payload: dict = {
-        "version": ARTIFACT_VERSION,
-        "kind": "solve",
-        "skeleton": fp.skeleton,
-        "constants": list(fp.constants),
-        "names": list(names),
-        "box_lo": box_lo,
-        "box_hi": box_hi,
-        "delta": float(delta),
-        "contract_tol": float(contract_tol),
-        "min_width": float(min_width),
-        "processed": processed,
-        "budget_bound": processed >= int(max_boxes),
-        "status": result.status.value,
-        "witness": None,
-        "cover": None,
-    }
+    witness = cover = None
     if result.witness_box is not None:
-        w_lo, w_hi = _box_bounds(result.witness_box, names)
-        payload["witness"] = {"lo": w_lo, "hi": w_hi}
+        w = BoxArray.from_box(result.witness_box, box.names)
+        witness = {"lo": w.lo[0].tolist(), "hi": w.hi[0].tolist()}
     if result.status is Status.UNSAT and recorder is not None:
         arrays = recorder.arrays()
         if arrays is not None:
-            payload["cover"] = _pack_rows(*arrays)
-    identity = [
-        list(fp.constants), box_lo, box_hi,
-        float(delta), float(contract_tol), float(min_width),
-    ]
-    store.put("solve", fp.skeleton, names, identity, payload)
+            cover = _pack_rows(*arrays)
+    _record(
+        store, "solve", fp, box,
+        delta=delta, contract_tol=contract_tol, min_width=min_width,
+        processed=processed, budget_bound=processed >= int(max_boxes),
+        status=result.status.value, witness=witness, cover=cover,
+    )
 
 
-def _judge_all_false(phi: Formula, names, lo: np.ndarray, hi: np.ndarray,
+def _judge_all_false(compiled, names, lo: np.ndarray, hi: np.ndarray,
                      delta: float) -> bool:
     """One chunked vectorized judge pass: every row certainly false?"""
-    if lo.shape[0] == 0:
-        return True
-    compiled = compile_formula(phi)
     for start in range(0, lo.shape[0], _JUDGE_CHUNK):
         chunk = BoxArray(names, lo[start:start + _JUDGE_CHUNK],
                          hi[start:start + _JUDGE_CHUNK])
@@ -573,47 +586,38 @@ def try_warm_solve(
     from .icp import Result, SolverStats, Status  # local: avoid import cycle
 
     names = tuple(box.names)
-    box_lo, box_hi = _box_bounds(box, names)
+    problem = _problem(fp, box, contract_tol)
+    _, box_lo, box_hi, _ = problem
     candidates = [
         a for a in store.candidates("solve", fp.skeleton, names)
         if not a.get("budget_bound")
         and a.get("status") in (Status.UNSAT.value, Status.DELTA_SAT.value)
     ]
-    constants = list(fp.constants)
+    same = [a for a in candidates if _same_problem(a, problem, max_boxes)]
+    compiled = functools.cache(lambda: compile_formula(phi))
 
     def finish(status, witness_box, outcome: str) -> Result:
         store.count(outcome)
         return Result(status, witness_box, delta, SolverStats())
 
     # Rule 1: exact configuration -- the stored verdict, verbatim.
-    for art in candidates:
-        if (
-            art["constants"] == constants
-            and art["box_lo"] == box_lo and art["box_hi"] == box_hi
-            and art["delta"] == delta
-            and art["contract_tol"] == contract_tol
-            and art["min_width"] == min_width
-            and max_boxes >= art["processed"]
-        ):
+    for art in same:
+        if art["delta"] == delta and art["min_width"] == min_width:
             witness = None
             if art["witness"] is not None:
-                witness = _rebox_bounds(names, art["witness"]["lo"],
-                                        art["witness"]["hi"])
+                w = art["witness"]
+                witness = BoxArray(names, w["lo"], w["hi"]).row(0)
             return finish(Status(art["status"]), witness, "hit")
 
     # Rule 2: delta/min_width tightened, stored UNSAT -- pruning judges
     # at delta 0 (delta-independent) and tighter-delta certification
     # implies looser-delta certification, so the cold tree replays
     # identically: UNSAT with zero search work.
-    for art in candidates:
+    for art in same:
         if (
             art["status"] == Status.UNSAT.value
-            and art["constants"] == constants
-            and art["box_lo"] == box_lo and art["box_hi"] == box_hi
-            and art["contract_tol"] == contract_tol
             and delta <= art["delta"]
             and min_width <= art["min_width"]
-            and max_boxes >= art["processed"]
         ):
             return finish(Status.UNSAT, None, "partial")
 
@@ -630,7 +634,7 @@ def try_warm_solve(
             cover_lo, cover_hi = _unpack_rows(art["cover"], len(names))
         except (ValueError, KeyError, TypeError):
             continue
-        if _judge_all_false(phi, names, cover_lo, cover_hi, delta):
+        if _judge_all_false(compiled(), names, cover_lo, cover_hi, delta):
             return finish(Status.UNSAT, None, "partial")
 
     # Rule 4: stored DELTA_SAT witness inside the new box, certainly
@@ -642,11 +646,9 @@ def try_warm_solve(
         w_lo, w_hi = art["witness"]["lo"], art["witness"]["hi"]
         if not _bounds_within(w_lo, w_hi, box_lo, box_hi):
             continue
-        chunk = BoxArray(names, np.array([w_lo], dtype=float),
-                         np.array([w_hi], dtype=float))
-        if (compile_formula(phi).judge(chunk, 0.0) == CERTAIN_TRUE).all():
-            witness = _rebox_bounds(names, w_lo, w_hi)
-            return finish(Status.DELTA_SAT, witness, "partial")
+        witness = BoxArray(names, w_lo, w_hi)
+        if (compiled().judge(witness, 0.0) == CERTAIN_TRUE).all():
+            return finish(Status.DELTA_SAT, witness.row(0), "partial")
 
     store.count("miss")
     return None
@@ -656,11 +658,6 @@ def _bounds_within(lo, hi, outer_lo, outer_hi) -> bool:
     return all(float(a) >= float(oa) for a, oa in zip(lo, outer_lo)) and all(
         float(b) <= float(ob) for b, ob in zip(hi, outer_hi)
     )
-
-
-def _rebox_bounds(names: tuple[str, ...], lo, hi) -> Box:
-    return Box({k: Interval(float(a), float(b))
-                for k, a, b in zip(names, lo, hi)})
 
 
 # ----------------------------------------------------------------------
@@ -677,37 +674,20 @@ def record_pave(
     contract_tol: float,
     min_width: float,
     max_boxes: int,
-    sat: list[Box],
-    unsat: list[Box],
-    undecided: list[Box],
+    paving: tuple[list[Box], list[Box], list[Box]],
     processed: int,
     truncated: bool,
 ) -> None:
     """Persist one completed paving (its three classified leaf lists)."""
     names = tuple(box.names)
-    box_lo, box_hi = _box_bounds(box, names)
-    payload = {
-        "version": ARTIFACT_VERSION,
-        "kind": "pave",
-        "skeleton": fp.skeleton,
-        "constants": list(fp.constants),
-        "names": list(names),
-        "box_lo": box_lo,
-        "box_hi": box_hi,
-        "delta": float(delta),
-        "contract_tol": float(contract_tol),
-        "min_width": float(min_width),
-        "processed": int(processed),
-        "budget_bound": bool(truncated) or int(processed) >= int(max_boxes),
-        "sat": _pack_boxes(sat, names),
-        "unsat": _pack_boxes(unsat, names),
-        "undecided": _pack_boxes(undecided, names),
-    }
-    identity = [
-        list(fp.constants), box_lo, box_hi,
-        float(delta), float(contract_tol), float(min_width),
-    ]
-    store.put("pave", fp.skeleton, names, identity, payload)
+    sat, unsat, undecided = (_pack_boxes(part, names) for part in paving)
+    _record(
+        store, "pave", fp, box,
+        delta=delta, contract_tol=contract_tol, min_width=min_width,
+        processed=processed,
+        budget_bound=truncated or int(processed) >= int(max_boxes),
+        sat=sat, unsat=unsat, undecided=undecided,
+    )
 
 
 @dataclass
@@ -752,21 +732,17 @@ def try_warm_pave(
     would replay at those nodes.
     """
     names = tuple(box.names)
-    box_lo, box_hi = _box_bounds(box, names)
-    constants = list(fp.constants)
-    art = None
-    for cand in store.candidates("pave", fp.skeleton, names):
-        if (
-            not cand.get("budget_bound")
-            and cand["constants"] == constants
-            and cand["box_lo"] == box_lo and cand["box_hi"] == box_hi
-            and cand["contract_tol"] == contract_tol
+    problem = _problem(fp, box, contract_tol)
+    art = next(
+        (
+            cand for cand in store.candidates("pave", fp.skeleton, names)
+            if not cand.get("budget_bound")
+            and _same_problem(cand, problem, max_boxes)
             and delta <= cand["delta"]
             and min_width <= cand["min_width"]
-            and max_boxes >= cand["processed"]
-        ):
-            art = cand
-            break
+        ),
+        None,
+    )
     if art is None:
         store.count("miss")
         return None

@@ -1,11 +1,16 @@
 """The ICP branch-and-prune driver: one loop for every shard count.
 
 Every solve and paving of :class:`~repro.solver.icp.DeltaSolver` runs
-here.  The search is a widest-first frontier over pending boxes; each
-**epoch** takes up to ``frontier_size`` of a shard's widest pending
-boxes and runs one vectorized contract/judge/certify/split pass of the
-compiled tape over the whole chunk (:func:`_solve_epoch` /
-:func:`_pave_epoch`).  With ``shards=1`` (the default) the single
+through one frontier loop, :func:`_frontier`.  The search is a
+widest-first frontier over pending boxes; each **epoch** takes up to
+``frontier_size`` of a shard's widest pending boxes and runs one
+vectorized contract/judge/certify/split pass of the compiled tape over
+the whole chunk.  The loop owns the bootstrap, the deal, the budgeted
+epochs, the progress checkpoints, the rebalance and the plan shutdown;
+:func:`solve_sharded` and :func:`pave_sharded` are thin callers that
+supply their epoch pass (:func:`_solve_epoch` / :func:`_pave_epoch`),
+absorb its classified rows, and turn the pending queues into a
+verdict or a paving.  With ``shards=1`` (the default) the single
 shard's pass runs in-process, with no executor backend, and each epoch
 emits the ``icp/branch-and-prune`` (or ``icp/paving``) progress event.
 
@@ -36,9 +41,10 @@ guarantees both:
 * after each epoch the coordinator **rebalances** by stealing the widest
   pending boxes from overloaded shards through a shared steal queue and
   dealing them to starved shards (deterministically, in shard order);
-* results merge under the *total* lexicographic box order of
+* ordering decisions use the *total* lexicographic box order of
   :func:`lex_key` -- ties between equal-width boxes never depend on
-  arrival order.
+  arrival order; :meth:`~repro.solver.icp.DeltaSolver.pave` sorts a
+  finished paving in that order.
 
 Formula compilation is cached per process keyed on the pickled formula,
 so each process compiles each formula once no matter how many epochs it
@@ -59,7 +65,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.intervals import Box, BoxArray, Interval
+from repro.intervals import Box, BoxArray
 from repro.logic import Formula
 from repro.progress import emit as _progress
 from repro.service.backends import ExecutorBackend, make_backend
@@ -70,7 +76,7 @@ from .tape import CERTAIN_FALSE, CERTAIN_TRUE, CompiledFormula, _quiet, compile_
 if TYPE_CHECKING:
     from .icp import DeltaSolver
 
-__all__ = ["ShardPlan", "split_into_shards", "lex_key", "solve_sharded", "pave_sharded"]
+__all__ = ["ShardPlan", "lex_key", "solve_sharded", "pave_sharded"]
 
 
 # ----------------------------------------------------------------------
@@ -95,43 +101,6 @@ def lex_key(lo, hi) -> tuple:
 def box_sort_key(box: Box) -> tuple:
     """:func:`lex_key` of a :class:`Box` in its own name order."""
     return lex_key([box[k].lo for k in box.names], [box[k].hi for k in box.names])
-
-
-def _rebox(names: tuple[str, ...], lo, hi) -> Box:
-    return Box({k: Interval(float(a), float(b)) for k, a, b in zip(names, lo, hi)})
-
-
-# ----------------------------------------------------------------------
-# Shard decomposition
-# ----------------------------------------------------------------------
-
-
-def split_into_shards(box: Box, shards: int) -> list[Box]:
-    """Bisect ``box`` into ``shards`` disjoint sub-boxes.
-
-    Repeatedly splits the currently-widest piece along its widest
-    dimension (scalar midpoint rule, ties by :func:`box_sort_key`), so
-    the decomposition is the first levels of the serial bisection tree.
-    The returned list is sorted lexicographically.
-
-    This is the *geometric* decomposition -- useful for domain
-    decomposition of a raw box.  The solver drivers below instead
-    bootstrap through the contract-and-split tree so the sharded search
-    classifies exactly the boxes the non-sharded search classifies.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    pieces = [box]
-    while len(pieces) < shards:
-        pieces.sort(key=lambda b: (-b.max_width(), box_sort_key(b)))
-        widest = pieces.pop(0)
-        if widest.max_width() <= 0.0:
-            pieces.append(widest)  # cannot subdivide a point box further
-            break
-        left, right = widest.split()
-        pieces.extend((left, right))
-    pieces.sort(key=box_sort_key)
-    return pieces
 
 
 # ----------------------------------------------------------------------
@@ -303,8 +272,8 @@ class _ShardQueue:
         """Push one box given by its ``(dim,)`` bound arrays."""
         self.push_rows(lo[None, :], hi[None, :], (depth,))
 
-    def push_rows(self, lo: np.ndarray, hi: np.ndarray, depths) -> None:
-        """Push the rows of ``(n, dim)`` bound arrays."""
+    def push_rows(self, lo: np.ndarray, hi: np.ndarray, depths=None) -> None:
+        """Push the rows of ``(n, dim)`` bound arrays (depth 0 by default)."""
         # NaN-safe width: a degenerate infinite dimension ([inf, inf])
         # would make ``hi - lo`` NaN and the heap ordering ill-defined
         # (matches Interval.width / BoxArray.widths).
@@ -312,7 +281,8 @@ class _ShardQueue:
             w = hi - lo
         widths = np.where(np.isnan(w), 0.0, w).max(axis=1, initial=0.0)
         # one tolist() per array for the whole chunk, not per row
-        rows = zip(widths.tolist(), lo.tolist(), hi.tolist(), np.asarray(depths).tolist())
+        depths = itertools.repeat(0) if depths is None else np.asarray(depths).tolist()
+        rows = zip(widths.tolist(), lo.tolist(), hi.tolist(), depths)
         for j, (width, lo_j, hi_j, depth) in enumerate(rows):
             heapq.heappush(
                 self.entries,
@@ -335,13 +305,6 @@ class _ShardQueue:
         """Push entries taken from another queue, identity intact."""
         for entry in entries:
             heapq.heappush(self.entries, entry)
-
-
-def _root_arrays(box: Box, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.array([box[k].lo for k in names], dtype=float),
-        np.array([box[k].hi for k in names], dtype=float),
-    )
 
 
 def _chunk_bounds(chunk: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
@@ -456,96 +419,74 @@ def _rebalance(queues: list[_ShardQueue]) -> int:
     return stolen
 
 
-def solve_sharded(phi: Formula, box: Box, solver: DeltaSolver, recorder=None):
-    """Decide ``exists box . phi`` over ``solver.shards`` paving shards.
 
-    Same verdict contract as :meth:`DeltaSolver._solve_impl`, whose search
-    knobs (``delta``, ``max_boxes``, ``contract_tol``, ``min_width``,
-    ``frontier_size``, ``shards``, ``shard_backend``, ``shard_workers``,
-    ``anytime``) it reads; the run is a pure function of the arguments
-    (byte-identical results regardless of backend or scheduling).
-    ``phi`` must already be existential-hoisted (the
-    :class:`~repro.solver.icp.DeltaSolver` entry point does this).  An
-    ``UNKNOWN`` result carries the lex-least too-narrow unresolved box,
-    or -- when the budget ran out first -- the widest pending box.
 
-    ``recorder`` (a :class:`~repro.solver.incremental.CoverRecorder`)
-    collects the UNSAT cover shipped back from the epochs;
-    ``solver.anytime`` streams per-epoch verdict-so-far snapshots.
+def _frontier(
+    solver: DeltaSolver,
+    roots: BoxArray,
+    *,
+    epoch_fn,
+    epoch_args,
+    absorb,
+    stage: str,
+    snapshot,
+    pass_counters,
+    shard_counters=dict,
+) -> tuple[list[tuple], int]:
+    """The frontier loop of every solve and paving.
+
+    Pushes ``roots``, bootstraps in-coordinator until every shard can
+    be given work, deals the pending boxes, then runs lock-step epochs
+    of ``epoch_fn`` under the ``max_boxes`` budget, rebalancing between
+    epochs, and shuts the plan down.  ``epoch_args(chunk)`` gives the
+    arguments of one chunk's epoch call.  The loop counts the processed
+    boxes and queues the split children of each result; ``absorb(res)``
+    takes the rest of it and returns true to stop the search once the
+    whole epoch is absorbed.
+
+    Progress checkpoints, all fired before the epoch is submitted:
+    ``snapshot(processed)`` gives the message and counters of the
+    ``anytime`` event, ``pass_counters(chunk)`` the extra counters of
+    the one-shard ``icp/<stage>`` event and ``shard_counters()`` those
+    of each ``shard/<stage>`` event.
+
+    Returns the queue entries still pending (the budget ran out, or
+    ``absorb`` stopped the search) and the processed-box count.
     """
-    from .icp import Result, SolverStats, Status  # local: avoid import cycle
+    shards, max_boxes = solver.shards, solver.max_boxes
+    frontier_size = solver.frontier_size
+    processed = 0
 
-    delta, max_boxes = solver.delta, solver.max_boxes
-    contract_tol, min_width = solver.contract_tol, solver.min_width
-    frontier_size, shards = solver.frontier_size, solver.shards
-    t0 = time.perf_counter()
-    stats = SolverStats()
-    names = tuple(box.names)
-    phi_blob = pickle.dumps(phi)
-    record_cover = recorder is not None
-
-    unresolved: tuple[tuple, np.ndarray, np.ndarray] | None = None
-    epoch = 0
-    steals = 0
-
-    def finish(status: Status, witness: Box | None) -> Result:
-        stats.wall_time = time.perf_counter() - t0
-        return Result(status, witness, delta, stats)
-
-    def epoch_args(chunk: list[tuple]) -> tuple:
-        depths = np.array([e[5] for e in chunk], dtype=int)
-        return (phi_blob, names, *_chunk_bounds(chunk), depths,
-                delta, contract_tol, min_width, record_cover)
-
-    def absorb(res: dict, into: _ShardQueue) -> list[tuple]:
-        nonlocal unresolved
-        stats.boxes_processed += res["processed"]
-        stats.boxes_pruned += res["pruned"]
-        stats.splits += res["splits"]
-        stats.max_depth = max(stats.max_depth, res["max_depth"])
-        if record_cover and res.get("cover"):
-            recorder.extend_pairs(res["cover"])
-        for lo_r, hi_r in res["unresolved"]:
-            cand = (lex_key(lo_r, hi_r), lo_r, hi_r)
-            if unresolved is None or cand[0] < unresolved[0]:
-                unresolved = cand
-        if res["children"] is not None:
-            into.push_rows(*res["children"])
-        return res["witnesses"]
+    def absorb_all(results: list[tuple[dict, _ShardQueue]]) -> bool:
+        nonlocal processed
+        stop = False
+        for res, queue in results:
+            processed += res["processed"]
+            if res["children"] is not None:
+                queue.push_rows(*res["children"])
+            stop = absorb(res) or stop
+        return stop
 
     # Bootstrap in-coordinator: walk the same contract-and-split tree
-    # the one-shard loop walks until every shard can be given work,
-    # so sharding never changes *which* boxes get classified.
+    # the one-shard loop walks until every shard can be given work, so
+    # sharding never changes *which* boxes get classified.
     boot = _ShardQueue()
-    boot.push(*_root_arrays(box, names), 0)
-    while boot and len(boot) < shards and stats.boxes_processed < max_boxes:
-        chunk = boot.take_chunk(
-            min(frontier_size, len(boot), max_boxes - stats.boxes_processed)
-        )
+    boot.push_rows(roots.lo, roots.hi)
+    while boot and len(boot) < shards and processed < max_boxes:
+        chunk = boot.take_chunk(min(frontier_size, max_boxes - processed))
         _progress(
             "shard", "bootstrap",
-            pending=len(boot), boxes=stats.boxes_processed, shards=shards,
+            pending=len(boot), boxes=processed, shards=shards,
         )
-        witnesses = absorb(_solve_epoch(*epoch_args(chunk)), boot)
-        if witnesses:
-            lo_w, hi_w = min(witnesses, key=lambda w: lex_key(w[0], w[1]))
-            return finish(Status.DELTA_SAT, _rebox(names, lo_w, hi_w))
+        if absorb_all([(epoch_fn(*epoch_args(chunk)), boot)]):
+            return boot.entries, processed
     queues = _deal(boot, shards)
 
     plan = _resolve_plan(shards, solver.shard_backend, solver.shard_workers)
+    epoch = steals = 0
     try:
-        while any(queues):
-            budget = max_boxes - stats.boxes_processed
-            if budget <= 0:
-                if unresolved is not None:
-                    return finish(Status.UNKNOWN, _rebox(names, *unresolved[1:]))
-                # deterministic fallback: the widest pending box, lex ties
-                best = min(
-                    (e for q in queues for e in q.entries),
-                    key=lambda e: (e[0], e[1]),
-                )
-                return finish(Status.UNKNOWN, _rebox(names, best[3], best[4]))
-
+        while any(queues) and processed < max_boxes:
+            budget = max_boxes - processed
             epoch += 1
             chunks: list[tuple[int, list[tuple]]] = []
             for i, q in enumerate(queues):
@@ -558,50 +499,120 @@ def solve_sharded(phi: Formula, box: Box, solver: DeltaSolver, recorder=None):
             # progress checkpoints fire BEFORE any submit: a cancel can
             # then only unwind between epochs, with no future in flight
             if solver.anytime:
-                _progress(
-                    "icp", "anytime", message=Status.UNKNOWN.value,
-                    settled=stats.boxes_processed, pruned=stats.boxes_pruned,
-                    final=0,
-                )
+                message, counters = snapshot(processed)
+                _progress("icp", "anytime", message=message, **counters, final=0)
             if shards == 1:
                 (_, chunk), = chunks
                 _progress(
-                    "icp", "branch-and-prune",
-                    boxes=stats.boxes_processed + len(chunk),
-                    queue=len(queues[0]), depth=max(e[5] for e in chunk),
-                    splits=stats.splits, frontier=len(chunk),
+                    "icp", stage,
+                    boxes=processed + len(chunk), queue=len(queues[0]),
+                    **pass_counters(chunk),
                 )
             else:
                 for i, chunk in chunks:
                     _progress(
-                        "shard", "branch-and-prune",
+                        "shard", stage,
                         shard=i, epoch=epoch, chunk=len(chunk),
-                        pending=len(queues[i]), boxes=stats.boxes_processed,
-                        steals=steals,
+                        pending=len(queues[i]), boxes=processed,
+                        **shard_counters(), steals=steals,
                     )
             results = plan.run_epoch(
-                _solve_epoch, [epoch_args(chunk) for _, chunk in chunks]
+                epoch_fn, [epoch_args(chunk) for _, chunk in chunks]
             )
-
-            witnesses: list[tuple] = []
-            for (i, _), res in zip(chunks, results):
-                witnesses.extend(absorb(res, queues[i]))
-
-            if witnesses:
-                # lock-step determinism: every chunk of this epoch was
-                # collected, so the winning witness is the lex-least of a
-                # scheduling-independent set
-                lo_w, hi_w = min(witnesses, key=lambda w: lex_key(w[0], w[1]))
-                return finish(Status.DELTA_SAT, _rebox(names, lo_w, hi_w))
-
+            # lock-step determinism: every chunk of this epoch is
+            # absorbed before the search may stop
+            if absorb_all([(res, queues[i]) for (i, _), res in zip(chunks, results)]):
+                break
             if shards > 1:
                 steals += _rebalance(queues)
-
-        if unresolved is not None:
-            return finish(Status.UNKNOWN, _rebox(names, *unresolved[1:]))
-        return finish(Status.UNSAT, None)
     finally:
         plan.shutdown()
+    return [e for q in queues for e in q.entries], processed
+
+
+def _boxes(names: tuple[str, ...], rows: list[tuple]) -> list[Box]:
+    """Scalar boxes of the ``(lo, hi)`` bound rows an epoch ships back."""
+    if not rows:
+        return []
+    lo, hi = zip(*rows)
+    return BoxArray(names, np.array(lo), np.array(hi)).to_boxes()
+
+
+def _lex_least(rows: list[tuple]) -> tuple:
+    """The ``(lo, hi)`` row first in the total :func:`lex_key` order."""
+    return min(rows, key=lambda row: lex_key(*row))
+
+
+def solve_sharded(phi: Formula, box: Box, solver: DeltaSolver, recorder=None):
+    """Decide ``exists box . phi`` over ``solver.shards`` paving shards.
+
+    Same verdict contract as :meth:`DeltaSolver._solve_impl`, whose search
+    knobs (``delta``, ``max_boxes``, ``contract_tol``, ``min_width``,
+    ``frontier_size``, ``shards``, ``shard_backend``, ``shard_workers``,
+    ``anytime``) it reads; the run is a pure function of the arguments
+    (byte-identical results regardless of backend or scheduling).
+    ``phi`` must already be existential-hoisted (the
+    :class:`~repro.solver.icp.DeltaSolver` entry point does this).  A
+    certified witness ends the search after its epoch: the lex-least
+    one of that epoch is returned.  An ``UNKNOWN`` result carries the
+    lex-least too-narrow unresolved box, or -- when the budget ran out
+    first -- the widest pending box.
+
+    ``recorder`` (a :class:`~repro.solver.incremental.CoverRecorder`)
+    collects the UNSAT cover shipped back from the epochs;
+    ``solver.anytime`` streams per-epoch verdict-so-far snapshots.
+    """
+    from .icp import Result, SolverStats, Status  # local: avoid import cycle
+
+    t0 = time.perf_counter()
+    stats = SolverStats()
+    names = tuple(box.names)
+    phi_blob = pickle.dumps(phi)
+    knobs = (solver.delta, solver.contract_tol, solver.min_width, recorder is not None)
+    witnesses: list[tuple] = []
+    unresolved: list[tuple] = []
+
+    def absorb(res: dict) -> bool:
+        stats.boxes_pruned += res["pruned"]
+        stats.splits += res["splits"]
+        stats.max_depth = max(stats.max_depth, res["max_depth"])
+        if recorder is not None and res["cover"]:
+            recorder.extend_pairs(res["cover"])
+        unresolved.extend(res["unresolved"])
+        witnesses.extend(res["witnesses"])
+        return bool(res["witnesses"])
+
+    pending, stats.boxes_processed = _frontier(
+        solver, BoxArray.from_box(box, names),
+        epoch_fn=_solve_epoch,
+        epoch_args=lambda chunk: (
+            phi_blob, names, *_chunk_bounds(chunk),
+            np.array([e[5] for e in chunk], dtype=int), *knobs,
+        ),
+        absorb=absorb,
+        stage="branch-and-prune",
+        snapshot=lambda processed: (
+            Status.UNKNOWN.value,
+            {"settled": processed, "pruned": stats.boxes_pruned},
+        ),
+        pass_counters=lambda chunk: {
+            "depth": max(e[5] for e in chunk), "splits": stats.splits,
+            "frontier": len(chunk),
+        },
+    )
+    if witnesses:
+        status, row = Status.DELTA_SAT, _lex_least(witnesses)
+    elif unresolved:
+        status, row = Status.UNKNOWN, _lex_least(unresolved)
+    elif pending:
+        # deterministic fallback: the widest pending box, lex ties
+        best = min(pending, key=lambda e: (e[0], e[1]))
+        status, row = Status.UNKNOWN, (best[3], best[4])
+    else:
+        status, row = Status.UNSAT, None
+    witness = None if row is None else BoxArray(names, *row).row(0)
+    stats.wall_time = time.perf_counter() - t0
+    return Result(status, witness, solver.delta, stats)
 
 
 def pave_sharded(
@@ -616,11 +627,10 @@ def pave_sharded(
 
     The search knobs come from ``solver`` as in :func:`solve_sharded`,
     except ``min_width``: a paving's leaf width is its own argument
-    (:meth:`DeltaSolver.pave`).  Shard pavings merge under the total
-    lexicographic order of :func:`box_sort_key`, so two runs (any
-    backend, any scheduling) return byte-identical lists.  Pending boxes are taken widest first,
-    so a binding ``max_boxes`` budget leaves the narrowest pending boxes
-    undecided.
+    (:meth:`DeltaSolver.pave`, which also sorts the three lists into
+    the total lexicographic box order).  Pending boxes are taken widest
+    first, so a binding ``max_boxes`` budget leaves the narrowest
+    pending boxes undecided.
 
     ``seeds`` replaces the root box with an explicit frontier (the
     warm-start resume path of :mod:`repro.solver.incremental` paves only
@@ -628,108 +638,33 @@ def pave_sharded(
     processed-box count and whether the ``max_boxes`` budget truncated
     the paving.
     """
-    delta, max_boxes = solver.delta, solver.max_boxes
-    contract_tol = solver.contract_tol
-    frontier_size, shards = solver.frontier_size, solver.shards
     names = tuple(box.names)
     phi_blob = pickle.dumps(phi)
-
+    knobs = (solver.delta, solver.contract_tol, min_width)
     sat: list[Box] = []
     unsat: list[Box] = []
     undecided: list[Box] = []
-    processed = 0
-    truncated = False
-    epoch = 0
-    steals = 0
 
-    def epoch_args(chunk: list[tuple]) -> tuple:
-        return (phi_blob, names, *_chunk_bounds(chunk),
-                delta, contract_tol, min_width)
+    def absorb(res: dict) -> bool:
+        sat.extend(_boxes(names, res["sat"]))
+        unsat.extend(_boxes(names, res["unsat"]))
+        undecided.extend(_boxes(names, res["undecided"]))
+        return False
 
-    def absorb(res: dict, into: _ShardQueue) -> None:
-        nonlocal processed
-        processed += res["processed"]
-        sat.extend(_rebox(names, lo_r, hi_r) for lo_r, hi_r in res["sat"])
-        unsat.extend(_rebox(names, lo_r, hi_r) for lo_r, hi_r in res["unsat"])
-        undecided.extend(
-            _rebox(names, lo_r, hi_r) for lo_r, hi_r in res["undecided"]
-        )
-        if res["children"] is not None:
-            c_lo, c_hi = res["children"]
-            into.push_rows(c_lo, c_hi, np.zeros(c_lo.shape[0], dtype=int))
+    def counters() -> dict:
+        return {"sat": len(sat), "unsat": len(unsat)}
 
-    # Bootstrap (see solve_sharded): same tree, hence same classified
-    # leaves as the one-shard paving, regardless of the shard count.
-    boot = _ShardQueue()
-    for root in ([box] if seeds is None else seeds):
-        boot.push(*_root_arrays(root, names), 0)
-    while boot and len(boot) < shards and processed < max_boxes:
-        chunk = boot.take_chunk(
-            min(frontier_size, len(boot), max_boxes - processed)
-        )
-        _progress(
-            "shard", "bootstrap",
-            pending=len(boot), boxes=processed, shards=shards,
-        )
-        absorb(_pave_epoch(*epoch_args(chunk)), boot)
-    queues = _deal(boot, shards)
-
-    plan = _resolve_plan(shards, solver.shard_backend, solver.shard_workers)
-    try:
-        while any(queues):
-            remaining = max_boxes - processed
-            if remaining <= 0:
-                undecided.extend(
-                    _rebox(names, e[3], e[4]) for q in queues for e in q.entries
-                )
-                truncated = True
-                break
-
-            epoch += 1
-            chunks: list[tuple[int, list[tuple]]] = []
-            for i, q in enumerate(queues):
-                if not q or remaining <= 0:
-                    continue
-                k = min(frontier_size, len(q), remaining)
-                remaining -= k
-                chunks.append((i, q.take_chunk(k)))
-
-            # see solve_sharded: checkpoints precede submits so a cancel
-            # never strands an in-flight future
-            if solver.anytime:
-                _progress(
-                    "icp", "anytime", message="paving",
-                    sat=len(sat), unsat=len(unsat),
-                    undecided=len(undecided), final=0,
-                )
-            if shards == 1:
-                (_, chunk), = chunks
-                _progress(
-                    "icp", "paving",
-                    boxes=processed + len(chunk), queue=len(queues[0]),
-                    sat=len(sat), unsat=len(unsat),
-                )
-            else:
-                for i, chunk in chunks:
-                    _progress(
-                        "shard", "paving",
-                        shard=i, epoch=epoch, chunk=len(chunk),
-                        pending=len(queues[i]), boxes=processed,
-                        sat=len(sat), unsat=len(unsat), steals=steals,
-                    )
-            results = plan.run_epoch(
-                _pave_epoch, [epoch_args(chunk) for _, chunk in chunks]
-            )
-
-            for (i, _), res in zip(chunks, results):
-                absorb(res, queues[i])
-
-            if shards > 1:
-                steals += _rebalance(queues)
-    finally:
-        plan.shutdown()
-
-    sat.sort(key=box_sort_key)
-    unsat.sort(key=box_sort_key)
-    undecided.sort(key=box_sort_key)
-    return sat, unsat, undecided, processed, truncated
+    pending, processed = _frontier(
+        solver, BoxArray.from_boxes([box] if seeds is None else seeds, names),
+        epoch_fn=_pave_epoch,
+        epoch_args=lambda chunk: (phi_blob, names, *_chunk_bounds(chunk), *knobs),
+        absorb=absorb,
+        stage="paving",
+        snapshot=lambda processed: (
+            "paving", {**counters(), "undecided": len(undecided)}
+        ),
+        pass_counters=lambda chunk: counters(),
+        shard_counters=counters,
+    )
+    undecided.extend(_boxes(names, [(e[3], e[4]) for e in pending]))
+    return sat, unsat, undecided, processed, bool(pending)

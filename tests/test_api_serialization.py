@@ -16,6 +16,7 @@ from repro.api.serialize import (
 )
 from repro.bmc import BMCOptions
 from repro.smc import Always, At, Eventually, Prop
+from repro.solver.icp import check_search_knobs
 
 
 class TestTaskSpecRoundTrip:
@@ -66,6 +67,17 @@ class TestTaskSpecRoundTrip:
                     {"task": "calibrate", "model": {"builtin": "logistic"},
                      "solver": solver}
                 )
+
+    def test_bad_delta_rejected(self):
+        for delta in (-1.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+                check_search_knobs(delta, 64, 1)
+            with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+                TaskSpec.from_dict(
+                    {"task": "calibrate", "model": {"builtin": "logistic"},
+                     "solver": {"delta": delta}}
+                )
+        check_search_knobs(0.0, 1, 1)  # an exact (zero) delta is allowed
 
     def test_solver_options_reject_bad_knobs(self):
         with pytest.raises(ValueError, match="frontier_size must be >= 1, got 0"):

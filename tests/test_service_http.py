@@ -106,6 +106,18 @@ class TestServe:
             _post(f"{server.url}/run", {"model": {"builtin": "logistic"}})
         assert err.value.code == 400
 
+    def test_meaningless_delta_400(self, server):
+        spec = {
+            "task": "calibrate", "model": {"builtin": "logistic"},
+            "query": {"data": {"samples": [[2.0, {"x": 1.45}]], "tolerance": 0.2},
+                      "param_ranges": {"r": [0.1, 2.0]}, "x0": {"x": 0.5}},
+        }
+        for delta in (-1.0, float("nan")):
+            with pytest.raises(HTTPError) as err:
+                _post(f"{server.url}/run", {**spec, "solver": {"delta": delta}})
+            assert err.value.code == 400
+            assert "delta must be finite" in json.loads(err.value.read())["error"]
+
     def test_string_spec_rejected_not_read_as_path(self, server):
         # a path-string spec must never reach TaskSpec.from_file: that
         # would let network clients read/execute server-local files

@@ -12,14 +12,13 @@ from repro.logic import And, Atom, Or, in_range
 from repro.models import fenton_karma_mode
 from repro.progress import progress_scope
 from repro.service.backends import ExecutorBackend, ThreadBackend
-from repro.solver import DeltaSolver, Status, split_into_shards
+from repro.solver import DeltaSolver, Status
 from repro.solver.shard import (
     ShardPlan,
     _pave_epoch,
     _rebalance,
     _ShardQueue,
     _solve_epoch,
-    box_sort_key,
     lex_key,
     solve_sharded,
 )
@@ -41,36 +40,6 @@ def paving_tuples(parts):
         [tuple((k, b[k].lo, b[k].hi) for k in b.names) for b in part]
         for part in parts
     ]
-
-
-class TestSplitIntoShards:
-    def test_counts_and_disjoint_cover(self):
-        b = box2()
-        for n in (1, 2, 3, 4, 7, 8):
-            pieces = split_into_shards(b, n)
-            assert len(pieces) == n
-            total = sum(p.volume() for p in pieces)
-            assert total == pytest.approx(b.volume(), rel=1e-12)
-            for p in pieces:
-                assert b.contains_box(p)
-            for i, p in enumerate(pieces):
-                for q in pieces[i + 1:]:
-                    inter = p.intersect(q)
-                    assert inter.is_empty or inter.volume() == 0.0
-
-    def test_deterministic_and_sorted(self):
-        a = split_into_shards(box2(), 5)
-        b = split_into_shards(box2(), 5)
-        assert a == b
-        assert [box_sort_key(p) for p in a] == sorted(box_sort_key(p) for p in a)
-
-    def test_point_box_stops_early(self):
-        b = Box.from_bounds({"x": (1.0, 1.0)})
-        assert split_into_shards(b, 4) == [b]
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            split_into_shards(box2(), 0)
 
 
 class TestLexTieBreak:
