@@ -9,7 +9,7 @@
 
 import pytest
 
-from repro.bmc import BMCChecker, BMCOptions, BMCStatus, ReachSpec
+from repro.bmc import BMCChecker, BMCOptions, ReachSpec
 from repro.expr import exp, var, variables
 from repro.intervals import Box
 from repro.logic import And, equals_within, in_range
@@ -76,7 +76,7 @@ class TestSimulationGuidanceAblation:
             use_simulation_guidance=guided,
         )
         res = benchmark(lambda: BMCChecker(h, opt)._check_impl(spec))
-        assert res.status is BMCStatus.DELTA_SAT
+        assert res.status is Status.DELTA_SAT
         if guided:
             assert res.boxes_processed <= 5  # candidate verified directly
 

@@ -7,10 +7,11 @@ the shape dReach exhibits on multi-mode models [54].
 
 import pytest
 
-from repro.bmc import BMCChecker, BMCOptions, BMCStatus, ReachSpec
+from repro.bmc import BMCChecker, BMCOptions, ReachSpec
 from repro.expr import var
 from repro.logic import in_range
 from repro.models import thermostat
+from repro.solver import Status
 
 x = var("x")
 
@@ -27,9 +28,9 @@ def test_depth_sweep(benchmark, k):
     checker = BMCChecker(h, _OPTS)
     result = benchmark(lambda: checker._check_impl(spec))
     if k == 0:
-        assert result.status is BMCStatus.UNSAT  # no path ends in "on"
+        assert result.status is Status.UNSAT  # no path ends in "on"
     else:
-        assert result.status is BMCStatus.DELTA_SAT
+        assert result.status is Status.DELTA_SAT
 
 
 @pytest.mark.parametrize("M", [0.5, 1.0, 2.0, 4.0])
@@ -41,7 +42,7 @@ def test_time_bound_sweep(benchmark, M):
     spec = ReachSpec(goal=(18.05 - x >= 0), goal_mode="off", max_jumps=0, time_bound=M)
     checker = BMCChecker(h, _OPTS)
     result = benchmark(lambda: checker._check_impl(spec))
-    assert result.status is BMCStatus.DELTA_SAT
+    assert result.status is Status.DELTA_SAT
 
 
 def test_threshold_synthesis(benchmark):
@@ -54,7 +55,7 @@ def test_threshold_synthesis(benchmark):
     result = benchmark(
         lambda: checker._check_impl(spec, param_ranges={"theta_on": (15.0, 21.0)})
     )
-    assert result.status is BMCStatus.DELTA_SAT
+    assert result.status is Status.DELTA_SAT
     theta = result.witness_params["theta_on"]
     assert 15.0 <= theta <= 21.0
     # replay the witness: simulate with the synthesized threshold and
@@ -74,4 +75,4 @@ def test_unreachable_band(benchmark):
     spec = ReachSpec(goal=(x >= 31.0), max_jumps=2, time_bound=3.0)
     checker = BMCChecker(h, _OPTS)
     result = benchmark(lambda: checker._check_impl(spec))
-    assert result.status is BMCStatus.UNSAT
+    assert result.status is Status.UNSAT

@@ -14,7 +14,6 @@ import math
 import pytest
 
 from repro.apps import (
-    CalibrationStatus,
     Checkpoint,
     SMTCalibrator,
     TimeSeriesData,
@@ -22,6 +21,7 @@ from repro.apps import (
 from repro.expr import var
 from repro.models import logistic
 from repro.odes import ODESystem, rk45
+from repro.solver import Status
 
 
 def _decay():
@@ -36,7 +36,7 @@ def test_point_calibration(once):
     )
     calib = SMTCalibrator(_decay(), data, {"k": (0.1, 3.0)}, {"x": 1.0}, delta=0.02)
     res = once(calib._calibrate_impl)
-    assert res.status is CalibrationStatus.DELTA_SAT
+    assert res.status is Status.DELTA_SAT
     assert res.params["k"] == pytest.approx(k_true, abs=0.1)
 
 
@@ -53,7 +53,7 @@ def test_two_parameter_logistic(once):
         delta=0.05, enclosure_step=0.1,
     )
     res = once(calib._calibrate_impl)
-    assert res.status is CalibrationStatus.DELTA_SAT
+    assert res.status is Status.DELTA_SAT
     assert res.params["K"] == pytest.approx(8.0, abs=0.8)
 
 
@@ -66,7 +66,7 @@ def test_inconsistent_data_unsat(once):
         delta=0.01, max_boxes=1500,
     )
     res = once(calib._calibrate_impl)
-    assert res.status is CalibrationStatus.UNSAT
+    assert res.status is Status.UNSAT
 
 
 def test_region_synthesis_volume(once):

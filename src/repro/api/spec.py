@@ -69,7 +69,7 @@ class SolverOptions:
     anytime: bool = False
 
     def __post_init__(self) -> None:
-        check_search_knobs(self.delta, self.frontier_size, self.shards)
+        check_search_knobs(self.delta, self.max_boxes, self.frontier_size, self.shards)
         # "not > 0" also rejects NaN: a zero step never advances time
         if not self.enclosure_step > 0:
             raise ValueError(

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Type
 
-from repro.apps.calibration import CalibrationStatus, SMTCalibrator
+from repro.apps.calibration import SMTCalibrator
 from repro.apps.falsification import (
     FalsificationVerdict,
     _falsify_ascent_impl,
@@ -50,7 +50,7 @@ from repro.apps.therapy import (
     _synthesize_reach_therapy_impl,
     _synthesize_threshold_policy_impl,
 )
-from repro.bmc import BMCChecker, BMCOptions, BMCStatus, ReachSpec
+from repro.bmc import BMCChecker, BMCOptions, ReachSpec
 from repro.expr import parse_expr
 from repro.lyapunov import LyapunovAnalyzer
 from repro.smc import InitialDistribution, StatisticalModelChecker
@@ -128,12 +128,6 @@ _STATUS = {
     Status.DELTA_SAT: AnalysisStatus.DELTA_SAT,
     Status.UNSAT: AnalysisStatus.UNSAT,
     Status.UNKNOWN: AnalysisStatus.UNKNOWN,
-    BMCStatus.DELTA_SAT: AnalysisStatus.DELTA_SAT,
-    BMCStatus.UNSAT: AnalysisStatus.UNSAT,
-    BMCStatus.UNKNOWN: AnalysisStatus.UNKNOWN,
-    CalibrationStatus.DELTA_SAT: AnalysisStatus.DELTA_SAT,
-    CalibrationStatus.UNSAT: AnalysisStatus.UNSAT,
-    CalibrationStatus.UNKNOWN: AnalysisStatus.UNKNOWN,
 }
 
 

@@ -7,7 +7,6 @@ end-to-end Fig. 2 workflow.
 
 from .calibration import (
     CalibrationResult,
-    CalibrationStatus,
     Checkpoint,
     SMTCalibrator,
     TimeSeriesData,
@@ -28,7 +27,6 @@ __all__ = [
     "TimeSeriesData",
     "SMTCalibrator",
     "CalibrationResult",
-    "CalibrationStatus",
     "FalsificationVerdict",
     "TherapyPlan",
     "PolicyResult",

@@ -19,19 +19,19 @@ to checkpoint, exactly like the BMC layer.
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.intervals import Box, Interval
 from repro.odes import EnclosureError, ODESystem, flow_enclosure, rk45
-from repro.progress import emit as _progress
+from repro.solver import Status
+from repro.solver.depth_first import Fate, Search, depth_first, relative_split
+from repro.solver.icp import check_at_least_one
 
 __all__ = [
     "Checkpoint",
     "TimeSeriesData",
-    "CalibrationStatus",
     "CalibrationResult",
     "SMTCalibrator",
 ]
@@ -83,14 +83,6 @@ class TimeSeriesData:
         return self.checkpoints[-1].t if self.checkpoints else 0.0
 
 
-class CalibrationStatus(enum.Enum):
-    """Verdict of a calibration query."""
-
-    DELTA_SAT = "delta-sat"
-    UNSAT = "unsat"
-    UNKNOWN = "unknown"
-
-
 @dataclass
 class CalibrationResult:
     """Outcome of a calibration query.
@@ -100,20 +92,14 @@ class CalibrationResult:
     ``wall_time`` describe the search.
     """
 
-    status: CalibrationStatus
+    status: Status
     params: dict[str, float] | None = None
     param_box: Box | None = None
     boxes_processed: int = 0
     wall_time: float = 0.0
 
     def __bool__(self) -> bool:
-        return self.status is CalibrationStatus.DELTA_SAT
-
-
-class _Fate(enum.Enum):
-    PRUNED = 0
-    VERIFIED = 1
-    UNKNOWN = 2
+        return self.status is Status.DELTA_SAT
 
 
 @dataclass
@@ -161,6 +147,7 @@ class SMTCalibrator:
             raise ValueError(
                 f"enclosure_step must be > 0, got {self.enclosure_step}"
             )
+        check_at_least_one(max_boxes=self.max_boxes)
 
     # ------------------------------------------------------------------
     def _initial_state_box(self) -> Box:
@@ -168,7 +155,7 @@ class SMTCalibrator:
             return self.x0.restrict(self.system.state_names)
         return Box.from_point({k: float(self.x0[k]) for k in self.system.state_names})
 
-    def _propagate(self, param_box: Box, state_box: Box) -> _Fate:
+    def _propagate(self, param_box: Box, state_box: Box) -> Fate:
         """Enclosure propagation through all checkpoints."""
         t_prev = 0.0
         current = state_box
@@ -186,23 +173,23 @@ class SMTCalibrator:
                     start = current
                     current = tube.final()
                 except EnclosureError:
-                    return _Fate.UNKNOWN
+                    return Fate.UNKNOWN
             # band intersection (contraction) and judgment
             for name, (lo, hi) in cp.bands.items():
                 iv = current[name]
                 band = Interval(lo, hi)
                 if not iv.overlaps(band):
-                    return _Fate.PRUNED
+                    return Fate.PRUNED
                 if tube is not None and self._barrier_blocks(
                     name, start, band, tube, pbox
                 ):
-                    return _Fate.PRUNED
+                    return Fate.PRUNED
                 wide = Interval(lo - self.delta, hi + self.delta)
                 if not wide.contains_interval(iv):
                     all_ok = False
                 current = current.with_interval(name, iv.intersect(band))
             t_prev = cp.t
-        return _Fate.VERIFIED if all_ok else _Fate.UNKNOWN
+        return Fate.VERIFIED if all_ok else Fate.UNKNOWN
 
     def _barrier_blocks(
         self,
@@ -253,72 +240,48 @@ class SMTCalibrator:
         return True
 
     # ------------------------------------------------------------------
+    def _simulate_candidate(self, param_box: Box, x0: Mapping[str, float]) -> Box | None:
+        """The point box at ``param_box``'s midpoint if a concrete run
+        from ``x0`` threads every band and its enclosure verifies."""
+        mid = param_box.midpoint()
+        if not self._simulate_fits(mid, x0):
+            return None
+        cand = Box.from_point(mid)
+        if self._propagate(cand, Box.from_point(x0)) is Fate.VERIFIED:
+            return cand
+        return None
+
     def _calibrate_impl(self) -> CalibrationResult:
         """Search the parameter box for a data-consistent valuation."""
         t0 = time.perf_counter()
-        root_params = Box.from_bounds(dict(self.param_ranges))
+        root = Box.from_bounds(dict(self.param_ranges))
         state_box = self._initial_state_box()
-        init_widths = {k: max(root_params[k].width(), 1e-12) for k in root_params.names}
+        x0 = state_box.midpoint()
+        guided = self.use_simulation_guidance
+        # the root midpoint is tried before the search, and only there
+        pretried = guided and bool(root.names)
 
-        if self.use_simulation_guidance and root_params.names:
-            mid = root_params.midpoint()
-            if self._simulate_fits(mid, state_box.midpoint()):
-                cand = Box.from_point(mid)
-                fate = self._propagate(cand, Box.from_point(state_box.midpoint()))
-                if fate is _Fate.VERIFIED:
-                    return CalibrationResult(
-                        CalibrationStatus.DELTA_SAT, mid, cand, 1,
-                        time.perf_counter() - t0,
-                    )
-
-        work = [root_params]
-        processed = 0
-        saw_unknown = False
-        while work:
-            if processed >= self.max_boxes:
-                saw_unknown = True
-                break
-            processed += 1
-            _progress(
-                "calibrate", "branch-and-prune",
-                boxes=processed, queue=len(work),
-            )
-            pbox = work.pop()
+        def judge(pbox: Box) -> tuple[Fate, Box]:
             fate = self._propagate(pbox, state_box)
-            if fate is _Fate.PRUNED:
-                continue
-            if fate is _Fate.VERIFIED:
-                return CalibrationResult(
-                    CalibrationStatus.DELTA_SAT,
-                    pbox.midpoint(),
-                    pbox,
-                    processed,
-                    time.perf_counter() - t0,
-                )
-            # try the box midpoint concretely before splitting
-            mid = pbox.midpoint()
-            if self.use_simulation_guidance and self._simulate_fits(
-                mid, state_box.midpoint()
-            ):
-                cand = Box.from_point(mid)
-                if self._propagate(cand, Box.from_point(state_box.midpoint())) is _Fate.VERIFIED:
-                    return CalibrationResult(
-                        CalibrationStatus.DELTA_SAT, mid, cand, processed,
-                        time.perf_counter() - t0,
-                    )
-            widest = max(
-                pbox.names, key=lambda k: pbox[k].width() / init_widths[k]
-            )
-            if pbox[widest].width() / init_widths[widest] < 1e-4:
-                saw_unknown = True
-                continue
-            left, right = pbox.split(widest)
-            work.append(left)
-            work.append(right)
+            if fate is Fate.UNKNOWN and guided and not (pretried and pbox is root):
+                # try the box midpoint concretely before splitting
+                cand = self._simulate_candidate(pbox, x0)
+                if cand is not None:
+                    return Fate.VERIFIED, cand
+            return fate, pbox
 
-        status = CalibrationStatus.UNKNOWN if saw_unknown else CalibrationStatus.UNSAT
+        cand = self._simulate_candidate(root, x0) if pretried else None
+        if cand is not None:
+            search = Search(1, [cand], [], [])
+        else:
+            search = depth_first(
+                root, judge, relative_split(root), self.max_boxes,
+                ("calibrate", "branch-and-prune"),
+            )
+        box = search.verified[0] if search.verified else None
+        mid = None if box is None else box.midpoint()
         return CalibrationResult(
-            status, boxes_processed=processed, wall_time=time.perf_counter() - t0
+            search.status, mid, box, search.processed, time.perf_counter() - t0
         )
 
     # ------------------------------------------------------------------
@@ -329,33 +292,15 @@ class SMTCalibrator:
 
         Returns ``(sat_boxes, unsat_boxes, undecided)``: every point of
         a sat box delta-fits the data; no point of an unsat box fits.
+        Boxes no wider than ``min_width`` stay undecided.
         """
         state_box = self._initial_state_box()
-        sat: list[Box] = []
-        unsat: list[Box] = []
-        undecided: list[Box] = []
-        work = [Box.from_bounds(dict(self.param_ranges))]
-        processed = 0
-        while work:
-            processed += 1
-            if processed > self.max_boxes:
-                undecided.extend(work)
-                break
-            pbox = work.pop()
-            _progress(
-                "calibrate", "paving",
-                boxes=processed, queue=len(work),
-                sat=len(sat), unsat=len(unsat),
-            )
-            fate = self._propagate(pbox, state_box)
-            if fate is _Fate.PRUNED:
-                unsat.append(pbox)
-            elif fate is _Fate.VERIFIED:
-                sat.append(pbox)
-            elif pbox.max_width() <= min_width:
-                undecided.append(pbox)
-            else:
-                left, right = pbox.split()
-                work.append(left)
-                work.append(right)
-        return sat, unsat, undecided
+        search = depth_first(
+            Box.from_bounds(dict(self.param_ranges)),
+            lambda pbox: (self._propagate(pbox, state_box), pbox),
+            lambda pbox: None if pbox.max_width() <= min_width else pbox.split(),
+            self.max_boxes,
+            ("calibrate", "paving"),
+            pave=True,
+        )
+        return search.verified, search.pruned, search.undecided

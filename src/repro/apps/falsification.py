@@ -22,9 +22,9 @@ Three encodings, each behind a method of the ``falsify`` task of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
-from repro.bmc import BMCChecker, BMCOptions, BMCStatus, ReachSpec
+from repro.bmc import BMCChecker, BMCOptions, ReachSpec
 from repro.expr import var
 from repro.hybrid import HybridAutomaton
 from repro.intervals import Box
@@ -32,7 +32,7 @@ from repro.logic import Atom
 from repro.odes import ODESystem
 from repro.solver import DeltaSolver, Status
 
-from .calibration import CalibrationStatus, SMTCalibrator, TimeSeriesData
+from .calibration import SMTCalibrator, TimeSeriesData
 
 __all__ = ["FalsificationVerdict"]
 
@@ -58,6 +58,22 @@ class FalsificationVerdict:
         return self.rejected
 
 
+def _verdict(
+    status: Status,
+    boxes_processed: int,
+    rejected: str,
+    realized: Callable[[], tuple[dict[str, float] | None, str]],
+) -> FalsificationVerdict:
+    """The verdict on a search answer: UNSAT rejects the model (detail
+    ``rejected``); DELTA_SAT keeps it, with the witness parameters and
+    detail that ``realized()`` gives; UNKNOWN is inconclusive."""
+    if status is Status.UNSAT:
+        return FalsificationVerdict(True, True, None, rejected, boxes_processed)
+    sat = status is Status.DELTA_SAT
+    witness, detail = realized() if sat else (None, "budget exhausted (unknown)")
+    return FalsificationVerdict(False, sat, witness, detail, boxes_processed)
+
+
 def _falsify_with_data_impl(
     system: ODESystem,
     data: TimeSeriesData,
@@ -73,20 +89,9 @@ def _falsify_with_data_impl(
         delta=delta, max_boxes=max_boxes, enclosure_step=enclosure_step,
     )
     res = calib._calibrate_impl()
-    if res.status is CalibrationStatus.UNSAT:
-        return FalsificationVerdict(
-            True, True, detail="no parameter value fits the data bands",
-            boxes_processed=res.boxes_processed,
-        )
-    if res.status is CalibrationStatus.DELTA_SAT:
-        return FalsificationVerdict(
-            False, True, witness_params=res.params,
-            detail="model reproduces the data (delta-sat witness found)",
-            boxes_processed=res.boxes_processed,
-        )
-    return FalsificationVerdict(
-        False, False, detail="budget exhausted (unknown)",
-        boxes_processed=res.boxes_processed,
+    return _verdict(
+        res.status, res.boxes_processed, "no parameter value fits the data bands",
+        lambda: (res.params, "model reproduces the data (delta-sat witness found)"),
     )
 
 
@@ -100,21 +105,10 @@ def _falsify_reachability_impl(
     unreachable for every parameter value in ``param_ranges``.
     """
     res = BMCChecker(automaton, options)._check_impl(spec, param_ranges)
-    if res.status is BMCStatus.UNSAT:
-        return FalsificationVerdict(
-            True, True,
-            detail=f"goal unreachable within k={spec.max_jumps}, M={spec.time_bound}",
-            boxes_processed=res.boxes_processed,
-        )
-    if res.status is BMCStatus.DELTA_SAT:
-        return FalsificationVerdict(
-            False, True, witness_params=res.witness_params,
-            detail=f"goal reached via {'->'.join(res.mode_path())}",
-            boxes_processed=res.boxes_processed,
-        )
-    return FalsificationVerdict(
-        False, False, detail="budget exhausted (unknown)",
-        boxes_processed=res.boxes_processed,
+    return _verdict(
+        res.status, res.boxes_processed,
+        f"goal unreachable within k={spec.max_jumps}, M={spec.time_bound}",
+        lambda: (res.witness_params, f"goal reached via {'->'.join(res.mode_path())}"),
     )
 
 
@@ -178,22 +172,13 @@ def _falsify_ascent_impl(
 
     result = solver._solve_impl(query, box)
     direction = "ascent" if to_level >= from_level else "descent"
-    if result.status is Status.UNSAT:
-        return FalsificationVerdict(
-            True, True,
-            detail=f"{direction} of {variable} from {from_level} to {to_level} "
-                   "is impossible for all parameters (barrier unsat)",
-            boxes_processed=result.stats.boxes_processed,
-        )
-    if result.status is Status.DELTA_SAT:
-        w = result.witness
-        params = {p: w[p] for p in searched}
-        return FalsificationVerdict(
-            False, True, witness_params=params or None,
-            detail=f"{direction} is delta-possible at {w}",
-            boxes_processed=result.stats.boxes_processed,
-        )
-    return FalsificationVerdict(
-        False, False, detail="budget exhausted (unknown)",
-        boxes_processed=result.stats.boxes_processed,
+    w = result.witness
+    return _verdict(
+        result.status, result.stats.boxes_processed,
+        f"{direction} of {variable} from {from_level} to {to_level} "
+        "is impossible for all parameters (barrier unsat)",
+        lambda: (
+            {p: w[p] for p in searched} or None,
+            f"{direction} is delta-possible at {w}",
+        ),
     )

@@ -21,13 +21,10 @@ from typing import Mapping
 from repro.odes import ODESystem, rk45
 from repro.progress import emit as _progress
 from repro.smc import InitialDistribution, StatisticalModelChecker, prop
+from repro.solver import Status
 from repro.status import PipelineStage
 
-from .calibration import (
-    CalibrationStatus,
-    SMTCalibrator,
-    TimeSeriesData,
-)
+from .calibration import SMTCalibrator, TimeSeriesData
 
 __all__ = ["PipelineStage", "PipelineReport", "AnalysisPipeline"]
 
@@ -113,13 +110,13 @@ class AnalysisPipeline:
             enclosure_step=self.enclosure_step,
         )
         res = calib._calibrate_impl()
-        if res.status is CalibrationStatus.UNSAT:
+        if res.status is Status.UNSAT:
             return PipelineReport(
                 PipelineStage.FALSIFIED,
                 detail="no parameters reproduce the training data; reject hypothesis",
                 calibration_boxes=res.boxes_processed,
             )
-        if res.status is CalibrationStatus.UNKNOWN:
+        if res.status is Status.UNKNOWN:
             return PipelineReport(
                 PipelineStage.REFINE, detail="calibration inconclusive (budget)",
                 calibration_boxes=res.boxes_processed,

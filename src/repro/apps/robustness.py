@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.bmc import BMCChecker, BMCOptions, BMCStatus, ReachSpec
+from repro.bmc import BMCChecker, BMCOptions, ReachSpec
 from repro.hybrid import HybridAutomaton
 from repro.intervals import Box
 from repro.logic import Formula
+from repro.solver import Status
 
 __all__ = ["RobustnessResult", "stimulus_threshold"]
 
@@ -64,12 +65,12 @@ def _check_robustness_impl(
     init = automaton.initial_box().merged(dist_box)
     spec = ReachSpec(goal=bad, max_jumps=max_jumps, time_bound=time_bound)
     res = BMCChecker(automaton, options)._check_impl(spec, init_box=init)
-    if res.status is BMCStatus.UNSAT:
+    if res.status is Status.UNSAT:
         return RobustnessResult(
             True, detail="bad region unreachable (unsat)",
             boxes_processed=res.boxes_processed,
         )
-    if res.status is BMCStatus.DELTA_SAT:
+    if res.status is Status.DELTA_SAT:
         return RobustnessResult(
             False, witness=res.witness_x0,
             detail=f"disturbance reaching bad region via {'->'.join(res.mode_path())}",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.bmc import BMCChecker, BMCOptions, BMCStatus, ReachSpec
+from repro.bmc import BMCChecker, BMCOptions, ReachSpec
 from repro.hybrid import HybridAutomaton, simulate_hybrid
 from repro.logic import Formula
 from repro.smc import BLTL, InitialDistribution, cross_entropy_search, monitor, smc_objective
@@ -83,12 +83,12 @@ def _synthesize_reach_therapy_impl(
             spec = ReachSpec(
                 goal=goal, goal_mode=goal_mode, max_jumps=k, time_bound=time_bound
             )
-            outcome, boxes = checker._solve_path(
+            outcome = checker._solve_path(
                 path, spec, dict(threshold_ranges), automaton.initial_box()
             )
             paths_tried += 1
-            total_boxes += boxes
-            if outcome is not None and outcome.status is BMCStatus.DELTA_SAT:
+            total_boxes += outcome.boxes_processed
+            if outcome:
                 drugs = [m for m in path.modes if m.startswith("drug")]
                 return TherapyPlan(
                     True,

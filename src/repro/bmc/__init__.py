@@ -6,7 +6,7 @@ and dwell times, with flows discharged by validated enclosures.
 """
 
 from .paths import Path, enumerate_paths
-from .reach import BMCChecker, BMCOptions, BMCResult, BMCStatus, ReachSpec
+from .reach import BMCChecker, BMCOptions, BMCResult, ReachSpec
 
 __all__ = [
     "Path",
@@ -14,6 +14,5 @@ __all__ = [
     "BMCChecker",
     "BMCOptions",
     "BMCResult",
-    "BMCStatus",
     "ReachSpec",
 ]

@@ -31,7 +31,6 @@ before resorting to exhaustive splitting.
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass
 from typing import Mapping
@@ -43,6 +42,9 @@ from repro.hybrid.simulate import _crossing_stop, _guard_time
 from repro.intervals import Box, BoxArray, Interval
 from repro.logic import Formula, TrueFormula
 from repro.odes import EnclosureError, ReachTube, flow_enclosure, rk45
+from repro.solver import Status
+from repro.solver.depth_first import Fate, depth_first, relative_split
+from repro.solver.icp import check_at_least_one
 from repro.solver.tape import (
     CERTAIN_FALSE,
     CERTAIN_TRUE,
@@ -52,15 +54,12 @@ from repro.solver.tape import (
 
 from .paths import Path, enumerate_paths
 
-__all__ = ["ReachSpec", "BMCOptions", "BMCStatus", "BMCResult", "BMCChecker"]
+__all__ = ["ReachSpec", "BMCOptions", "BMCResult", "BMCChecker"]
 
-
-class BMCStatus(enum.Enum):
-    """Verdict of a bounded reachability query."""
-
-    DELTA_SAT = "delta-sat"
-    UNSAT = "unsat"
-    UNKNOWN = "unknown"
+#: Width at which a flow enclosure counts as blown up (EnclosureError).
+_MAX_GROWTH = 1e4
+#: Half-width of each dwell interval in a simulated candidate box.
+_SIM_DWELL_HALFWIDTH = 1e-4
 
 
 @dataclass
@@ -97,9 +96,7 @@ class BMCOptions:
     delta: float = 0.1
     max_boxes_per_path: int = 400
     enclosure_step: float = 0.05
-    max_growth: float = 1e4
     use_simulation_guidance: bool = True
-    sim_dwell_halfwidth: float = 1e-4
     contract_tol: float = 1e-2
     verify_step: float | None = None  # finer step for witness verification
 
@@ -111,13 +108,14 @@ class BMCOptions:
             )
         if self.verify_step is not None and not self.verify_step > 0:
             raise ValueError(f"verify_step must be > 0, got {self.verify_step}")
+        check_at_least_one(max_boxes_per_path=self.max_boxes_per_path)
 
 
 @dataclass
 class BMCResult:
     """Outcome of a reachability query."""
 
-    status: BMCStatus
+    status: Status
     path: Path | None = None
     witness_params: dict[str, float] | None = None
     witness_x0: dict[str, float] | None = None
@@ -127,7 +125,7 @@ class BMCResult:
     wall_time: float = 0.0
 
     def __bool__(self) -> bool:
-        return self.status is BMCStatus.DELTA_SAT
+        return self.status is Status.DELTA_SAT
 
     def mode_path(self) -> list[str] | None:
         """Mode names along the witness path, or None without a witness."""
@@ -138,12 +136,6 @@ class BMCResult:
         if self.path is not None:
             extra = f", path={'->'.join(self.path.modes)}"
         return f"BMCResult({self.status.value}{extra})"
-
-
-class _Judgment(enum.Enum):
-    PRUNED = 0
-    VERIFIED = 1
-    UNKNOWN = 2
 
 
 def _dwell_name(i: int) -> str:
@@ -219,16 +211,15 @@ class BMCChecker:
         any_unknown = False
         for path in enumerate_paths(self.automaton, spec.max_jumps, spec.goal_mode):
             n_paths += 1
-            outcome, boxes = self._solve_path(path, spec, param_ranges, x0_box)
-            total_boxes += boxes
-            if outcome is not None and outcome.status is BMCStatus.DELTA_SAT:
+            outcome = self._solve_path(path, spec, param_ranges, x0_box)
+            total_boxes += outcome.boxes_processed
+            if outcome:
                 outcome.boxes_processed = total_boxes
                 outcome.paths_explored = n_paths
                 outcome.wall_time = time.perf_counter() - t0
                 return outcome
-            if outcome is not None and outcome.status is BMCStatus.UNKNOWN:
-                any_unknown = True
-        status = BMCStatus.UNKNOWN if any_unknown else BMCStatus.UNSAT
+            any_unknown |= outcome.status is Status.UNKNOWN
+        status = Status.UNKNOWN if any_unknown else Status.UNSAT
         return BMCResult(
             status,
             boxes_processed=total_boxes,
@@ -245,64 +236,40 @@ class BMCChecker:
         spec: ReachSpec,
         param_ranges: dict[str, tuple[float, float]],
         x0_box: Box,
-    ) -> tuple[BMCResult | None, int]:
+    ) -> BMCResult:
+        """Branch and prune one mode path; its ``boxes_processed``
+        counts this path only."""
         opt = self.options
-        n_dwell = len(path.modes)
-        dims: dict[str, tuple[float, float]] = {}
-        for p, rng in param_ranges.items():
-            dims[p] = rng
-        for v in self.automaton.variables:
-            iv = x0_box[v]
-            dims[v] = (iv.lo, iv.hi)
-        for i in range(n_dwell):
-            dims[_dwell_name(i)] = (spec.min_dwell, spec.time_bound)
+        dims = dict(param_ranges)
+        dims.update((v, (x0_box[v].lo, x0_box[v].hi)) for v in self.automaton.variables)
+        dims.update(
+            (_dwell_name(i), (spec.min_dwell, spec.time_bound))
+            for i in range(len(path.modes))
+        )
         root = Box.from_bounds(dims)
-        init_widths = {k: max(root[k].width(), 1e-12) for k in root.names}
 
-        # --- simulation-guided candidate -------------------------------
+        # --- simulation-guided candidate, verified on a finer step -----
         if opt.use_simulation_guidance:
             cand = self._simulate_candidate(path, spec, root, param_ranges)
-            if cand is not None:
-                fine = (
-                    opt.verify_step if opt.verify_step is not None
-                    else opt.enclosure_step / 5.0
-                )
-                verified = self._propagate(
-                    path, spec, cand, param_ranges, step_override=fine
-                )[0]
-                if verified is _Judgment.VERIFIED:
-                    return self._result_from_box(path, cand, param_ranges), 1
+            fine = opt.verify_step or opt.enclosure_step / 5.0
+            if cand is not None and self._propagate(
+                path, spec, cand, param_ranges, step_override=fine
+            )[0] is Fate.VERIFIED:
+                return self._result_from_box(path, cand, param_ranges, 1)
 
         # --- branch and prune ------------------------------------------
-        work = [root]
-        processed = 0
-        saw_unknown = False
-        while work:
-            if processed >= opt.max_boxes_per_path:
-                saw_unknown = True
-                break
-            processed += 1
-            box = work.pop()
-            judgment, contracted = self._propagate(path, spec, box, param_ranges)
-            if judgment is _Judgment.PRUNED:
-                continue
-            if judgment is _Judgment.VERIFIED:
-                return self._result_from_box(path, contracted, param_ranges), processed
-            # split on the dimension with largest relative width
-            widest = max(
-                contracted.names,
-                key=lambda k: contracted[k].width() / init_widths.get(k, 1.0),
+        search = depth_first(
+            root,
+            lambda box: self._propagate(path, spec, box, param_ranges),
+            relative_split(root),
+            opt.max_boxes_per_path,
+            ("bmc", "branch-and-prune"),
+        )
+        if search.verified:
+            return self._result_from_box(
+                path, search.verified[0], param_ranges, search.processed
             )
-            if contracted[widest].width() / init_widths.get(widest, 1.0) < 1e-4:
-                saw_unknown = True  # cannot refine further
-                continue
-            left, right = contracted.split(widest)
-            work.append(left)
-            work.append(right)
-
-        if saw_unknown:
-            return BMCResult(BMCStatus.UNKNOWN, path), processed
-        return None, processed  # path fully pruned (unsat for this path)
+        return BMCResult(search.status, boxes_processed=search.processed)
 
     # ------------------------------------------------------------------
     # Interval propagation along a path
@@ -314,14 +281,14 @@ class BMCChecker:
         box: Box,
         param_ranges: dict[str, tuple[float, float]],
         step_override: float | None = None,
-    ) -> tuple[_Judgment, Box]:
+    ) -> tuple[Fate, Box]:
         opt = self.options
         step = step_override if step_override is not None else opt.enclosure_step
         params = list(param_ranges)
         param_box = box.restrict(params) if params else None
         state_box = box.restrict(self.automaton.variables)
         if state_box.is_empty:
-            return _Judgment.PRUNED, box
+            return Fate.PRUNED, box
 
         all_delta_ok = True
         current = state_box
@@ -330,7 +297,7 @@ class BMCChecker:
         for i, mode_name in enumerate(path.modes):
             dwell = box_out[_dwell_name(i)]
             if dwell.is_empty:
-                return _Judgment.PRUNED, box_out
+                return Fate.PRUNED, box_out
             mode = self.automaton.mode(mode_name)
             system = self.automaton.mode_system(mode_name)
 
@@ -338,7 +305,7 @@ class BMCChecker:
             if not isinstance(mode.invariant, TrueFormula):
                 at_entry = self._judge(mode.invariant, self._env(current, param_box))
                 if at_entry[0] == CERTAIN_FALSE:
-                    return _Judgment.PRUNED, box_out
+                    return Fate.PRUNED, box_out
 
             try:
                 tube_a = self._enclose(system, current, dwell.lo, param_box, step)
@@ -347,11 +314,11 @@ class BMCChecker:
                 step_b = min(step, max(window / 2.0, 1e-9))
                 tube_b = flow_enclosure(
                     system, entry, window, param_box,
-                    max_step=step_b, max_growth=opt.max_growth,
+                    max_step=step_b, max_growth=_MAX_GROWTH,
                 )
             except EnclosureError:
                 # enclosure blow-up: cannot judge; treat as unknown split
-                return _Judgment.UNKNOWN, box_out
+                return Fate.UNKNOWN, box_out
 
             # invariant along the dwell
             inv = mode.invariant
@@ -359,9 +326,9 @@ class BMCChecker:
                 verdicts = self._check_invariant(
                     inv, tube_a, tube_b, dwell, param_box
                 )
-                if verdicts is _Judgment.PRUNED:
-                    return _Judgment.PRUNED, box_out
-                if verdicts is _Judgment.UNKNOWN:
+                if verdicts is Fate.PRUNED:
+                    return Fate.PRUNED, box_out
+                if verdicts is Fate.UNKNOWN:
                     all_delta_ok = False
 
             exit_box = tube_b.whole() if tube_b.steps else entry
@@ -371,14 +338,14 @@ class BMCChecker:
                 jump = path.jumps[i]
                 at_zero, at_delta = self._judge(jump.guard, exit_env)
                 if at_zero == CERTAIN_FALSE:
-                    return _Judgment.PRUNED, box_out
+                    return Fate.PRUNED, box_out
                 if at_delta != CERTAIN_TRUE:
                     all_delta_ok = False
                 contracted = self._tape(jump.guard).fixpoint_contract(
                     BoxArray.from_box(exit_env), tol=opt.contract_tol
                 ).row(0)
                 if contracted.is_empty:
-                    return _Judgment.PRUNED, box_out
+                    return Fate.PRUNED, box_out
                 if params:
                     new_params = contracted.restrict(params)
                     box_out = box_out.merged(new_params)
@@ -392,15 +359,15 @@ class BMCChecker:
                         post[v] = contracted[v]
                 current = Box(post)
                 if current.is_empty:
-                    return _Judgment.PRUNED, box_out
+                    return Fate.PRUNED, box_out
             else:
                 at_zero, at_delta = self._judge(spec.goal, exit_env)
                 if at_zero == CERTAIN_FALSE:
-                    return _Judgment.PRUNED, box_out
+                    return Fate.PRUNED, box_out
                 if at_delta != CERTAIN_TRUE:
                     all_delta_ok = False
 
-        return (_Judgment.VERIFIED if all_delta_ok else _Judgment.UNKNOWN), box_out
+        return (Fate.VERIFIED if all_delta_ok else Fate.UNKNOWN), box_out
 
     def _enclose(
         self, system, start: Box, duration: float, param_box: Box | None,
@@ -414,7 +381,7 @@ class BMCChecker:
             duration,
             param_box,
             max_step=step if step is not None else self.options.enclosure_step,
-            max_growth=self.options.max_growth,
+            max_growth=_MAX_GROWTH,
         )
 
     def _check_invariant(
@@ -424,7 +391,7 @@ class BMCChecker:
         tube_b: ReachTube,
         dwell: Interval,
         param_box: Box | None,
-    ) -> _Judgment:
+    ) -> Fate:
         """PRUNED if the invariant certainly fails before any feasible
         exit; UNKNOWN if delta-truth cannot be certified; VERIFIED else.
 
@@ -432,7 +399,7 @@ class BMCChecker:
         """
         steps = [(0.0, s) for s in tube_a.steps] + [(dwell.lo, s) for s in tube_b.steps]
         if not steps:
-            return _Judgment.VERIFIED
+            return Fate.VERIFIED
         envs = BoxArray.from_boxes(
             [self._env(s.enclosure, param_box) for _, s in steps]
         )
@@ -442,13 +409,13 @@ class BMCChecker:
             # violation starting at absolute time offset + step.time.lo
             offset, step = steps[false_rows[0]]
             if offset + step.time.lo <= dwell.lo + 1e-12:
-                return _Judgment.PRUNED
+                return Fate.PRUNED
             # dwell times beyond the violation are infeasible, but the
             # box may still contain feasible shorter dwells
-            return _Judgment.UNKNOWN
+            return Fate.UNKNOWN
         if (at_delta == CERTAIN_TRUE).all():
-            return _Judgment.VERIFIED
-        return _Judgment.UNKNOWN
+            return Fate.VERIFIED
+        return Fate.UNKNOWN
 
     # ------------------------------------------------------------------
     # Simulation guidance
@@ -515,7 +482,7 @@ class BMCChecker:
                     chosen = best_t
                 dwells.append(chosen)
         # narrow candidate box around the schedule
-        h = opt.sim_dwell_halfwidth
+        h = _SIM_DWELL_HALFWIDTH
         cand = dict(root)
         for p in param_ranges:
             cand[p] = Interval.point(mid[p])
@@ -528,13 +495,14 @@ class BMCChecker:
 
     # ------------------------------------------------------------------
     def _result_from_box(
-        self, path: Path, box: Box, param_ranges: dict[str, tuple[float, float]]
+        self, path: Path, box: Box, param_ranges: Mapping, processed: int
     ) -> BMCResult:
         mid = box.midpoint()
         return BMCResult(
-            BMCStatus.DELTA_SAT,
+            Status.DELTA_SAT,
             path=path,
             witness_params={p: mid[p] for p in param_ranges},
             witness_x0={v: mid[v] for v in self.automaton.variables},
             witness_dwells=[mid[_dwell_name(i)] for i in range(len(path.modes))],
+            boxes_processed=processed,
         )

@@ -7,8 +7,8 @@ hookpoint::
 
     from repro.progress import emit
 
-    while work:
-        emit("icp", "branch-and-prune", boxes=n, queue=len(heap))
+    for n, box in enumerate(boxes, 1):
+        emit("icp", "branch-and-prune", boxes=n)
         ...
 
 ``emit`` is a no-op unless a *progress scope* is active, so the hot
@@ -67,8 +67,8 @@ class ProgressEvent:
     Attributes
     ----------
     source:
-        The emitting subsystem (``"icp"``, ``"calibrate"``, ``"smc"``,
-        ``"search"``, ``"pipeline"``, ``"engine"``).
+        The emitting subsystem (``"icp"``, ``"calibrate"``, ``"bmc"``,
+        ``"smc"``, ``"search"``, ``"pipeline"``, ``"engine"``).
     stage:
         The phase within that subsystem (``"branch-and-prune"``,
         ``"sampling"``, ``"validate"``, ...).

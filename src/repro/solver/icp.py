@@ -52,7 +52,8 @@ from .incremental import (
 )
 from .shard import _resolve_plan, box_sort_key, pave_sharded, solve_sharded
 
-__all__ = ["Status", "Result", "SolverStats", "DeltaSolver", "check_search_knobs"]
+__all__ = ["Status", "Result", "SolverStats", "DeltaSolver",
+           "check_at_least_one", "check_search_knobs"]
 
 
 class Status(enum.Enum):
@@ -140,7 +141,17 @@ def _hoist_existentials(phi: Formula, box: Box) -> tuple[Formula, Box]:
     return phi2, box
 
 
-def check_search_knobs(delta: float, frontier_size: int, shards: int) -> None:
+def check_at_least_one(**knobs: int) -> None:
+    """Reject a count knob (a box budget, a batch or shard count) below
+    1, naming the field: a search with none of them does no work."""
+    for name, value in knobs.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def check_search_knobs(
+    delta: float, max_boxes: int, frontier_size: int, shards: int
+) -> None:
     """Reject search knobs no ICP search can honour, naming the field.
 
     A NaN, negative or infinite ``delta`` weakens no formula in any
@@ -150,10 +161,7 @@ def check_search_knobs(delta: float, frontier_size: int, shards: int) -> None:
     """
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
-    if frontier_size < 1:
-        raise ValueError(f"frontier_size must be >= 1, got {frontier_size}")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
+    check_at_least_one(max_boxes=max_boxes, frontier_size=frontier_size, shards=shards)
 
 
 @dataclass(frozen=True)
@@ -174,7 +182,7 @@ class DeltaSolver:
         The perturbation bound of Definition 4.  Smaller deltas give
         sharper answers but more search work.
     max_boxes:
-        Branch-and-prune budget; exceeding it yields ``Status.UNKNOWN``
+        Branch-and-prune budget (>= 1); exceeding it yields ``Status.UNKNOWN``
         together with the most promising unresolved box.
     contract_tol:
         Progress threshold of the fixed-point contraction loop.
@@ -235,7 +243,7 @@ class DeltaSolver:
     anytime: bool = False
 
     def __post_init__(self) -> None:
-        check_search_knobs(self.delta, self.frontier_size, self.shards)
+        check_search_knobs(self.delta, self.max_boxes, self.frontier_size, self.shards)
 
     @contextmanager
     def pooled(self) -> Iterator[DeltaSolver]:

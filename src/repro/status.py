@@ -1,10 +1,10 @@
 """The shared outcome vocabulary of the analysis framework.
 
-Every subsystem used to speak its own dialect -- ``Status`` in the
-solver, ``BMCStatus`` in the BMC layer, ``CalibrationStatus`` in the
-calibration app, bare strings in the pipeline report.  The unified API
-(:mod:`repro.api`) folds all of them into one enum so reports from any
-task are comparable, serializable and switchable-on.
+The delta-decision searches -- the ICP solver, calibration and BMC --
+answer in one three-valued enum, :class:`repro.solver.Status`.  The
+unified API (:mod:`repro.api`) maps it, the Fig. 2 workflow stages and
+the statistical and infrastructure outcomes onto one report enum, so
+reports from any task are comparable, serializable and switchable-on.
 
 ``AnalysisStatus`` mixes in :class:`str`, so comparisons against the
 historical string literals (``report.stage == "validated"``) keep

@@ -71,19 +71,24 @@ class TestTaskSpecRoundTrip:
     def test_bad_delta_rejected(self):
         for delta in (-1.0, float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="delta must be finite and >= 0"):
-                check_search_knobs(delta, 64, 1)
+                check_search_knobs(delta, 600, 64, 1)
             with pytest.raises(ValueError, match="delta must be finite and >= 0"):
                 TaskSpec.from_dict(
                     {"task": "calibrate", "model": {"builtin": "logistic"},
                      "solver": {"delta": delta}}
                 )
-        check_search_knobs(0.0, 1, 1)  # an exact (zero) delta is allowed
+        check_search_knobs(0.0, 1, 1, 1)  # an exact (zero) delta is allowed
 
     def test_solver_options_reject_bad_knobs(self):
         with pytest.raises(ValueError, match="frontier_size must be >= 1, got 0"):
             SolverOptions(frontier_size=0)
         with pytest.raises(ValueError, match="shards must be >= 1, got -2"):
             SolverOptions(shards=-2)
+        # a search with no box budget does no work: it used to answer
+        # UNKNOWN with the root box after 0 boxes
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match=f"max_boxes must be >= 1, got {budget}"):
+                SolverOptions(max_boxes=budget)
         # the serve/CLI door builds options through from_dict: same message
         with pytest.raises(ValueError, match="frontier_size must be >= 1"):
             SolverOptions.from_dict({"frontier_size": 0})

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.apps import (
-    CalibrationStatus,
     Checkpoint,
     SMTCalibrator,
     TimeSeriesData,
@@ -15,6 +14,7 @@ from repro.expr import var
 from repro.intervals import Box
 from repro.models import logistic
 from repro.odes import ODESystem, rk45
+from repro.solver import Status
 
 
 def decay_system():
@@ -69,7 +69,7 @@ class TestCalibration:
             {"x": 1.0}, delta=0.02,
         )
         res = calib._calibrate_impl()
-        assert res.status is CalibrationStatus.DELTA_SAT
+        assert res.status is Status.DELTA_SAT
         assert res.params["k"] == pytest.approx(1.5, abs=0.1)
 
     def test_calibrated_params_reproduce_data(self):
@@ -96,7 +96,7 @@ class TestCalibration:
             delta=0.01, max_boxes=800,
         )
         res = calib._calibrate_impl()
-        assert res.status is CalibrationStatus.UNSAT
+        assert res.status is Status.UNSAT
 
     def test_logistic_two_parameters(self):
         sys_ = logistic()
@@ -109,7 +109,7 @@ class TestCalibration:
             delta=0.05, enclosure_step=0.1,
         )
         res = calib._calibrate_impl()
-        assert res.status is CalibrationStatus.DELTA_SAT
+        assert res.status is Status.DELTA_SAT
         assert res.params["K"] == pytest.approx(8.0, abs=0.8)
 
     def test_uncertain_initial_condition(self):
@@ -119,7 +119,7 @@ class TestCalibration:
             Box.from_bounds({"x": (0.99, 1.01)}), delta=0.05,
         )
         res = calib._calibrate_impl()
-        assert res.status is CalibrationStatus.DELTA_SAT
+        assert res.status is Status.DELTA_SAT
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError, match="unknown parameters"):
@@ -133,6 +133,60 @@ class TestCalibration:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError, match="no checkpoints"):
             SMTCalibrator(decay_system(), TimeSeriesData([]), {"k": (0, 1)}, {"x": 1.0})
+
+    def test_each_midpoint_simulated_once(self):
+        # the root midpoint fails before the loop; the loop must not
+        # simulate it again when the root box comes out undecided
+        calib = SMTCalibrator(
+            decay_system(), decay_data(k_true=0.7, tol=0.01), {"k": (0.1, 3.0)},
+            {"x": 1.0}, delta=0.01,
+        )
+        simulated = []
+        fits = calib._simulate_fits
+        calib._simulate_fits = lambda params, x0: simulated.append(params["k"]) or fits(params, x0)
+        assert calib._calibrate_impl()
+        assert simulated[0] == 1.55
+        assert len(simulated) == len(set(simulated)) > 1
+
+    def test_non_positive_budget_rejected(self):
+        for budget in (0, -3):
+            with pytest.raises(ValueError, match=f"max_boxes must be >= 1, got {budget}"):
+                SMTCalibrator(
+                    decay_system(), decay_data(), {"k": (0.1, 3.0)}, {"x": 1.0},
+                    max_boxes=budget,
+                )
+
+    def test_no_parameters_undecided_root_is_unknown(self):
+        # nothing to split: the root is an undecided leaf (this used to
+        # raise "max() arg is an empty sequence")
+        data = TimeSeriesData([Checkpoint(2.0, {"x": (2.7, 2.9)})])
+        calib = SMTCalibrator(
+            logistic(), data, {}, Box.from_bounds({"x": (0.4, 0.6)}),
+            delta=0.0, use_simulation_guidance=False,
+        )
+        res = calib._calibrate_impl()
+        assert res.status is Status.UNKNOWN
+        assert res.boxes_processed == 1
+
+    @pytest.mark.parametrize("guided", [False, True])
+    def test_no_parameters_through_engine(self, guided):
+        from repro.api import Engine
+
+        # the band's lower edge sits on the trajectory, so the root's
+        # enclosure straddles it and the root stays undecided
+        x2 = rk45(logistic(), {"x": 0.5}, (0.0, 2.0)).value("x", 2.0)
+        spec = {
+            "task": "calibrate", "model": {"builtin": "logistic"},
+            "query": {
+                "data": {"samples": [[2.0, {"x": x2 + 0.1}]], "tolerance": 0.1},
+                "param_ranges": {}, "x0": {"x": 0.5},
+            },
+            "solver": {"delta": 0.0, "use_simulation_guidance": guided},
+        }
+        with Engine(seed=0) as engine:
+            report = engine.run(spec)
+        assert report.status == "unknown", report.detail
+        assert report.stats["boxes_processed"] == 1.0
 
 
 class TestPaving:

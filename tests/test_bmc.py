@@ -4,17 +4,19 @@ import dataclasses
 import hashlib
 import json
 import math
+import threading
 
 import pytest
 
-from repro.bmc import BMCChecker, BMCOptions, BMCStatus, Path, ReachSpec, enumerate_paths
-from repro.bmc.reach import _Judgment
+from repro.bmc import BMCChecker, BMCOptions, Path, ReachSpec, enumerate_paths
 from repro.expr import var
 from repro.hybrid import HybridAutomaton, Jump, Mode
 from repro.intervals import Box, Interval
 from repro.logic import And, in_range
 from repro.odes import flow_enclosure
-from repro.solver import Certainty
+from repro.progress import JobCancelled, progress_scope
+from repro.solver import Certainty, Status
+from repro.solver.depth_first import Fate
 from repro.solver.eval3 import _eval_formula_impl
 
 x = var("x")
@@ -100,7 +102,7 @@ class TestSingleModeReachability:
         h = decay_automaton()
         spec = ReachSpec(goal=in_range(x, 0.35, 0.40), max_jumps=0, time_bound=3.0)
         res = BMCChecker(h)._check_impl(spec)
-        assert res.status is BMCStatus.DELTA_SAT
+        assert res.status is Status.DELTA_SAT
         # decay reaches 0.375 at t = ln(1/0.375) ~ 0.98
         assert res.witness_dwells[0] == pytest.approx(math.log(1 / 0.375), abs=0.1)
 
@@ -109,14 +111,14 @@ class TestSingleModeReachability:
         # x only decays from 1; it can never exceed 1.5
         spec = ReachSpec(goal=(x >= 1.5), max_jumps=0, time_bound=2.0)
         res = BMCChecker(h)._check_impl(spec)
-        assert res.status is BMCStatus.UNSAT
+        assert res.status is Status.UNSAT
 
     def test_unreachable_within_time_bound(self):
         h = decay_automaton()
         # x(t) = e^-t >= 0.1 requires t ~ 2.3 > bound 1.0
         spec = ReachSpec(goal=(0.05 - x >= 0), max_jumps=0, time_bound=1.0)
         res = BMCChecker(h)._check_impl(spec)
-        assert res.status is BMCStatus.UNSAT
+        assert res.status is Status.UNSAT
 
     def test_parameter_synthesis(self):
         h = decay_automaton()
@@ -129,7 +131,7 @@ class TestSingleModeReachability:
         # simpler: x in [0.19, 0.21] reachable within t <= 1 requires k >= ln(1/0.21)
         spec = ReachSpec(goal=in_range(x, 0.19, 0.21), max_jumps=0, time_bound=1.0)
         res = BMCChecker(h)._check_impl(spec, param_ranges={"k": (0.1, 3.0)})
-        assert res.status is BMCStatus.DELTA_SAT
+        assert res.status is Status.DELTA_SAT
         k = res.witness_params["k"]
         assert k >= math.log(1 / 0.21) - 0.1
 
@@ -139,7 +141,7 @@ class TestSingleModeReachability:
         # asking for x <= 0.3 within 1 time unit is infeasible
         spec = ReachSpec(goal=(0.3 - x >= 0), max_jumps=0, time_bound=1.0)
         res = BMCChecker(h)._check_impl(spec, param_ranges={"k": (0.1, 0.5)})
-        assert res.status is BMCStatus.UNSAT
+        assert res.status is Status.UNSAT
 
     def test_unknown_param_rejected(self):
         h = decay_automaton()
@@ -155,7 +157,7 @@ class TestMultiModeReachability:
         # after switching at x=0.5, growth can reach 0.8 again
         spec = ReachSpec(goal=(x >= 0.8), goal_mode="b", max_jumps=1, time_bound=3.0)
         res = BMCChecker(h)._check_impl(spec)
-        assert res.status is BMCStatus.DELTA_SAT
+        assert res.status is Status.DELTA_SAT
         assert res.mode_path() == ["a", "b"]
         # dwell in mode a until x = 0.5: t = ln 2
         assert res.witness_dwells[0] >= math.log(2.0) - 0.05
@@ -165,7 +167,7 @@ class TestMultiModeReachability:
         # in mode a alone, x never grows above 1
         spec = ReachSpec(goal=(x >= 1.2), goal_mode="a", max_jumps=0, time_bound=3.0)
         res = BMCChecker(h)._check_impl(spec)
-        assert res.status is BMCStatus.UNSAT
+        assert res.status is Status.UNSAT
 
     def test_guard_blocks_path(self):
         # jump requires x >= 2 which decay never reaches
@@ -178,7 +180,7 @@ class TestMultiModeReachability:
         )
         spec = ReachSpec(goal=(x >= 0.0), goal_mode="b", max_jumps=1, time_bound=3.0)
         res = BMCChecker(h)._check_impl(spec)
-        assert res.status is BMCStatus.UNSAT
+        assert res.status is Status.UNSAT
 
     def test_reset_applied(self):
         h = HybridAutomaton(
@@ -190,7 +192,7 @@ class TestMultiModeReachability:
         )
         spec = ReachSpec(goal=(x >= 10.0), goal_mode="b", max_jumps=1, time_bound=3.0)
         res = BMCChecker(h)._check_impl(spec)
-        assert res.status is BMCStatus.DELTA_SAT
+        assert res.status is Status.DELTA_SAT
 
     def test_invariant_prunes(self):
         # mode a has invariant x >= 0.8, guard needs x <= 0.5: unreachable
@@ -206,7 +208,7 @@ class TestMultiModeReachability:
         )
         spec = ReachSpec(goal=(x >= 0.0), goal_mode="b", max_jumps=1, time_bound=3.0)
         res = BMCChecker(h)._check_impl(spec)
-        assert res.status is BMCStatus.UNSAT
+        assert res.status is Status.UNSAT
 
     def test_min_dwell_excludes_instant_jump(self):
         h = HybridAutomaton(
@@ -219,7 +221,7 @@ class TestMultiModeReachability:
         spec = ReachSpec(goal=(x >= 0.9), goal_mode="b", max_jumps=1,
                          time_bound=2.0, min_dwell=0.0)
         res = BMCChecker(h)._check_impl(spec)
-        assert res.status is BMCStatus.DELTA_SAT
+        assert res.status is Status.DELTA_SAT
 
 
 class TestInitialStateSearch:
@@ -234,14 +236,14 @@ class TestInitialStateSearch:
         # only initial states >= ~1.8 reach x >= 1.8 (at t=0)
         spec = ReachSpec(goal=(x >= 1.8), max_jumps=0, time_bound=1.0)
         res = BMCChecker(h)._check_impl(spec)
-        assert res.status is BMCStatus.DELTA_SAT
+        assert res.status is Status.DELTA_SAT
         assert res.witness_x0["x"] >= 1.7
 
     def test_custom_init_box_overrides(self):
         h = decay_automaton()
         spec = ReachSpec(goal=(x >= 4.5), max_jumps=0, time_bound=1.0)
         res = BMCChecker(h)._check_impl(spec, init_box=Box.from_bounds({"x": (4.0, 5.0)}))
-        assert res.status is BMCStatus.DELTA_SAT
+        assert res.status is Status.DELTA_SAT
 
 
 class TestOptions:
@@ -250,7 +252,7 @@ class TestOptions:
         spec = ReachSpec(goal=in_range(x, 0.3, 0.5), max_jumps=0, time_bound=3.0)
         opt = BMCOptions(use_simulation_guidance=False, max_boxes_per_path=2000)
         res = BMCChecker(h, opt)._check_impl(spec)
-        assert res.status is BMCStatus.DELTA_SAT
+        assert res.status is Status.DELTA_SAT
 
     def test_budget_exhaustion_unknown(self):
         h = decay_automaton()
@@ -259,7 +261,28 @@ class TestOptions:
             use_simulation_guidance=False, max_boxes_per_path=2, delta=1e-6,
         )
         res = BMCChecker(h, opt)._check_impl(spec)
-        assert res.status in (BMCStatus.UNKNOWN, BMCStatus.DELTA_SAT)
+        assert res.status in (Status.UNKNOWN, Status.DELTA_SAT)
+
+    def test_non_positive_budget_rejected(self):
+        for budget in (0, -1):
+            with pytest.raises(
+                ValueError, match=f"max_boxes_per_path must be >= 1, got {budget}"
+            ):
+                BMCOptions(max_boxes_per_path=budget)
+
+    def test_path_search_cancels_at_first_box(self):
+        # the path search passes the ("bmc", "branch-and-prune")
+        # checkpoint before judging each box
+        checker = BMCChecker(decay_automaton(), BMCOptions(use_simulation_guidance=False))
+        judged = []
+        checker._propagate = lambda *args, **kw: judged.append(args)
+        cancel = threading.Event()
+        cancel.set()
+        spec = ReachSpec(goal=in_range(x, 0.3, 0.5), max_jumps=0, time_bound=3.0)
+        with progress_scope(cancel=cancel):
+            with pytest.raises(JobCancelled, match="bmc/branch-and-prune"):
+                checker._check_impl(spec)
+        assert judged == []
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +437,7 @@ class TestBatchedInvariant:
     pass; it must agree with the per-step scalar loop it replaced."""
 
     @staticmethod
-    def _per_step(checker, inv, tube_a, tube_b, dwell, param_box) -> _Judgment:
+    def _per_step(checker, inv, tube_a, tube_b, dwell, param_box) -> Fate:
         delta_ok = True
         for tube, offset in ((tube_a, 0.0), (tube_b, dwell.lo)):
             for step in tube.steps:
@@ -422,12 +445,12 @@ class TestBatchedInvariant:
                 if _eval_formula_impl(inv, env) is Certainty.CERTAIN_FALSE:
                     t_violate = offset + step.time.lo
                     if t_violate <= dwell.lo + 1e-12:
-                        return _Judgment.PRUNED
-                    return _Judgment.UNKNOWN
+                        return Fate.PRUNED
+                    return Fate.UNKNOWN
                 c = _eval_formula_impl(inv, env, checker.options.delta)
                 if c is not Certainty.CERTAIN_TRUE:
                     delta_ok = False
-        return _Judgment.VERIFIED if delta_ok else _Judgment.UNKNOWN
+        return Fate.VERIFIED if delta_ok else Fate.UNKNOWN
 
     @staticmethod
     def _tubes(checker, dwell, param_box):
@@ -441,22 +464,31 @@ class TestBatchedInvariant:
         )
         return tube_a, tube_b
 
+    @staticmethod
+    def _case_id(val):
+        # Keeps the case names these tests had when the verdict enum was
+        # private to reach.py, so a case's history stays under one name.
+        if isinstance(val, Fate):
+            return f"_Judgment.{val.name}"
+        return None
+
     @pytest.mark.parametrize(
         "inv,dwell,params,expected",
         [
             # certainly false before the earliest exit
-            (x >= 0.8, (1.0, 2.0), None, _Judgment.PRUNED),
+            (x >= 0.8, (1.0, 2.0), None, Fate.PRUNED),
             # certainly false only after some feasible exits
-            (x >= 0.8, (0.0, 2.0), None, _Judgment.UNKNOWN),
-            (x >= 0.4, (0.3, 2.0), None, _Judgment.UNKNOWN),
+            (x >= 0.8, (0.0, 2.0), None, Fate.UNKNOWN),
+            (x >= 0.4, (0.3, 2.0), None, Fate.UNKNOWN),
             # never false, but not delta-true on any step / on the late steps
-            (x >= 0.7, (0.0, 0.2), None, _Judgment.UNKNOWN),
-            (x >= 0.45, (0.2, 0.6), None, _Judgment.UNKNOWN),
-            (x >= 0.01, (0.5, 1.0), None, _Judgment.VERIFIED),
-            (x >= 0.01, (0.0, 0.0), None, _Judgment.VERIFIED),
-            (x - 0.2 * var("k") >= 0, (0.2, 0.6), (0.9, 1.1), _Judgment.VERIFIED),
-            (x - 0.6 * var("k") >= 0, (1.0, 1.5), (0.9, 1.1), _Judgment.PRUNED),
+            (x >= 0.7, (0.0, 0.2), None, Fate.UNKNOWN),
+            (x >= 0.45, (0.2, 0.6), None, Fate.UNKNOWN),
+            (x >= 0.01, (0.5, 1.0), None, Fate.VERIFIED),
+            (x >= 0.01, (0.0, 0.0), None, Fate.VERIFIED),
+            (x - 0.2 * var("k") >= 0, (0.2, 0.6), (0.9, 1.1), Fate.VERIFIED),
+            (x - 0.6 * var("k") >= 0, (1.0, 1.5), (0.9, 1.1), Fate.PRUNED),
         ],
+        ids=_case_id,
     )
     def test_matches_per_step_loop(self, inv, dwell, params, expected):
         h = HybridAutomaton(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps import SMTCalibrator, TimeSeriesData
 from repro.apps.robustness import _check_robustness_impl
-from repro.bmc import BMCChecker, BMCOptions, BMCStatus, ReachSpec
+from repro.bmc import BMCChecker, BMCOptions, ReachSpec
 from repro.expr import parse_expr, var
 from repro.hybrid import simulate_hybrid
 from repro.intervals import Box
@@ -78,7 +78,7 @@ class TestJSONRoundtripAnalysis:
         opt = BMCOptions(enclosure_step=0.2, max_boxes_per_path=50)
         r1 = BMCChecker(h, opt)._check_impl(spec)
         r2 = BMCChecker(back, opt)._check_impl(spec)
-        assert r1.status == r2.status == BMCStatus.UNSAT
+        assert r1.status == r2.status == Status.UNSAT
 
 
 class TestSolverOdeCoupling:
@@ -110,11 +110,11 @@ class TestHybridSmcBmcAgreement:
         )
         opt = BMCOptions(enclosure_step=0.1, max_boxes_per_path=100)
         res = BMCChecker(h, opt)._check_impl(spec_sat)
-        assert res.status is BMCStatus.DELTA_SAT
+        assert res.status is Status.DELTA_SAT
 
         spec_unsat = ReachSpec(goal=(var("x") >= 35.0), max_jumps=3, time_bound=3.0)
         res2 = BMCChecker(h, opt)._check_impl(spec_unsat)
-        assert res2.status is BMCStatus.UNSAT
+        assert res2.status is Status.UNSAT
         temps = traj.flatten().column("x")
         assert temps.max() < 35.0
 

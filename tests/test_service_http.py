@@ -118,6 +118,18 @@ class TestServe:
             assert err.value.code == 400
             assert "delta must be finite" in json.loads(err.value.read())["error"]
 
+    def test_zero_budget_400(self, server):
+        spec = {
+            "task": "calibrate", "model": {"builtin": "logistic"},
+            "query": {"data": {"samples": [[2.0, {"x": 1.45}]], "tolerance": 0.2},
+                      "param_ranges": {"r": [0.1, 2.0]}, "x0": {"x": 0.5}},
+            "solver": {"max_boxes": 0},
+        }
+        with pytest.raises(HTTPError) as err:
+            _post(f"{server.url}/run", spec)
+        assert err.value.code == 400
+        assert "max_boxes must be >= 1, got 0" in json.loads(err.value.read())["error"]
+
     def test_string_spec_rejected_not_read_as_path(self, server):
         # a path-string spec must never reach TaskSpec.from_file: that
         # would let network clients read/execute server-local files

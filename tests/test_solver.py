@@ -93,6 +93,8 @@ class TestDeltaSat:
             DeltaSolver(frontier_size=0)
         with pytest.raises(ValueError, match="shards must be >= 1, got 0"):
             DeltaSolver(shards=0)
+        with pytest.raises(ValueError, match="max_boxes must be >= 1, got -5"):
+            DeltaSolver(max_boxes=-5)
         # such a delta used to spend the whole budget, then answer UNKNOWN
         for delta in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="delta must be finite and >= 0"):
