@@ -22,6 +22,33 @@ from .model import Model
 __all__ = ["SolverOptions", "SimOptions", "TaskSpec"]
 
 
+def _check_point_x0(task: str, query: Mapping[str, Any]) -> None:
+    """Reject a ``query["x0"]`` that is not one number per state.
+
+    calibrate, falsify method=data and pipeline start from a point
+    initial state; an interval such as ``[0.4, 0.6]`` is refused here,
+    with the task and the field named, instead of failing mid-run.
+    """
+    if task == "falsify" and query.get("method", "data") != "data":
+        return
+    x0 = query.get("x0") if task in ("calibrate", "falsify", "pipeline") else None
+    if x0 is None:
+        return
+    if not isinstance(x0, Mapping):
+        raise ValueError(
+            f"task {task!r} query field 'x0' must map state names to numbers, "
+            f"got {type(x0).__name__}"
+        )
+    for name, value in x0.items():
+        try:
+            float(value)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"task {task!r} query field 'x0' needs a number for {name!r}, "
+                f"got {value!r} (an uncertain initial state is not supported)"
+            ) from None
+
+
 def _options_from_dict(cls, d: Mapping[str, Any] | None, label: str):
     d = dict(d or {})
     unknown = set(d) - {f.name for f in fields(cls)}
@@ -142,6 +169,7 @@ class TaskSpec:
             self.solver = SolverOptions.from_dict(self.solver)
         if isinstance(self.sim, Mapping):
             self.sim = SimOptions.from_dict(self.sim)
+        _check_point_x0(self.task, self.query)
 
     # ------------------------------------------------------------------
     def replace(self, **kwargs: Any) -> "TaskSpec":

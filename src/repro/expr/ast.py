@@ -166,15 +166,18 @@ class Expr:
         raise NotImplementedError
 
     def children(self) -> tuple["Expr", ...]:
+        """Direct subexpressions, left to right (none for a leaf)."""
         return ()
 
     # -- utilities ------------------------------------------------------
     def simplify(self) -> "Expr":
+        """Algebraically simplified copy (see :mod:`repro.expr.simplify`)."""
         from .simplify import simplify
 
         return simplify(self)
 
     def gradient(self, names: Iterable[str]) -> dict[str, "Expr"]:
+        """Simplified partial derivatives with respect to each of ``names``."""
         return {n: self.diff(n).simplify() for n in names}
 
     def __repr__(self) -> str:
@@ -207,12 +210,14 @@ class Var(Expr):
         self.name = name
 
     def eval(self, env: Mapping[str, float]) -> float:
+        """The bound value of this variable, as a float."""
         try:
             return float(env[self.name])
         except KeyError:
             raise KeyError(f"variable {self.name!r} not bound in environment") from None
 
     def eval_interval(self, env: Mapping[str, Interval]) -> Interval:
+        """The bound interval (a bound number becomes a point interval)."""
         try:
             v = env[self.name]
         except KeyError:
@@ -222,14 +227,17 @@ class Var(Expr):
         return Interval.point(float(v))
 
     def diff(self, var: str) -> Expr:
+        """1 with respect to itself, else 0."""
         return Const(1.0) if var == self.name else Const(0.0)
 
     def subs(self, env: Mapping[str, ExprLike]) -> Expr:
+        """The expression ``env`` binds to this name, or the variable itself."""
         if self.name in env:
             return as_expr(env[self.name])
         return self
 
     def variables(self) -> frozenset[str]:
+        """The singleton set of this variable's name."""
         return frozenset({self.name})
 
     def __str__(self) -> str:
@@ -248,18 +256,23 @@ class Const(Expr):
         self.value = float(value)
 
     def eval(self, env: Mapping[str, float]) -> float:
+        """The constant's value."""
         return self.value
 
     def eval_interval(self, env: Mapping[str, Interval]) -> Interval:
+        """The point interval at the constant's value."""
         return Interval.point(self.value)
 
     def diff(self, var: str) -> Expr:
+        """Always 0."""
         return Const(0.0)
 
     def subs(self, env: Mapping[str, ExprLike]) -> Expr:
+        """The constant itself."""
         return self
 
     def variables(self) -> frozenset[str]:
+        """The empty set."""
         return frozenset()
 
     def __str__(self) -> str:
@@ -283,6 +296,8 @@ class Unary(Expr):
         self.arg = arg
 
     def eval(self, env: Mapping[str, float]) -> float:
+        """Apply the function to the argument's value; domain and overflow
+        errors raise ``ArithmeticError``."""
         x = self.arg.eval(env)
         try:
             return UNARY_FLOAT[self.op](x)
@@ -290,9 +305,11 @@ class Unary(Expr):
             raise ArithmeticError(f"{self.op}({x}) failed: {exc}") from None
 
     def eval_interval(self, env: Mapping[str, Interval]) -> Interval:
+        """Interval extension of the function over the argument's enclosure."""
         return UNARY_INTERVAL[self.op](self.arg.eval_interval(env))
 
     def diff(self, var: str) -> Expr:
+        """Chain rule for the function (``abs`` as ``u/|u|``, undefined at 0)."""
         u = self.arg
         du = u.diff(var)
         if self.op == "neg":
@@ -320,12 +337,15 @@ class Unary(Expr):
         raise NotImplementedError(self.op)
 
     def subs(self, env: Mapping[str, ExprLike]) -> Expr:
+        """The same function of the substituted argument."""
         return Unary(self.op, self.arg.subs(env))
 
     def variables(self) -> frozenset[str]:
+        """The argument's free variables."""
         return self.arg.variables()
 
     def children(self) -> tuple[Expr, ...]:
+        """The one argument."""
         return (self.arg,)
 
     def __str__(self) -> str:
@@ -350,6 +370,8 @@ class Binary(Expr):
         self.right = right
 
     def eval(self, env: Mapping[str, float]) -> float:
+        """Apply the operation to both values; division by zero and failed
+        powers raise ``ArithmeticError``."""
         a = self.left.eval(env)
         b = self.right.eval(env)
         op = self.op
@@ -375,6 +397,7 @@ class Binary(Expr):
         raise NotImplementedError(op)
 
     def eval_interval(self, env: Mapping[str, Interval]) -> Interval:
+        """Interval extension of the operation (empty if either side is empty)."""
         a = self.left.eval_interval(env)
         b = self.right.eval_interval(env)
         if a.is_empty or b.is_empty:
@@ -400,6 +423,8 @@ class Binary(Expr):
         raise NotImplementedError(op)
 
     def diff(self, var: str) -> Expr:
+        """Sum, product, quotient and power rules; ``min``/``max`` are not
+        differentiable."""
         u, v = self.left, self.right
         du, dv = u.diff(var), v.diff(var)
         op = self.op
@@ -422,12 +447,15 @@ class Binary(Expr):
         raise NotImplementedError(op)
 
     def subs(self, env: Mapping[str, ExprLike]) -> Expr:
+        """The same operation of both substituted operands."""
         return Binary(self.op, self.left.subs(env), self.right.subs(env))
 
     def variables(self) -> frozenset[str]:
+        """Free variables of both operands."""
         return self.left.variables() | self.right.variables()
 
     def children(self) -> tuple[Expr, ...]:
+        """The left and right operands."""
         return (self.left, self.right)
 
     def __str__(self) -> str:

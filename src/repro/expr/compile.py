@@ -1,9 +1,11 @@
-"""Vectorised numpy compilation of expressions.
+"""Compilation of expressions into Python functions.
 
 The ODE simulators evaluate vector fields millions of times; walking the
-AST per call is too slow.  :func:`compile_numpy` translates an
-expression tree once into a Python lambda over numpy arrays, giving
-~50x faster evaluation while remaining pure Python.
+AST per call is too slow.  Each compiler here translates an expression
+tree once into the source of one Python function: arithmetic stays
+Python operators, and every other function of the signature is a numpy
+ufunc, so the same code runs on Python floats, numpy scalars and
+arrays, giving ~50x faster evaluation than the AST walk.
 """
 
 from __future__ import annotations
@@ -45,7 +47,28 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=float)))
 
 
-def _emit(e: Expr, names: dict[str, str]) -> str:
+def _real_pow(base, exponent):
+    """``base ** exponent``, refusing the complex result Python's float
+    power gives a negative base with a fractional exponent (numpy's
+    power gives nan there)."""
+    out = base ** exponent
+    if type(out) is complex:
+        raise ValueError(f"negative base {base!r} to fractional power {exponent!r}")
+    return out
+
+
+def _integral(e: Expr) -> bool:
+    """True for a constant whole-number exponent: a real power of any base."""
+    return isinstance(e, Const) and float(e.value).is_integer()
+
+
+def _emit(e: Expr, names: dict[str, str], real_pow: bool = False) -> str:
+    """Python source for ``e``; variables are spelled as ``names`` maps them.
+
+    With ``real_pow``, a power whose exponent is not a constant whole
+    number is emitted as :func:`_real_pow`, so a scalar field on Python
+    floats raises instead of going complex.
+    """
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
@@ -54,9 +77,13 @@ def _emit(e: Expr, names: dict[str, str]) -> str:
         except KeyError:
             raise KeyError(f"unbound variable {e.name!r} in compiled expression") from None
     if isinstance(e, Unary):
-        return _UNARY_NP[e.op].format(_emit(e.arg, names))
+        return _UNARY_NP[e.op].format(_emit(e.arg, names, real_pow))
     if isinstance(e, Binary):
-        return _BINARY_NP[e.op].format(_emit(e.left, names), _emit(e.right, names))
+        left = _emit(e.left, names, real_pow)
+        right = _emit(e.right, names, real_pow)
+        if real_pow and e.op == "pow" and not _integral(e.right):
+            return f"_real_pow({left}, {right})"
+        return _BINARY_NP[e.op].format(left, right)
     raise TypeError(f"cannot compile node {type(e).__name__}")
 
 
@@ -79,23 +106,30 @@ def compile_numpy(e: Expr, arg_order: Sequence[str]) -> Callable[..., np.ndarray
 
 def compile_vector_field(
     exprs: Sequence[Expr], state_names: Sequence[str], param_names: Sequence[str] = ()
-) -> Callable[..., np.ndarray]:
-    """Compile a list of expressions into ``f(t, y, params) -> ndarray``.
+) -> Callable[..., list]:
+    """Compile a list of expressions into ``f(t, y, params) -> list``.
 
-    ``y`` is indexed in ``state_names`` order; ``params`` is a dict.
-    The time variable ``t`` is available to the expressions if they use it.
+    ``y`` is any indexable sequence of state values in ``state_names``
+    order -- a list of Python floats or a float ndarray; ``params`` is a
+    dict.  The time variable ``t`` is available to the expressions if
+    they use it.  The result holds one value per expression.
+
+    On an ndarray ``y`` every state value is a ``np.float64``, so the
+    arithmetic follows numpy's scalar rules: a division by zero, an
+    overflow or a fractional power of a negative number gives
+    ``inf``/``nan`` (with a ``RuntimeWarning``).  On Python floats the
+    same code follows Python's: the bits of every finite result are the
+    same, but those cases raise ``ZeroDivisionError``,
+    ``OverflowError`` or ``ValueError`` instead, so a caller that wants
+    numpy's answer re-runs the call on an ndarray.
     """
     names = {n: f"_y[{i}]" for i, n in enumerate(state_names)}
     names["t"] = "_t"
     for p in param_names:
         names.setdefault(p, f"_p[{p!r}]")
-    bodies = [_emit(e, names) for e in exprs]
-    joined = ", ".join(bodies)
-    src = (
-        "def _field(_t, _y, _p):\n"
-        f"    return np.array([{joined}], dtype=float)\n"
-    )
-    scope: dict = {"np": np, "_sigmoid": _sigmoid}
+    joined = ", ".join(_emit(e, names, real_pow=True) for e in exprs)
+    src = f"def _field(_t, _y, _p):\n    return [{joined}]\n"
+    scope: dict = {"np": np, "_sigmoid": _sigmoid, "_real_pow": _real_pow}
     exec(src, scope)  # noqa: S102
     return scope["_field"]
 

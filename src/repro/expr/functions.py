@@ -50,6 +50,7 @@ def variables(names: str):
 
 
 def const(value: float) -> Const:
+    """A constant node holding ``value``."""
     return Const(value)
 
 
@@ -64,54 +65,67 @@ def _unary(op: str, x: ExprLike) -> Expr:
 
 
 def neg(x: ExprLike) -> Expr:
+    """``-x``."""
     return _unary("neg", x)
 
 
 def abs_(x: ExprLike) -> Expr:
+    """``|x|``."""
     return _unary("abs", x)
 
 
 def sqrt(x: ExprLike) -> Expr:
+    """Square root of ``x``."""
     return _unary("sqrt", x)
 
 
 def exp(x: ExprLike) -> Expr:
+    """Exponential of ``x``."""
     return _unary("exp", x)
 
 
 def log(x: ExprLike) -> Expr:
+    """Natural logarithm of ``x``."""
     return _unary("log", x)
 
 
 def sin(x: ExprLike) -> Expr:
+    """Sine of ``x`` (radians)."""
     return _unary("sin", x)
 
 
 def cos(x: ExprLike) -> Expr:
+    """Cosine of ``x`` (radians)."""
     return _unary("cos", x)
 
 
 def tan(x: ExprLike) -> Expr:
+    """Tangent of ``x`` (radians)."""
     return _unary("tan", x)
 
 
 def tanh(x: ExprLike) -> Expr:
+    """Hyperbolic tangent of ``x``."""
     return _unary("tanh", x)
 
 
 def sigmoid(x: ExprLike) -> Expr:
+    """Logistic function ``1 / (1 + exp(-x))``."""
     return _unary("sigmoid", x)
 
 
 def minimum(a: ExprLike, b: ExprLike) -> Expr:
+    """The smaller of ``a`` and ``b``."""
     return Binary("min", as_expr(a), as_expr(b))
 
 
 def maximum(a: ExprLike, b: ExprLike) -> Expr:
+    """The larger of ``a`` and ``b``."""
     return Binary("max", as_expr(a), as_expr(b))
 
 
 def square(x: ExprLike) -> Expr:
+    """``x * x`` (a product, not a power node)."""
     x = as_expr(x)
     return x * x
 

@@ -58,14 +58,19 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
+    """Recursive-descent parser over a token list, one method per rule
+    of the grammar in the module docstring."""
+
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
 
     def peek(self) -> str | None:
+        """The next token without consuming it (None at the end)."""
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self) -> str:
+        """Consume and return the next token."""
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of expression")
@@ -73,17 +78,20 @@ class _Parser:
         return tok
 
     def expect(self, tok: str) -> None:
+        """Consume the next token, which must be ``tok``."""
         got = self.next()
         if got != tok:
             raise ParseError(f"expected {tok!r}, got {got!r}")
 
     def parse(self) -> Expr:
+        """The whole token list as one ``expr``; trailing tokens are an error."""
         e = self.expr()
         if self.peek() is not None:
             raise ParseError(f"trailing tokens: {self.tokens[self.pos:]}")
         return e
 
     def expr(self) -> Expr:
+        """``term (('+' | '-') term)*``, left associative."""
         e = self.term()
         while self.peek() in ("+", "-"):
             op = self.next()
@@ -92,6 +100,7 @@ class _Parser:
         return e
 
     def term(self) -> Expr:
+        """``unary (('*' | '/') unary)*``, left associative."""
         e = self.unary()
         while self.peek() in ("*", "/"):
             op = self.next()
@@ -100,6 +109,7 @@ class _Parser:
         return e
 
     def unary(self) -> Expr:
+        """``'-' unary | power`` (a leading ``'+'`` is dropped)."""
         if self.peek() == "-":
             self.next()
             return Unary("neg", self.unary())
@@ -109,6 +119,7 @@ class _Parser:
         return self.power()
 
     def power(self) -> Expr:
+        """``atom (('^' | '**') unary)?``, right associative."""
         base = self.atom()
         if self.peek() in ("^", "**"):
             self.next()
@@ -117,6 +128,7 @@ class _Parser:
         return base
 
     def atom(self) -> Expr:
+        """A number, a name, a function call or a parenthesized ``expr``."""
         tok = self.next()
         if tok == "(":
             e = self.expr()

@@ -10,7 +10,6 @@ Lyapunov analyzer can be pointed at them directly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import fsolve
 
 from repro.expr import var
 from repro.odes import ODESystem
@@ -31,7 +30,14 @@ def find_equilibrium(
     tol: float = 1e-12,
 ) -> dict[str, float]:
     """Solve ``f(x) = 0`` numerically from ``guess`` (scipy fsolve),
-    refined so it passes the analyzer's equilibrium check."""
+    refined so it passes the analyzer's equilibrium check.
+
+    scipy is imported here, on the first call, not with the module:
+    only the mass-action models need it, and numpy is the package's
+    one declared runtime dependency.
+    """
+    from scipy.optimize import fsolve
+
     names = system.state_names
     f = system.rhs()
     p = dict(system.params)
@@ -87,6 +93,25 @@ def kinetic_proofreading(
     and globally asymptotically stable, so a Lyapunov certificate must
     exist; we search for a quadratic one near the equilibrium.
     """
+    sys_ = kinetic_proofreading_ode(n_steps, kon, koff, kp, r_total, l_total)
+    return sys_, find_equilibrium(sys_, dict.fromkeys(sys_.state_names, 0.1))
+
+
+def kinetic_proofreading_ode(
+    n_steps: int = 3,
+    kon: float = 1.0,
+    koff: float = 0.3,
+    kp: float = 0.5,
+    r_total: float = 1.0,
+    l_total: float = 2.0,
+) -> ODESystem:
+    """The kinetic-proofreading system alone (no equilibrium tuple).
+
+    A JSON-able model-zoo entry for declarative scenarios: builtin
+    factories must return a bare system, and catalog entries bake the
+    equilibrium into the query, so this builds the system of
+    :func:`kinetic_proofreading` without solving for its equilibrium.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     names = [f"c{i}" for i in range(n_steps)]
@@ -105,32 +130,11 @@ def kinetic_proofreading(
         if i < n_steps - 1:
             expr = expr - var("kp") * var(n)
         derivs[n] = expr
-    sys_ = ODESystem(
+    return ODESystem(
         derivs,
         {"kon": kon, "koff": koff, "kp": kp, "RT": r_total, "LT": l_total},
         name=f"kinetic_proofreading_{n_steps}",
     )
-    guess = {n: 0.1 for n in names}
-    eq = find_equilibrium(sys_, guess)
-    return sys_, eq
-
-
-def kinetic_proofreading_ode(
-    n_steps: int = 3,
-    kon: float = 1.0,
-    koff: float = 0.3,
-    kp: float = 0.5,
-    r_total: float = 1.0,
-    l_total: float = 2.0,
-) -> ODESystem:
-    """The kinetic-proofreading system alone (no equilibrium tuple).
-
-    A JSON-able model-zoo entry for declarative scenarios: builtin
-    factories must return a bare system, so this wraps
-    :func:`kinetic_proofreading` and drops the computed equilibrium
-    (catalog entries bake the equilibrium into the query instead).
-    """
-    return kinetic_proofreading(n_steps, kon, koff, kp, r_total, l_total)[0]
 
 
 def erk_cascade(
@@ -155,17 +159,8 @@ def erk_cascade(
     (activation proportional to inactive fraction ``1 - e``).  The
     system has a unique stable equilibrium in the unit box.
     """
-    m, e = var("m"), var("e")
-    sys_ = ODESystem(
-        {
-            "m": var("k1") * var("s") - var("d1") * m,
-            "e": var("k2") * m * (1.0 - e) - var("d2") * e,
-        },
-        {"k1": k1, "k2": k2, "d1": d1, "d2": d2, "s": s, "km": km},
-        name="erk_cascade",
-    )
-    eq = find_equilibrium(sys_, {"m": 0.5, "e": 0.5})
-    return sys_, eq
+    sys_ = erk_cascade_ode(k1, k2, d1, d2, s, km)
+    return sys_, find_equilibrium(sys_, {"m": 0.5, "e": 0.5})
 
 
 def erk_cascade_ode(
@@ -179,6 +174,15 @@ def erk_cascade_ode(
     """The ERK-cascade system alone (no equilibrium tuple).
 
     The JSON-able counterpart of :func:`erk_cascade` for declarative
-    scenarios, mirroring :func:`kinetic_proofreading_ode`.
+    scenarios, mirroring :func:`kinetic_proofreading_ode`: it builds the
+    system without solving for its equilibrium.
     """
-    return erk_cascade(k1, k2, d1, d2, s, km)[0]
+    m, e = var("m"), var("e")
+    return ODESystem(
+        {
+            "m": var("k1") * var("s") - var("d1") * m,
+            "e": var("k2") * m * (1.0 - e) - var("d2") * e,
+        },
+        {"k1": k1, "k2": k2, "d1": d1, "d2": d2, "s": s, "km": km},
+        name="erk_cascade",
+    )

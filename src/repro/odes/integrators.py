@@ -361,6 +361,23 @@ _DP_B4 = np.array(
 _DP_E = _DP_B5 - _DP_B4
 # (stage index, node c_i, row _DP_A[i, :i]) for stages 2..7
 _DP_STAGES = tuple((i, float(_DP_C[i]), _DP_A[i, :i]) for i in range(1, 7))
+#: What Python's float arithmetic raises where numpy's scalars give
+#: ``inf``/``nan``; see :func:`~repro.expr.compile.compile_vector_field`.
+_NUMPY_ONLY = (ZeroDivisionError, OverflowError, ValueError)
+
+
+def _sum_squares(values: list[float]) -> float:
+    """``np.add.reduce`` of the squares of ``values``, bit for bit.
+
+    Below eight terms numpy adds them one by one from ``0.0``; from
+    eight on it sums pairwise, and the array call is kept.
+    """
+    if len(values) < 8:
+        total = 0.0
+        for v in values:
+            total += v * v
+        return total
+    return float(np.add.reduce(np.square(values)))
 
 
 def rk45(
@@ -374,7 +391,7 @@ def rk45(
     first_step: float | None = None,
     max_steps: int = 1_000_000,
     *,
-    stop: Callable[[float, np.ndarray], bool] | None = None,
+    stop: Callable[[float, list[float]], bool] | None = None,
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) integration with PI step control.
 
@@ -384,13 +401,31 @@ def rk45(
     ``f(times[i], states[i])``.  ``max_steps`` bounds the attempted
     (accepted plus rejected) steps.
 
-    ``stop(t, y)`` is an internal terminal-event hook: it is called after
-    each accepted step and integration ends at the first step for which
-    it returns true.  The steps before that one are the same as without
-    the hook, so the result is a prefix of the full run.
+    The state, the stage arguments, the error norm and the step control
+    run on Python floats; the result has the bits of the same method on
+    numpy arrays.  The stage sums ``a @ ks`` stay numpy matrix products
+    (a BLAS call whose summation order no Python sum reproduces), and
+    the vector field is :meth:`ODESystem.rhs_list`, whose transcendentals
+    are numpy's.  Where Python's arithmetic raises (a division by zero,
+    an overflowing power, a fractional power of a negative number), the
+    field call is repeated on a ``np.float64`` state and gives numpy's
+    ``inf``/``nan``.
+
+    ``stop(t, y)`` is an internal terminal-event hook: it is called with
+    the state as a list after each accepted step, and integration ends
+    at the first step for which it returns true.  The steps before that
+    one are the same as without the hook, so the result is a prefix of
+    the full run.
     """
-    f = system.rhs()
+    body = system.rhs_list()
     p = {**system.params, **(params or {})}
+
+    def field(t: float, y: list[float]) -> list:
+        try:
+            return body(t, y, p)
+        except _NUMPY_ONLY:
+            return body(t, np.array(y), p)
+
     names = system.state_names
     t0, t1 = map(float, t_span)
     if t1 <= t0:
@@ -401,16 +436,20 @@ def rk45(
         raise ValueError("first_step must be positive")
     span = t1 - t0
     hmax = max_step if max_step is not None else span / 10.0
-    y = np.array([float(x0[n]) for n in names])
-    if not np.all(np.isfinite(y)):
-        bad = ", ".join(f"{n}={v}" for n, v in zip(names, y) if not np.isfinite(v))
+    y = [float(x0[n]) for n in names]
+    if not all(map(math.isfinite, y)):
+        bad = ", ".join(f"{n}={v}" for n, v in zip(names, y) if not math.isfinite(v))
         raise IntegrationError(f"non-finite initial state: {bad}")
     h = first_step if first_step is not None else min(hmax, span / 100.0)
     dim = len(y)
-    k_first = f(t0, y, p)
+    # stage derivatives, one row each; row 0 is the FSAL stage
+    ks = np.empty((7, dim))
+    stages = [(ks[i], c, a, ks[:i]) for i, c, a in _DP_STAGES]
+    k = field(t0, y)
+    ks[0] = k
     times = [t0]
     rows = [y]
-    derivs = [k_first]
+    derivs = [k]
     t = t0
     steps = 0
     while t < t1 - 1e-12:
@@ -420,31 +459,32 @@ def rk45(
         h = min(h, t1 - t, hmax)
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t:.6g}")
-        ks = np.empty((7, dim))
-        ks[0] = k_first
-        for i, c, a in _DP_STAGES:
-            yi = y + h * (a @ ks[:i])
-            ks[i] = f(t + c * h, yi, p)
-        y5 = yi  # the stage-7 argument is the 5th-order solution
-        if not np.isfinite(y5).all():
+        for row, c, a, done in stages:
+            yi = [u + h * s for u, s in zip(y, (a @ done).tolist())]
+            row[:] = k = field(t + c * h, yi)
+        # the stage-7 argument is the 5th-order solution
+        if not all(map(math.isfinite, yi)):
             h *= 0.25
             continue
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        # the RMS norm as np.mean then np.sqrt compute it, bit for bit
-        err = math.sqrt(float(np.add.reduce((h * (_DP_E @ ks) / scale) ** 2)) / dim)
+        err = math.sqrt(_sum_squares([
+            h * e / (atol + rtol * max(abs(u), abs(v)))
+            for e, u, v in zip((_DP_E @ ks).tolist(), y, yi)
+        ]) / dim)
         if err <= 1.0:
             t += h
-            y = y5
-            k_first = ks[6]
+            y = yi
+            ks[0] = ks[6]
             times.append(t)
             rows.append(y)
-            derivs.append(k_first)
+            derivs.append(k)
             if stop is not None and stop(t, y):
                 break
         # PI controller
         factor = 0.9 * (err + 1e-16) ** (-0.2)
         h *= min(5.0, max(0.2, factor))
-    return Trajectory(np.array(times), np.array(rows), names, np.array(derivs))
+    return Trajectory(
+        np.array(times), np.array(rows, dtype=float), names, np.array(derivs, dtype=float)
+    )
 
 
 def simulate(

@@ -64,6 +64,7 @@ class ODESystem:
                 "add them to params or states"
             )
         self._compiled: Callable | None = None
+        self._compiled_list: Callable | None = None
         self._compiled_batch: Callable | None = None
         self._jacobian: dict[str, dict[str, Expr]] | None = None
         self._param_jacobians: dict[tuple[str, ...], dict[str, dict[str, Expr]]] = {}
@@ -109,14 +110,34 @@ class ODESystem:
     # Evaluation
     # ------------------------------------------------------------------
     def rhs(self) -> Callable[[float, np.ndarray, Mapping[str, float]], np.ndarray]:
-        """Compiled vector field ``f(t, y, params) -> ndarray``."""
+        """Compiled vector field ``f(t, y, params) -> ndarray``.
+
+        :meth:`rhs_list` wrapped in ``np.array(..., dtype=float)``; on
+        an ndarray ``y`` it follows numpy's scalar rules throughout.
+        """
         if self._compiled is None:
-            self._compiled = compile_vector_field(
+            body = self.rhs_list()
+
+            def field(t, y, p):
+                return np.array(body(t, y, p), dtype=float)
+
+            self._compiled = field
+        return self._compiled
+
+    def rhs_list(self) -> Callable[[float, Sequence[float], Mapping[str, float]], list]:
+        """Compiled vector field ``f(t, y, params) -> list``.
+
+        Takes the state as a list of Python floats or an ndarray; see
+        :func:`~repro.expr.compile.compile_vector_field` for where the
+        two differ (only in what raises).  ``rk45`` runs on it.
+        """
+        if self._compiled_list is None:
+            self._compiled_list = compile_vector_field(
                 list(self.derivatives.values()),
                 self.state_names,
                 self.param_names,
             )
-        return self._compiled
+        return self._compiled_list
 
     def rhs_batch(self) -> Callable[[float, np.ndarray, Mapping], np.ndarray]:
         """Compiled batched vector field ``f(t, Y, params) -> ndarray``.

@@ -79,6 +79,32 @@ class TestTaskSpecRoundTrip:
                 )
         check_search_knobs(0.0, 1, 1, 1)  # an exact (zero) delta is allowed
 
+    @pytest.mark.parametrize("task,query", [
+        ("calibrate", {}),
+        ("falsify", {}),
+        ("falsify", {"method": "data"}),
+        ("pipeline", {}),
+    ])
+    def test_interval_x0_rejected_with_task_and_field(self, task, query):
+        # a [lo, hi] start used to reach the calibrator's float() and end
+        # as an error report; now it is refused when the spec is built
+        spec = {"task": task, "model": {"builtin": "logistic"},
+                "query": {**query, "x0": {"x": [0.4, 0.6]}}}
+        with pytest.raises(ValueError, match=f"task '{task}' query field 'x0' needs "
+                           "a number for 'x', got \\[0.4, 0.6\\]"):
+            TaskSpec.from_dict(spec)
+        with pytest.raises(ValueError, match="'x0' must map state names to numbers"):
+            TaskSpec.from_dict({**spec, "query": {**query, "x0": [0.5]}})
+        spec["query"]["x0"] = {"x": 0.5}
+        assert TaskSpec.from_dict(spec).query["x0"] == {"x": 0.5}
+
+    def test_x0_of_other_tasks_and_methods_not_checked(self):
+        # reach-style falsification and the other tasks read no point x0
+        for task, query in (("falsify", {"method": "reach"}), ("smc", {})):
+            spec = {"task": task, "model": {"builtin": "logistic"},
+                    "query": {**query, "x0": {"x": [0.4, 0.6]}}}
+            assert TaskSpec.from_dict(spec).query["x0"] == {"x": [0.4, 0.6]}
+
     def test_solver_options_reject_bad_knobs(self):
         with pytest.raises(ValueError, match="frontier_size must be >= 1, got 0"):
             SolverOptions(frontier_size=0)

@@ -1,5 +1,5 @@
 """Docstring coverage of the public surface (every package and module
-of repro except repro.expr).
+of repro).
 
 Mirrors the ruff pydocstyle D1 rules enabled in pyproject.toml
 (D100-D104, D106) so the check also runs where ruff is not installed:
@@ -18,7 +18,7 @@ SRC = pathlib.Path(repro.__file__).resolve().parent
 #: Packages (every module below them) and single modules.
 PACKAGES = (
     SRC / "__init__.py", SRC / "__main__.py", SRC / "api", SRC / "apps",
-    SRC / "bmc", SRC / "cluster", SRC / "hybrid", SRC / "intervals",
+    SRC / "bmc", SRC / "cluster", SRC / "expr", SRC / "hybrid", SRC / "intervals",
     SRC / "io", SRC / "logic", SRC / "lyapunov", SRC / "models",
     SRC / "monitor", SRC / "odes", SRC / "progress.py", SRC / "scenarios",
     SRC / "service", SRC / "smc", SRC / "solver", SRC / "status.py",

@@ -223,3 +223,40 @@ class TestToys:
         h = bouncing_ball(c=0.5)
         traj = simulate_hybrid(h, t_final=3.0, max_jumps=10)
         assert len(traj.jumps_taken) >= 2
+
+
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import repro.api, repro.scenarios, repro.models
+from repro.models import erk_cascade_ode, ias_model, kinetic_proofreading_ode, logistic
+from repro.odes import rk45
+
+h = ias_model("patient_A")
+traj = rk45(logistic(), {"x": 0.5}, (0.0, 1.0))
+# the scenario builtins build the mass-action systems without solving
+# for an equilibrium, so they need no scipy either
+kp, erk = kinetic_proofreading_ode(3), erk_cascade_ode()
+print(h.name, len(traj) > 1, kp.dim, erk.dim)
+"""
+
+
+def test_imports_and_models_work_without_scipy():
+    """numpy is the one declared runtime dependency: importing the
+    package and building a model needs no scipy (``find_equilibrium``
+    imports it on its first call)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src_dir = str(Path(repro.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ias", "True", "3", "2"]

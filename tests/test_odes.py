@@ -1,11 +1,13 @@
 """Tests for ODESystem, integrators and event location."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.expr import sin, var, variables
+from repro.expr import exp, minimum, sin, var, variables
 from repro.odes import (
     IntegrationError,
     ODESystem,
@@ -317,16 +319,19 @@ class TestEventLocation:
 
 
 def _count_field_calls(system):
-    """Swap ``system``'s compiled vector field for a counting wrapper;
-    returns the list of call times and the unwrapped field."""
-    field = system.rhs()
+    """Swap ``system``'s compiled vector-field body -- the callable
+    ``rk45`` evaluates, and the one ``rhs()`` wraps for ``rk4`` -- for a
+    counting wrapper; returns the list of call times and the unwrapped
+    ndarray field."""
+    field, body = system.rhs(), system.rhs_list()
     calls = []
 
     def counted(t, y, p):
         calls.append(t)
-        return field(t, y, p)
+        return body(t, y, p)
 
-    system._compiled = counted
+    system._compiled_list = counted
+    system._compiled = None
     return calls, field
 
 
@@ -398,3 +403,125 @@ class TestStageReuse:
         assert cut.states[-1, 0] < 0.5 <= cut.states[-2, 0]
         for attr in ("times", "states", "derivs"):
             assert getattr(cut, attr).tobytes() == getattr(full, attr)[:n].tobytes()
+
+
+def _ias_mode_run():
+    """The IAS on-treatment mode up to its first guard crossing, stopped
+    by the hybrid simulator's own ``_crossing_stop`` hook."""
+    from repro.hybrid.simulate import _crossing_stop, _margin_fn
+    from repro.models.prostate import ias_model
+
+    h = ias_model("patient_A")
+    system, p = h.mode_system("on"), dict(h.params)
+    state = {"x": 15.0, "y": 0.01, "z": 12.0}
+    guards = [_margin_fn(j.guard, p) for j in h.jumps_from("on")]
+    stop = _crossing_stop(system.state_names, list(state.values()), rising=guards)
+    return rk45(system, state, (0.0, 1000.0), params=p, max_step=20.0, stop=stop)
+
+
+def _proofreading_run(n_steps):
+    from repro.models.massaction import kinetic_proofreading_ode
+
+    system = kinetic_proofreading_ode(n_steps=n_steps)
+    return rk45(system, dict.fromkeys(system.state_names, 0.0), (0.0, 20.0))
+
+
+#: name -> (run, sha256 of times/states/derivs bytes, numpy warning text
+#: that shows the step went through numpy's scalar semantics, or None)
+_PINNED_RUNS = {
+    "decay": (
+        lambda: rk45(ODESystem({"x": -var("k") * x}, {"k": 1.0}), {"x": 1.0}, (0.0, 3.0)),
+        "0ce844c8ee699faf33562955075617857f33b4ee8a4c6ee714e89b5211360626", None,
+    ),
+    "forced": (
+        lambda: rk45(*_stage_system("forced")[:2], (0.0, 5.0), params={"k": 3.0}),
+        "a9c585e10701c820a679890c499bc0a2b729b14ed3e2f3d35bbf2e634eb093c2", None,
+    ),
+    "stiff": (
+        lambda: rk45(*_stage_system("stiff")[:2], (0.0, 5.0)),
+        "6e54a875265ac52074d40b3f5b5551d82c942bcdc2384bff70fa00b40b9ab252", None,
+    ),
+    "ias-mode-stopped": (
+        _ias_mode_run,
+        "3df389183943c7085027a9b3f9477b250c4aa47aa04ac882a9e467896045c0ba", None,
+    ),
+    "proofreading-8d": (
+        lambda: _proofreading_run(8),
+        "61432503633abf57f938a6aeb5c1d7ec0fb966931a48a86b1aa4f79df3302cd8", None,
+    ),
+    "proofreading-12d": (
+        lambda: _proofreading_run(12),
+        "c988cc8ddc5e388c6e8ee60f238169b89fb5714b1245b96cf1e2b2870a5ef691", None,
+    ),
+    # x * x underflows to 0.0 mid-run: 1 / 0.0 is inf, clipped by min
+    "divide-by-zero": (
+        lambda: rk45(
+            ODESystem({"x": -x, "y": minimum(1.0 / (x * x), 3.0)}),
+            {"x": 1e-161, "y": 0.0}, (0.0, 3.0),
+        ),
+        "6d60976f2d53822205636aab8dc197db9ecf080fd86b3e787b2038d018a6ea25",
+        "divide by zero",
+    ),
+    "exp-overflow": (
+        lambda: rk45(
+            ODESystem({"x": 300.0 + 0.0 * x, "y": minimum(exp(x), 2.0)}),
+            {"x": 0.0, "y": 0.0}, (0.0, 5.0),
+        ),
+        "378e3c6935a6a1f3c9c1770f2da2baee65cd433528e50cd1b2108ab3c95d7adb",
+        "overflow encountered in exp",
+    ),
+    "pow-overflow": (
+        lambda: rk45(
+            ODESystem({"x": x, "y": minimum(x ** 3.0, 4.0)}),
+            {"x": 1e100, "y": 0.0}, (0.0, 20.0),
+        ),
+        "bee8fe2f4333d5c8fbe233d4430633c3fbc2d867d1c6256759b8da81b72bfb29",
+        "overflow encountered in scalar power",
+    ),
+    # stiff trial stages overshoot below zero: x ** 0.5 is nan there and
+    # the attempt is rejected
+    "negative-base-pow": (
+        lambda: rk45(
+            ODESystem({"x": -50.0 * x, "y": x ** 0.5}), {"x": 1.0, "y": 0.0}, (0.0, 1.0)
+        ),
+        "b7e80cf7b7fef0cee25d31ea740284eca2b5f2dd993f954002dce3b611bd14e7",
+        "invalid value encountered in scalar power",
+    ),
+}
+
+
+class TestPinnedTrajectories:
+    """``rk45`` output bits, pinned: sha256 over the ``tobytes()`` of
+    ``times``, ``states`` and ``derivs``.  A change to the integrator,
+    the compiled vector field or the scalar semantics of a field that
+    divides by zero, overflows or takes a fractional power of a
+    negative base moves one of these digests."""
+
+    @pytest.mark.parametrize("name", list(_PINNED_RUNS))
+    def test_digest(self, name):
+        run, want, warning = _PINNED_RUNS[name]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = run()
+        digest = hashlib.sha256()
+        for arr in (traj.times, traj.states, traj.derivs):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == want
+        if warning is not None:
+            assert any(warning in str(w.message) for w in caught)
+
+    def test_parameter_only_negative_fractional_power_raises(self):
+        # no state value enters the power, so numpy's rules never apply:
+        # the compiled guard names it instead of returning a complex
+        system = ODESystem({"x": var("a") ** 0.5 + 0.0 * x}, {"a": -1.0})
+        for run in (
+            lambda: rk45(system, {"x": 1.0}, (0.0, 1.0)),
+            lambda: system.rhs()(0.0, np.array([1.0]), system.params),
+        ):
+            with pytest.raises(ValueError, match="negative base -1.0 to fractional power 0.5"):
+                run()
+
+    def test_parameter_only_division_by_zero_raises(self):
+        system = ODESystem({"x": var("a") / var("b") + 0.0 * x}, {"a": 1.0, "b": 0.0})
+        with pytest.raises(ZeroDivisionError):
+            rk45(system, {"x": 1.0}, (0.0, 1.0))

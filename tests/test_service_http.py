@@ -130,6 +130,18 @@ class TestServe:
         assert err.value.code == 400
         assert "max_boxes must be >= 1, got 0" in json.loads(err.value.read())["error"]
 
+    def test_interval_x0_400(self, server):
+        spec = {
+            "task": "calibrate", "model": {"builtin": "logistic"},
+            "query": {"data": {"samples": [[2.0, {"x": 1.45}]], "tolerance": 0.2},
+                      "param_ranges": {"r": [0.1, 2.0]}, "x0": {"x": [0.4, 0.6]}},
+        }
+        with pytest.raises(HTTPError) as err:
+            _post(f"{server.url}/run", spec)
+        assert err.value.code == 400
+        error = json.loads(err.value.read())["error"]
+        assert "task 'calibrate' query field 'x0' needs a number for 'x'" in error
+
     def test_string_spec_rejected_not_read_as_path(self, server):
         # a path-string spec must never reach TaskSpec.from_file: that
         # would let network clients read/execute server-local files
