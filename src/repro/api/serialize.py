@@ -43,7 +43,6 @@ __all__ = [
     "timeseries_from_value",
     "timeseries_to_value",
     "bounds_from_value",
-    "bounds_to_value",
 ]
 
 
@@ -215,8 +214,3 @@ def bounds_from_value(value: Any) -> dict[str, tuple[float, float]]:
             ) from None
         out[str(name)] = (float(lo), float(hi))
     return out
-
-
-def bounds_to_value(bounds: Mapping[str, tuple[float, float]]) -> dict[str, list[float]]:
-    """Serialize bounds to ``{"x": [lo, hi]}`` JSON form."""
-    return {k: [float(lo), float(hi)] for k, (lo, hi) in bounds.items()}

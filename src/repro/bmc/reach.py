@@ -37,8 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.hybrid import HybridAutomaton, formula_margin
-from repro.hybrid.simulate import _crossing_stop, _guard_time
+from repro.hybrid import EventWatch, HybridAutomaton, formula_margin
 from repro.intervals import Box, BoxArray, Interval
 from repro.logic import Formula, TrueFormula
 from repro.odes import EnclosureError, ReachTube, flow_enclosure, rk45
@@ -438,25 +437,20 @@ class BMCChecker:
         for i, mode_name in enumerate(path.modes):
             system = self.automaton.mode_system(mode_name)
             jump = path.jumps[i] if i < len(path.jumps) else None
-            stop = None
+            # stop at the guard's crossing; the last mode runs to the
+            # bound because its goal scan needs the whole horizon
+            watch = None
             if jump is not None:
-
-                def margin(s: dict[str, float]) -> float:
-                    return formula_margin(jump.guard, {**params, **s})
-
-                # stop at the guard's crossing; the last mode runs to the
-                # bound because its goal scan needs the whole horizon
-                names = system.state_names
-                stop = _crossing_stop(names, [state[n] for n in names], rising=[margin])
+                watch = EventWatch(system.state_names, state, params, [jump])
             try:
                 traj = rk45(
                     system, state, (0.0, spec.time_bound), params=params,
-                    rtol=1e-7, max_step=opt.enclosure_step, stop=stop,
+                    rtol=1e-7, max_step=opt.enclosure_step, stop=watch,
                 )
             except Exception:
                 return None
-            if jump is not None:
-                t_cross = _guard_time(traj, margin)
+            if watch is not None:
+                t_cross, _ = watch.locate(traj)
                 if t_cross is None or t_cross < spec.min_dwell:
                     return None
                 dwells.append(t_cross)

@@ -149,11 +149,12 @@ def mm(x: ExprLike, vmax: ExprLike, km: ExprLike) -> Expr:
 
 
 def heaviside_smooth(x: ExprLike, steepness: float = 50.0) -> Expr:
-    """Smooth approximation of the Heaviside step via a steep sigmoid.
+    """Smooth approximation of the Heaviside step via a steep sigmoid,
+    ``sigmoid(steepness * x)``.
 
     Cardiac minimal models (Fenton-Karma, Bueno-Cherry-Fenton) are written
-    with Heaviside gates H(u - theta); the hybrid-automaton translation in
-    :mod:`repro.models.cardiac` replaces them with mode switching, while
-    the single-mode (stiff-ODE) rendering uses this smooth stand-in.
+    with Heaviside gates H(u - theta); :mod:`repro.models.cardiac`
+    replaces them with mode switching, and this is the smooth stand-in
+    for a single-mode rendering of such a gate.
     """
     return sigmoid(as_expr(x) * Const(float(steepness)))

@@ -7,6 +7,7 @@ a concrete simulator producing hybrid trajectories (Definitions 8-10).
 
 from .automaton import HybridAutomaton, Jump, Mode
 from .simulate import (
+    EventWatch,
     HybridSegment,
     HybridTrajectory,
     formula_margin,
@@ -17,6 +18,7 @@ __all__ = [
     "HybridAutomaton",
     "Mode",
     "Jump",
+    "EventWatch",
     "HybridSegment",
     "HybridTrajectory",
     "simulate_hybrid",

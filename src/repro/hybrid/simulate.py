@@ -15,19 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.logic import And, Atom, Exists, FalseFormula, Forall, Formula, Or, TrueFormula
+from repro.logic import (
+    TRUE, And, Atom, Exists, FalseFormula, Forall, Formula, Or, TrueFormula,
+)
 from repro.odes import Trajectory, rk45
 
 from .automaton import HybridAutomaton, Jump
 
-__all__ = ["HybridSegment", "HybridTrajectory", "simulate_hybrid", "formula_margin"]
-
-#: A formula's satisfaction margin as a function of the named state.
-Margin = Callable[[dict[str, float]], float]
+__all__ = [
+    "EventWatch", "HybridSegment", "HybridTrajectory", "simulate_hybrid", "formula_margin",
+]
 
 
 def formula_margin(phi: Formula, env: Mapping[str, float]) -> float:
@@ -79,7 +80,7 @@ class HybridTrajectory:
 
     segments: list[HybridSegment]
     jumps_taken: list[Jump] = field(default_factory=list)
-    stopped_reason: str = "time"  # "time" | "invariant" | "deadlock" | "max_jumps"
+    stopped_reason: str = "time"  # "time" | "invariant" | "max_jumps" | "zeno"
 
     @property
     def t_end(self) -> float:
@@ -166,8 +167,11 @@ def simulate_hybrid(
         zero-crossing.  ``"boundary"``: jumps fire only when the mode
         invariant is about to be violated (and some guard is enabled).
     min_dwell:
-        Zeno guard -- a fired jump must be preceded by at least this
-        much dwell, except immediately after a reset.
+        Zeno guard -- when a jump ends a dwell shorter than this and
+        taking it would make more than three jumps, the run stops with
+        ``"zeno"`` instead.  Like a ``"max_jumps"`` stop, it ends on the
+        segment that jump would have left, so every stop reason leaves
+        one jump fewer than segments.
     """
     if jump_policy not in ("urgent", "boundary"):
         raise ValueError(f"unknown jump policy {jump_policy!r}")
@@ -186,16 +190,14 @@ def simulate_hybrid(
         if t >= t_final - 1e-12:
             break
         system = automaton.mode_system(mode_name)
-        invariant = automaton.mode(mode_name).invariant
-        inv = None if isinstance(invariant, TrueFormula) else _margin_fn(invariant, p)
-        guards = [(j, _margin_fn(j.guard, p)) for j in automaton.jumps_from(mode_name)]
-        names = system.state_names
-        stop = _crossing_stop(
-            names,
-            [state[n] for n in names],
+        watch = EventWatch(
+            system.state_names,
+            state,
+            p,
+            automaton.jumps_from(mode_name),
+            automaton.mode(mode_name).invariant,
             # under "boundary" only an invariant exit is an event
-            rising=[g for _, g in guards] if jump_policy == "urgent" else [],
-            falling=[inv] if inv is not None else [],
+            urgent=jump_policy == "urgent",
         )
         seg_traj = rk45(
             system,
@@ -204,10 +206,9 @@ def simulate_hybrid(
             params=p,
             rtol=rtol,
             max_step=max_step if max_step is not None else (t_final - t) / 50.0,
-            stop=stop,
+            stop=watch if watch.margins else None,
         )
-
-        event_t, fired = _first_event(seg_traj, inv, guards, jump_policy)
+        event_t, fired = watch.locate(seg_traj)
 
         if event_t is None:
             segments.append(HybridSegment(mode_name, seg_traj))
@@ -216,26 +217,21 @@ def simulate_hybrid(
 
         clipped = seg_traj.restricted(seg_traj.t0, event_t)
         segments.append(HybridSegment(mode_name, clipped))
-        state_at_event = clipped.final()
-
+        t = event_t
         if fired is None:
             # invariant violated with no enabled jump
             reason = "invariant"
-            t = event_t
             break
-
         if len(jumps_taken) >= max_jumps:
             reason = "max_jumps"
-            t = event_t
             break
-
-        state = fired.apply_reset(state_at_event, p)
-        jumps_taken.append(fired)
-        mode_name = fired.target
-        t = event_t
-        if event_t - clipped.t0 < min_dwell and len(jumps_taken) > 3:
+        if event_t - clipped.t0 < min_dwell and len(jumps_taken) >= 3:
             reason = "zeno"
             break
+
+        state = fired.apply_reset(clipped.final(), p)
+        jumps_taken.append(fired)
+        mode_name = fired.target
 
     if not segments:
         # degenerate zero-length trajectory
@@ -250,128 +246,86 @@ def simulate_hybrid(
     return HybridTrajectory(segments, jumps_taken, reason)
 
 
-def _margin_fn(phi: Formula, params: Mapping[str, float]) -> Margin:
-    def fn(state: dict[str, float]) -> float:
-        return formula_margin(phi, {**params, **state})
+class EventWatch:
+    """The first event of one mode's flow: an ``rk45`` stop hook that is
+    also its locator.
 
-    return fn
+    The watched margins are the ``invariant`` (falling through zero: an
+    exit) and, when ``urgent``, each jump's guard (rising through zero).
+    As the hook, the watcher evaluates every watched margin once at
+    ``y0`` and once per accepted sample, and stops the run at the first
+    step whose bracket shows a margin go from ``< 0`` to ``>= 0`` (sign
+    adjusted), or at the first step when a guard already holds at
+    ``y0``.  No earlier bracket shows a crossing, so :meth:`locate`
+    bisects only the margins that crossed in the last one.
 
-
-def _first_event(
-    traj: Trajectory,
-    inv: Margin | None,
-    guards: list[tuple[Jump, Margin]],
-    jump_policy: str,
-) -> tuple[float | None, Jump | None]:
-    """Earliest invariant exit or guard activation along ``traj``.
-
-    ``inv`` is the invariant's margin (None when the mode has none) and
-    ``guards`` pairs each outgoing jump with its guard's margin.
-    Returns ``(event_time, jump)``; ``jump`` is None for a pure
-    invariant violation.  ``(None, None)`` means no event.
+    A watcher serves one ``rk45`` run; ``margins`` is empty when nothing
+    is watched (pass ``stop=None`` then).
     """
-    candidates: list[tuple[float, Jump | None]] = []
 
-    if inv is not None:
-        t_inv = _first_crossing(traj, inv, falling=True)
-        if t_inv is not None:
-            candidates.append((t_inv, None))
+    def __init__(
+        self,
+        names: Sequence[str],
+        y0: Mapping[str, float],
+        params: Mapping[str, float],
+        jumps: Sequence[Jump],
+        invariant: Formula = TRUE,
+        urgent: bool = True,
+    ):
+        self.names = list(names)
+        self.params = params
+        self.jumps = list(jumps)
+        self.urgent = urgent
+        #: (sign, formula, jump) per watched margin; jump None for the invariant
+        self.margins: list[tuple[float, Formula, Jump | None]] = (
+            [] if isinstance(invariant, TrueFormula) else [(-1.0, invariant, None)]
+        )
+        if urgent:
+            self.margins += [(1.0, j.guard, j) for j in self.jumps]
+        self._prev = self._values([y0[n] for n in self.names])
+        self._enabled = [
+            j for (_, _, j), v in zip(self.margins, self._prev) if j is not None and v >= 0.0
+        ]
+        self._crossed: list[tuple[int, float]] = []
 
-    if jump_policy == "urgent":
-        for j, g in guards:
-            t_g = _guard_time(traj, g)
-            if t_g is not None:
-                candidates.append((t_g, j))
-    elif candidates:
-        # "boundary": jumps fire only at invariant exit; choose the first
-        # enabled one
-        t_exit = candidates[0][0]
-        st = traj.at(t_exit)
-        for j, g in guards:
-            if g(st) >= 0.0:
-                candidates = [(t_exit, j)]
-                break
+    def _values(self, y: Sequence[float]) -> list[float]:
+        env = {**self.params, **dict(zip(self.names, y))}
+        return [sign * formula_margin(phi, env) for sign, phi, _ in self.margins]
 
-    if not candidates:
-        return None, None
-    candidates.sort(key=lambda c: (c[0], c[1] is None))
-    return candidates[0]
+    def __call__(self, t: float, y: Sequence[float]) -> bool:
+        cur = self._values(y)
+        self._crossed = [
+            (i, a) for i, (a, b) in enumerate(zip(self._prev, cur)) if a < 0.0 <= b
+        ]
+        self._prev = cur
+        return bool(self._enabled or self._crossed)
 
+    def locate(self, traj: Trajectory) -> tuple[float | None, Jump | None]:
+        """The first event along ``traj``, the run this watcher stopped.
 
-def _guard_time(traj: Trajectory, fn: Margin) -> float | None:
-    """When an urgent guard ``fn >= 0`` first holds along ``traj``: its
-    start if already enabled in the first sample, else its first rising
-    zero-crossing."""
-    if fn(dict(zip(traj.names, traj.states[0]))) >= 0.0:
-        return traj.t0
-    return _first_crossing(traj, fn, falling=False)
-
-
-def _crossing_stop(
-    names: Sequence[str],
-    y0: Sequence[float],
-    rising: Sequence[Margin] = (),
-    falling: Sequence[Margin] = (),
-) -> Callable[[float, np.ndarray], bool] | None:
-    """``rk45`` stop hook for the events the locators here return.
-
-    True at the first accepted step whose end sample and the sample
-    before it bracket a crossing -- a ``rising`` margin going from
-    ``< 0`` to ``>= 0`` or a ``falling`` one from ``> 0`` to ``<= 0``,
-    the test of :func:`_first_crossing` -- and at the first step already
-    when a ``rising`` margin holds at ``y0`` (the start check of
-    :func:`_guard_time`).  No earlier bracket shows a crossing, and the
-    locators read nothing past the first crossing bracket, so they find
-    the same event on the stopped run as on a run to the end of the
-    span.  None when nothing is watched.
-    """
-    signed = [(-1.0, fn) for fn in falling] + [(1.0, fn) for fn in rising]
-    if not signed:
-        return None
-
-    def values(y) -> list[float]:
-        state = dict(zip(names, y))
-        return [sign * fn(state) for sign, fn in signed]
-
-    prev = values(y0)
-    if any(v >= 0.0 for v in prev[len(falling):]):
-        return lambda t, y: True
-
-    def stop(t: float, y: np.ndarray) -> bool:
-        nonlocal prev
-        cur = values(y)
-        crossed = any(a < 0.0 <= b for a, b in zip(prev, cur))
-        prev = cur
-        return crossed
-
-    return stop
-
-
-def _first_crossing(
-    traj: Trajectory,
-    fn: Margin,
-    falling: bool,
-    tol: float = 1e-10,
-) -> float | None:
-    """First time ``fn`` crosses zero (rising by default).
-
-    The first pair of consecutive samples whose signed values go from
-    ``< 0`` to ``>= 0`` brackets the crossing, and bisection
-    interpolates inside that pair only.
-    """
-    sign = -1.0 if falling else 1.0
-    values = [sign * fn(dict(zip(traj.names, row))) for row in traj.states]
-    for i in range(1, len(values)):
-        a, b = values[i - 1], values[i]
-        if a < 0.0 <= b:
-            lo, hi = float(traj.times[i - 1]), float(traj.times[i])
-            flo = a
-            while hi - lo > tol * max(1.0, abs(hi)):
+        Returns ``(time, jump)``, ``jump`` None for an invariant exit
+        with no jump to take, or ``(None, None)`` when nothing happened.
+        The earliest time wins; at a tie a jump beats the exit, and jumps
+        go in declaration order.  A guard enabled at ``y0`` fires at
+        ``traj.t0``.  Without ``urgent``, the exit takes the first jump
+        whose guard holds at the exit state.
+        """
+        events: list[tuple[float, Jump | None]] = [(traj.t0, j) for j in self._enabled]
+        for i, flo in self._crossed:
+            sign, phi, jump = self.margins[i]
+            lo, hi = float(traj.times[-2]), float(traj.times[-1])
+            while hi - lo > 1e-10 * max(1.0, abs(hi)):
                 mid = 0.5 * (lo + hi)
-                fmid = sign * fn(traj.at(mid))
+                fmid = sign * formula_margin(phi, {**self.params, **traj.at(mid)})
                 if (flo < 0.0) == (fmid < 0.0):
                     lo, flo = mid, fmid
                 else:
                     hi = mid
-            return hi
-    return None
+            events.append((hi, jump))
+        if not events:
+            return None, None
+        t_event, jump = min(events, key=lambda e: (e[0], e[1] is None))
+        if jump is None and not self.urgent:
+            env = {**self.params, **traj.at(t_event)}
+            jump = next((j for j in self.jumps if formula_margin(j.guard, env) >= 0.0), None)
+        return t_event, jump

@@ -176,10 +176,6 @@ class IntervalArray:
     def __len__(self) -> int:
         return int(self.lo.shape[0])
 
-    def __getitem__(self, i) -> Interval:
-        """Row ``i`` as a scalar :class:`Interval`."""
-        return Interval(float(self.lo[i]), float(self.hi[i]))
-
     def copy(self) -> "IntervalArray":
         """An independent copy of the bound arrays."""
         return IntervalArray(self.lo.copy(), self.hi.copy())

@@ -18,7 +18,7 @@ from .formulas import (
     Or,
     TrueFormula,
 )
-from .builders import box_formula, conjoin, eq_zero, equals_within, in_range
+from .builders import box_formula, eq_zero, equals_within, in_range
 
 __all__ = [
     "Formula",
@@ -37,5 +37,4 @@ __all__ = [
     "equals_within",
     "eq_zero",
     "box_formula",
-    "conjoin",
 ]

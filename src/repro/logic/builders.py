@@ -18,7 +18,6 @@ __all__ = [
     "in_range",
     "equals_within",
     "box_formula",
-    "conjoin",
     "eq_zero",
 ]
 
@@ -54,8 +53,3 @@ def box_formula(box: Box | Mapping[str, tuple[float, float]]) -> Formula:
         items = list(box.items())
     parts = [in_range(var(name), lo, hi) for name, (lo, hi) in items]
     return And(*parts)
-
-
-def conjoin(formulas) -> Formula:
-    """Conjunction of an iterable of formulas."""
-    return And(*list(formulas))

@@ -1,7 +1,7 @@
 """ODE substrate (S5 in DESIGN.md).
 
 Symbolic vector fields, numerical integrators (RK4, Dormand-Prince
-RK45) with dense output and event location, and validated interval
+RK45) with dense output and a terminal stop hook, and validated interval
 enclosures that realize ODE flows as computable functions (paper
 Definition 7).
 """
@@ -10,7 +10,6 @@ from .system import ODESystem
 from .integrators import (
     IntegrationError,
     Trajectory,
-    find_event,
     rk4,
     rk4_batch,
     rk45,
@@ -26,7 +25,6 @@ __all__ = [
     "rk4_batch",
     "rk45",
     "simulate",
-    "find_event",
     "ReachTube",
     "TubeStep",
     "flow_enclosure",

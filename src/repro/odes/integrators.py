@@ -504,45 +504,3 @@ def simulate(
             raise TypeError(f"method 'rk4' got unexpected keyword arguments {sorted(kwargs)}")
         return rk4(system, x0, t_span, dt, params)
     raise ValueError(f"unknown method {method!r}")
-
-
-# ----------------------------------------------------------------------
-# Event location
-# ----------------------------------------------------------------------
-
-
-def find_event(
-    traj: Trajectory,
-    event: Callable[[dict[str, float]], float],
-    direction: int = 0,
-    refine: Callable[[float], dict[str, float]] | None = None,
-    tol: float = 1e-10,
-) -> float | None:
-    """First time the scalar ``event(state)`` crosses zero.
-
-    ``direction`` restricts to rising (+1), falling (-1) or any (0)
-    crossings.  The crossing is located by bisection on the
-    (interpolated) trajectory; ``refine`` may supply a more accurate
-    state lookup (e.g. a re-integration).
-    """
-    lookup = refine if refine is not None else traj.at
-    values = [event(dict(zip(traj.names, row))) for row in traj.states]
-    for i in range(1, len(values)):
-        a, b = values[i - 1], values[i]
-        if a == 0.0:
-            continue
-        crossed = (a < 0 <= b) if direction >= 0 else False
-        crossed = crossed or ((a > 0 >= b) if direction <= 0 else False)
-        if not crossed:
-            continue
-        lo, hi = float(traj.times[i - 1]), float(traj.times[i])
-        flo = a
-        while hi - lo > tol * max(1.0, abs(hi)):
-            mid = 0.5 * (lo + hi)
-            fmid = event(lookup(mid))
-            if (flo < 0) == (fmid < 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    return None

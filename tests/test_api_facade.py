@@ -53,3 +53,31 @@ class TestNoWarningsThroughFacade:
                 },
             })
         assert report.status.value == "falsified"
+
+
+def test_module_run_batch_matches_engine():
+    """``repro.run_batch`` is ``Engine(workers, seed).run_batch``."""
+    import repro
+    from repro.api import Engine
+
+    specs = [
+        {
+            "task": "calibrate",
+            "name": f"probe-{target}",
+            "model": {"builtin": "logistic"},
+            "query": {
+                "data": {"samples": [[2.0, {"x": target}]], "tolerance": 0.2},
+                "param_ranges": {"r": [0.1, 2.0]},
+                "x0": {"x": 0.5},
+            },
+            "solver": {"delta": 0.05, "max_boxes": 400},
+        }
+        for target in (1.45, 9.0)
+    ]
+    with Engine(seed=0) as engine:
+        want = [r.to_dict() for r in engine.run_batch(specs)]
+    got = [r.to_dict() for r in repro.run_batch(specs, workers=1)]
+    for d in want + got:
+        d.pop("wall_time")
+    assert got == want
+    assert [d["name"] for d in got] == ["probe-1.45", "probe-9.0"]

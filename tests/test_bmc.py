@@ -502,3 +502,65 @@ class TestBatchedInvariant:
         got = checker._check_invariant(inv, tube_a, tube_b, dwell, param_box)
         assert got is self._per_step(checker, inv, tube_a, tube_b, dwell, param_box)
         assert got is expected
+
+
+def _box_digest(box) -> str:
+    """sha256 of a candidate box's bounds as ``float.hex`` (``None``
+    for no candidate)."""
+    if box is None:
+        blob = "None"
+    else:
+        blob = repr(sorted((n, iv.lo.hex(), iv.hi.hex()) for n, iv in box.items()))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+#: scenario -> (mode path, candidate box digest) of every simulation
+#: guidance call, taken before the guard's stop hook and its locator
+#: became one object.
+PINNED_CANDIDATES = {
+    "thermostat-reach": [[
+        "off->on", "916b5921fae30c43ae2be31662737a199b4b5255e76136a10df8db3b8c427658",
+    ]],
+    "tbi-plan": [[
+        "live->drug_A", "e6f51b2e687dbfda73fee22eef6836b085136b6caaad2b5c097fd708c23349fe",
+    ]],
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_CANDIDATES))
+def test_pinned_simulation_candidates(monkeypatch, name):
+    from repro.api import Engine
+    from repro.scenarios import get_scenario
+
+    simulate = BMCChecker._simulate_candidate
+    seen = []
+
+    def recorded(self, path, *args):
+        box = simulate(self, path, *args)
+        seen.append(["->".join(path.modes), _box_digest(box)])
+        return box
+
+    monkeypatch.setattr(BMCChecker, "_simulate_candidate", recorded)
+    with Engine(seed=0) as engine:
+        engine.run(get_scenario(name).spec())
+    assert seen == PINNED_CANDIDATES[name]
+
+
+#: ``falsify`` method=reach on ``thermostat-reach``'s query: report
+#: digest taken before the guard's stop hook and its locator became one
+#: object.
+PINNED_FALSIFY_REACH = (
+    "2379a50beeecb28b7dd6107b8dc0f50ca7ae691d452349db1b9cc0c26a3097a4"
+)
+
+
+def test_falsify_reach_report():
+    from repro.api import Engine
+    from repro.scenarios import get_scenario
+
+    spec = get_scenario("thermostat-reach").spec()
+    spec = spec.replace(task="falsify", query={**spec.query, "method": "reach"})
+    with Engine(seed=0) as engine:
+        report = engine.run(spec)
+    assert report.payload["method"] == "reach"
+    assert _report_digest(report) == PINNED_FALSIFY_REACH

@@ -13,6 +13,7 @@ from repro.expr import (
     as_expr,
     cos,
     exp,
+    heaviside_smooth,
     hill,
     log,
     maximum,
@@ -87,6 +88,14 @@ class TestEval:
         assert sigmoid(x).eval({"x": 1000.0}) == pytest.approx(1.0)
         assert sigmoid(x).eval({"x": -1000.0}) == pytest.approx(0.0)
         assert sigmoid(x).eval({"x": 0.0}) == pytest.approx(0.5)
+
+    def test_heaviside_smooth_is_a_steep_sigmoid(self):
+        h = heaviside_smooth(x - 0.5)
+        assert h.eval({"x": 0.5}) == 0.5
+        assert h.eval({"x": 0.7}) == sigmoid(50.0 * (x - 0.5)).eval({"x": 0.7})
+        assert h.eval({"x": 0.7}) > 0.99 and h.eval({"x": 0.3}) < 0.01
+        soft = heaviside_smooth(x, steepness=2.0)
+        assert soft.eval({"x": 0.3}) == pytest.approx(1.0 / (1.0 + math.exp(-0.6)))
 
     def test_min_max(self):
         assert minimum(x, y).eval({"x": 1, "y": 2}) == 1

@@ -1,8 +1,10 @@
 """Tests for hybrid automata: construction, validation, and simulation
 (thermostat and bouncing-ball classics)."""
 
+import hashlib
 import math
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -17,8 +19,9 @@ from repro.hybrid import (
     simulate_hybrid,
 )
 from repro.intervals import Box
-from repro.logic import And, Atom, Or, in_range
+from repro.logic import And, Or, TrueFormula
 from repro.models.prostate import ias_model
+from repro.odes import Trajectory
 
 x = var("x")
 v = var("v")
@@ -390,7 +393,8 @@ EVENT_CASES = {
 
 class TestEventStoppedSegments:
     """A segment's integration ends at the step bracketing its first
-    event, bit-identically to integrating it to t_final and clipping."""
+    event, bit-identically to integrating it to t_final, replaying the
+    stop hook over that run's samples and clipping at its event."""
 
     @pytest.mark.parametrize("case", sorted(EVENT_CASES))
     def test_matches_integrate_then_clip(self, monkeypatch, case):
@@ -403,6 +407,17 @@ class TestEventStoppedSegments:
             def run(*args, stop=None, **kw):
                 traj = rk45(*args, stop=stop if honour_stop else None, **kw)
                 steps[key] += len(traj) - 1
+                if stop is not None and not honour_stop:
+                    # the hook sees each accepted sample as rk45 would;
+                    # its locator reads the prefix up to where it stops
+                    n = next(
+                        (i + 1 for i in range(1, len(traj))
+                         if stop(float(traj.times[i]), traj.states[i].tolist())),
+                        len(traj),
+                    )
+                    traj = Trajectory(
+                        traj.times[:n], traj.states[:n], traj.names, traj.derivs[:n]
+                    )
                 return traj
 
             return run
@@ -424,3 +439,119 @@ class TestEventStoppedSegments:
                 ), attr
         # every case has an event before t_final, so the tail is skipped
         assert steps["stopped"] < steps["full"]
+
+
+def _simulation_digest(automaton, traj) -> str:
+    """sha256 over every bit of a :func:`simulate_hybrid` result: each
+    segment's mode, ``times``, ``states`` and ``derivs``, the index in
+    ``automaton.jumps`` of every jump taken, and the stop reason."""
+    h = hashlib.sha256()
+    for seg in traj.segments:
+        h.update(seg.mode.encode())
+        for attr in ("times", "states", "derivs"):
+            h.update(getattr(seg.trajectory, attr).tobytes())
+    taken = [
+        next(i for i, j in enumerate(automaton.jumps) if j is k)
+        for k in traj.jumps_taken
+    ]
+    h.update(repr(taken).encode())
+    h.update(traj.stopped_reason.encode())
+    return h.hexdigest()
+
+
+#: case -> digest of its :func:`simulate_hybrid` result, taken before the
+#: stop hook and the event locator became one object.
+PINNED_EVENT_CASES = {
+    "bouncing-ball":
+        "c070819cade328444e863bfe7782f7d83a6ef7ce2ed9a6bff052b7010696c277",
+    "boundary-policy":
+        "494e713e59c4e82015d70f2e1174f0bef043a11649e047e5c707b1574df8eae9",
+    "guard-at-t0":
+        "1dac21e26c9fc66ab20399b734980c6fd345b5821815d9785f7aa9fce4236324",
+    "ias-patient_A":
+        "6b74cfa60100907daed357bb84cf0a421676bcfbedeada0f9da159d257fd987a",
+    "ias-patient_C":
+        "1f9956185e76f14fd980243bb9b4cf58f41df2d610d140a9f8583325c7d0a2ed",
+    "invariant-only":
+        "84c620a47114dfefa195d99a22bc9f22abda2385bd3ddb6a329bb6922088c652",
+    "thermostat":
+        "5a39c3ae729062899d94086434540f2807c3b11c3ee6d9843c4bd33c349ee854",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVENT_CASES))
+def test_pinned_event_cases(case):
+    make, x0, kwargs = EVENT_CASES[case]
+    automaton = make()
+    traj = simulate_hybrid(automaton, x0, **kwargs)
+    assert _simulation_digest(automaton, traj) == PINNED_EVENT_CASES[case]
+
+
+class TestEventMarginCalls:
+    """Each watched margin is evaluated once per accepted sample of a
+    segment (its first sample included); every other evaluation is a
+    locator probe at a dense-output state."""
+
+    @pytest.mark.parametrize("case", sorted(EVENT_CASES))
+    def test_once_per_sample(self, monkeypatch, case):
+        make, x0, kwargs = EVENT_CASES[case]
+        automaton = make()
+        names = automaton.variables
+        rk45, at, margin = hybrid_simulate.rk45, Trajectory.at, formula_margin
+        runs, probes, calls = [], [], Counter()
+        depth = [0]
+
+        def recorded_rk45(*args, **kw):
+            runs.append(rk45(*args, **kw))
+            return runs[-1]
+
+        def recorded_at(self, t):
+            probes.append(at(self, t))
+            return probes[-1]
+
+        def counted(phi, env):
+            if depth[0] == 0:
+                calls[id(phi), tuple(float(env[n]) for n in names)] += 1
+            depth[0] += 1
+            try:
+                return margin(phi, env)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(hybrid_simulate, "rk45", recorded_rk45)
+        monkeypatch.setattr(Trajectory, "at", recorded_at)
+        monkeypatch.setattr(hybrid_simulate, "formula_margin", counted)
+        traj = simulate_hybrid(automaton, x0, **kwargs)
+
+        urgent = kwargs.get("jump_policy", "urgent") == "urgent"
+        expected = Counter()
+        for seg, run in zip(traj.segments, runs):
+            invariant = automaton.mode(seg.mode).invariant
+            watched = [] if isinstance(invariant, TrueFormula) else [invariant]
+            if urgent:
+                watched += [j.guard for j in automaton.jumps_from(seg.mode)]
+            for row in run.states.tolist():
+                for phi in watched:
+                    expected[id(phi), tuple(row)] += 1
+        samples = Counter({k: n for k, n in calls.items() if k in expected})
+        assert samples == expected
+        others = sum(n for k, n in calls.items() if k not in expected)
+        assert others == len(probes)
+
+
+def test_zeno_stop_takes_no_jump():
+    """The Zeno check runs before a jump is taken, as the ``max_jumps``
+    one does: a Zeno stop ends on the segment whose short dwell
+    triggered it, with one jump fewer than segments."""
+    ball = bouncing_ball(0.5)
+    zeno = simulate_hybrid(ball, t_final=10.0, max_jumps=1000, min_dwell=1e-3)
+    capped = simulate_hybrid(ball, t_final=10.0, max_jumps=10, min_dwell=0.0)
+    assert zeno.stopped_reason == "zeno"
+    assert capped.stopped_reason == "max_jumps"
+    for traj in (zeno, capped):
+        assert len(traj.jumps_taken) == len(traj.segments) - 1 == 10
+    # the eleventh dwell is the first short one after three jumps
+    assert zeno.dwell_times()[-1] < 1e-3 <= min(zeno.dwell_times()[3:-1])
+    for a, b in zip(zeno.segments, capped.segments, strict=True):
+        for attr in ("times", "states", "derivs"):
+            assert getattr(a.trajectory, attr).tobytes() == getattr(b.trajectory, attr).tobytes()

@@ -12,7 +12,6 @@ from repro.odes import (
     IntegrationError,
     ODESystem,
     Trajectory,
-    find_event,
     rk4,
     rk45,
     simulate,
@@ -299,25 +298,6 @@ class TestDenseOutputBits:
                 assert sub.states.tobytes() == ref.tobytes()
 
 
-class TestEventLocation:
-    def test_threshold_crossing(self, decay):
-        traj = rk45(decay, {"x": 1.0}, (0.0, 3.0), rtol=1e-9, max_step=0.05)
-        t_cross = find_event(traj, lambda s: 0.5 - s["x"], direction=+1)
-        assert t_cross == pytest.approx(math.log(2.0), abs=1e-4)
-
-    def test_direction_filter(self, oscillator):
-        traj = rk45(oscillator, {"x": 1.0, "v": 0.0}, (0.0, 7.0), max_step=0.02)
-        # x falls through zero at t = pi/2 (falling), rises at 3pi/2
-        t_fall = find_event(traj, lambda s: s["x"], direction=-1)
-        assert t_fall == pytest.approx(math.pi / 2, abs=1e-3)
-        t_rise = find_event(traj, lambda s: s["x"], direction=+1)
-        assert t_rise == pytest.approx(3 * math.pi / 2, abs=1e-3)
-
-    def test_no_event(self, decay):
-        traj = rk45(decay, {"x": 1.0}, (0.0, 1.0))
-        assert find_event(traj, lambda s: s["x"] - 100.0) is None
-
-
 def _count_field_calls(system):
     """Swap ``system``'s compiled vector-field body -- the callable
     ``rk45`` evaluates, and the one ``rhs()`` wraps for ``rk4`` -- for a
@@ -407,15 +387,14 @@ class TestStageReuse:
 
 def _ias_mode_run():
     """The IAS on-treatment mode up to its first guard crossing, stopped
-    by the hybrid simulator's own ``_crossing_stop`` hook."""
-    from repro.hybrid.simulate import _crossing_stop, _margin_fn
+    by the hybrid simulator's own :class:`EventWatch` hook."""
+    from repro.hybrid import EventWatch
     from repro.models.prostate import ias_model
 
     h = ias_model("patient_A")
     system, p = h.mode_system("on"), dict(h.params)
     state = {"x": 15.0, "y": 0.01, "z": 12.0}
-    guards = [_margin_fn(j.guard, p) for j in h.jumps_from("on")]
-    stop = _crossing_stop(system.state_names, list(state.values()), rising=guards)
+    stop = EventWatch(system.state_names, state, p, h.jumps_from("on"))
     return rk45(system, state, (0.0, 1000.0), params=p, max_step=20.0, stop=stop)
 
 

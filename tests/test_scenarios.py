@@ -12,6 +12,7 @@ from repro.scenarios import (
     Scenario,
     ScenarioSweep,
     all_scenarios,
+    family_specs,
     find_scenarios,
     gallery_markdown,
     get_scenario,
@@ -165,6 +166,18 @@ class TestSweepExpansion:
         specs = sweep.expand()
         assert [s.seed for s in specs] == [0, 1]
         assert [s.name for s in specs] == ["sir-outbreak#s0", "sir-outbreak#s1"]
+
+    def test_family_specs_expands_a_corpus_family(self):
+        entries = find_scenarios(family="ias-perturbed")
+        specs = family_specs("ias-perturbed")
+        assert [s.to_dict() for s in specs] == [e.spec().to_dict() for e in entries]
+        seeded = family_specs("ias-perturbed", seeds=[0, 3])
+        assert [s.name for s in seeded[:2]] == [
+            f"{entries[0].name}#s0", f"{entries[0].name}#s3",
+        ]
+        assert [s.seed for s in seeded[:2]] == [0, 3]
+        with pytest.raises(ValueError, match="no registered scenarios"):
+            family_specs("no-such-family")
 
     def test_random_needs_samples(self):
         sweep = ScenarioSweep("sir-outbreak", random={"epsilon": (0.1, 0.3)})
